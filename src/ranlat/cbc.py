@@ -16,6 +16,12 @@ from .fftconv import rader_cbc_kernel, rader_cbc_kernel_naive
 from .kernels import KorobovSpaceParams, sigma_alpha
 from .primes import primitive_root
 
+# Relative tolerance under which two criterion values count as tied.  Exact
+# mathematical ties (z and p - z give the same theta and T-hat at the
+# smallest pool prime) differ only by round-off, and round-off must not
+# decide the residue: tied values resolve to the smaller index.
+TIE_RTOL = 1e-9
+
 
 @dataclass
 class CbcState:
@@ -74,7 +80,7 @@ def theta_all_naive(state: CbcState) -> np.ndarray:
     return gam2 / state.p * S
 
 
-def argmin_first(values: np.ndarray, rtol: float = 1e-9) -> int:
+def argmin_first(values: np.ndarray, rtol: float = TIE_RTOL) -> int:
     """Index of the minimum, ties broken by smallest index.
 
     Values within relative rtol of the minimum count as tied, so exact

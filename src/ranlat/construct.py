@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cbc import TIE_RTOL
 from .errors import DomainError
 from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams, sigma_alpha
@@ -35,8 +36,9 @@ class SequencingError(RuntimeError):
 def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
     """Residue choice: T-hat-minimiser among the ceil(tau p) smallest-theta candidates.
 
-    Theta ties prefer the smaller index when forming the candidate set;
-    T-hat ties also resolve to the smaller index.
+    Values within relative TIE_RTOL of each other count as tied.  Theta
+    values tied with the ceil(tau p)-th smallest fill the candidate set in
+    index order; T-hat ties resolve to the smaller index.
     """
     p = len(theta)
     if len(t_hat) != p:
@@ -44,10 +46,14 @@ def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
     m = math.ceil(tau * p)
-    candidates = np.argsort(theta, kind="stable")[:m]
+    edge = np.sort(theta)[m - 1]
+    tol = TIE_RTOL * abs(edge)
+    below = np.flatnonzero(theta < edge - tol)
+    tied = np.flatnonzero(np.abs(theta - edge) <= tol)
+    candidates = np.concatenate([below, tied[: m - len(below)]])
     vals = t_hat[candidates]
     best = vals.min()
-    return int(candidates[vals == best].min())
+    return int(candidates[vals <= best + TIE_RTOL * abs(best)].min())
 
 
 def pair_sigma_grid(p: int, q: int, alpha: int) -> np.ndarray:

@@ -31,6 +31,36 @@ def test_select_candidate_worked_example():
     assert select_candidate(theta, t_hat, 0.5) == 2
 
 
+def test_select_candidate_theta_boundary_ties_fill_by_index():
+    # the 3rd-smallest theta (the set boundary) is tied with two larger
+    # indices up to round-off; the smaller indices fill the set
+    theta = np.array([5.0, 2.0 * (1 + 1e-13), 1.0, 2.0, 2.0 * (1 - 1e-13), 9.0])
+    t_hat = np.array([0.0, 3.0, 2.0, 1.0, 0.5, 0.0])
+    assert select_candidate(theta, t_hat, 0.5) == 3
+
+
+def test_select_candidate_mirror_tie_resolves_to_smaller_residue():
+    # at the second dimension theta and T-hat of the smallest pool prime are
+    # symmetric under z <-> p - z; round-off must not pick the larger one
+    pool = build_prime_pool(101)
+    params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 3.0))
+    state = ConstructionState(pool=pool, params=params, tau=0.5, cached=True)
+    p = pool.primes[0]
+    theta = state.theta_all(p)
+    t_hat = state.t_hat_all(p)
+    z = select_candidate(theta, t_hat, 0.5)
+    assert 0 < z < p - z
+    assert t_hat[p - z] == pytest.approx(t_hat[z], rel=1e-11)
+    for bumped in (z, p - z):
+        for sign in (1.0, -1.0):
+            t2 = t_hat.copy()
+            t2[bumped] *= 1.0 + sign * 1e-12
+            th2 = theta.copy()
+            th2[bumped] *= 1.0 + sign * 1e-12
+            assert select_candidate(theta, t2, 0.5) == z
+            assert select_candidate(th2, t2, 0.5) == z
+
+
 def test_select_candidate_tau_one_rejected():
     with pytest.raises(ValueError):
         select_candidate(np.ones(5), np.ones(5), 1.0)
