@@ -1,0 +1,38 @@
+"""Golden fixtures: construction must reproduce recorded vectors exactly.
+
+The fixtures under tests/data were written by scripts/golden_fixtures.py.
+Any change to the T-hat evaluation or the e_ran evaluation must leave every
+residue unchanged and e_ran^2 equal to 1e-12 relative, in both modes.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from ranlat.construct import construct_fixed_vector
+from ranlat.errors import randomized_error_sq_fixed
+from ranlat.kernels import KorobovSpaceParams
+
+FIXTURES = sorted((pathlib.Path(__file__).parent / "data").glob("golden_*.json"))
+
+
+def test_fixture_grid_present():
+    names = {path.name for path in FIXTURES}
+    assert names == {f"golden_n{n}.json" for n in (12, 30, 53, 101)}
+
+
+@pytest.mark.parametrize("mode", ["cached", "streaming"])
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
+def test_golden_vectors_reproduced(path, mode):
+    fix = json.loads(path.read_text())
+    for case in fix["cases"]:
+        params = KorobovSpaceParams(
+            d=case["d"], alpha=case["alpha"], gamma=tuple(case["gamma"])
+        )
+        v = construct_fixed_vector(fix["n"], case["d"], params, tau=fix["tau"], mode=mode)
+        label = f"n={fix['n']} d={case['d']} alpha={case['alpha']}"
+        assert list(v.pool.primes) == fix["primes"], label
+        assert [list(res) for res in v.residues] == case["residues"], label
+        e2 = randomized_error_sq_fixed(v, params).squared_error
+        assert e2 == pytest.approx(case["eran_sq"], rel=1e-12, abs=0.0), label
