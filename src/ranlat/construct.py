@@ -18,7 +18,7 @@ import numpy as np
 
 from .cbc import TIE_RTOL
 from .errors import DomainError
-from .fftconv import rader_cbc_kernel
+from .fftconv import rader_cbc_kernel, rader_cbc_sum
 from .kernels import KorobovSpaceParams, sigma_alpha
 from .primes import PrimePool, ResidueVector, build_prime_pool
 
@@ -168,18 +168,25 @@ class ConstructionState:
         )
         return gam2 / p * S
 
-    def t_hat_all(self, p: int) -> np.ndarray:
+    def t_hat_all(self, p: int, theta: np.ndarray | None = None) -> np.ndarray:
         """T-hat for every candidate residue z in Z_p at the current dimension.
 
-        Adds to theta the cross-prime corrections: for each smaller prime q
-        one batched Rader sweep per residue class of q, and for each larger
-        prime q one sweep against the row sums of the pair table.
+        Adds to theta (computed here unless given) the cross-prime
+        corrections.  Each smaller prime q contributes one batched Rader
+        sweep over the residue classes of q, summed in the frequency domain.
+        All larger primes share one sweep against sigma(k z / p): since
+        sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
+        their pair-table row sums fold into a single weight row.
         """
         s = self.s
         gam2 = self.params.gamma[s - 1] ** 2
         g = self.pool.root_of(p)
         alpha = self.params.alpha
-        total = self.theta_all(p)
+        if theta is None:
+            theta = self.theta_all(p)
+        k = np.arange(p, dtype=np.int64)
+        cross = np.zeros(p)
+        folded = np.zeros(p)  # weights of the larger-prime terms against sigma_p
         for q in self.pool.primes:
             if q == p:
                 continue
@@ -190,33 +197,26 @@ class ConstructionState:
                         f"residue for prime {q} at dimension {s} not chosen yet"
                     )
                 zq = self.chosen_this_dim[q]
-                key = (q, p) if q < p else (p, q)
                 grid = (
-                    self.sigma_pq[key]
+                    self.sigma_pq[(q, p)]
                     if self.cached
-                    else pair_sigma_grid(key[0], key[1], alpha)
+                    else pair_sigma_grid(q, p, alpha)
                 )
-                # v[l, m] = sigma((m/p + l zq/q) mod 1), batched over l
-                idx = (
-                    np.arange(p, dtype=np.int64)[None, :] * q
-                    + ((np.arange(q, dtype=np.int64) * zq) % q)[:, None] * p
-                ) % (p * q)
-                v = grid[idx]  # (q, p)
-                S = rader_cbc_kernel(p, g, v, table.T)  # (q, p)
-                total += (2.0 / q) * (gam2 / p) * S.sum(axis=0)
+                # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
+                v = grid[_pair_index(q, p, zq, 1)]
+                cross += (2.0 / q) * rader_cbc_sum(p, g, v, table.T)
             else:
                 row_sums = table.sum(axis=1)  # (p,)
-                vq = self.sigma_p[p][(np.arange(p, dtype=np.int64) * q) % p]
-                S = rader_cbc_kernel(p, g, vq, row_sums)
-                total += 2.0 * gam2 / (q ** (2 * alpha + 1) * p) * S
-        return total
+                folded += 2.0 / q ** (2 * alpha + 1) * row_sums[k * pow(q, -1, p) % p]
+        if p < self.pool.primes[-1]:
+            cross += rader_cbc_kernel(p, g, self.sigma_p[p], folded)
+        return theta + gam2 / p * cross
 
     # -- stepping ------------------------------------------------------------
 
     def choose(self, p: int) -> int:
         theta = self.theta_all(p)
-        t_hat = self.t_hat_all(p)
-        z = select_candidate(theta, t_hat, self.tau)
+        z = select_candidate(theta, self.t_hat_all(p, theta), self.tau)
         self.chosen_this_dim[p] = z
         return z
 

@@ -1,14 +1,16 @@
 """Arbitrary-length cyclic convolution and the Rader-style candidate-sweep kernel.
 
-Cyclic convolution of odd length L (typically p - 1) is computed as a
-zero-padded linear convolution at the next power of two >= 2L - 1.  The
-Rader kernel maps a multiplicative sum over Z_p onto such a convolution
+Cyclic convolutions and correlations of length L (typically p - 1) are
+computed directly with real FFTs of length L, without zero padding.  The
+Rader kernel maps a multiplicative sum over Z_p onto such a correlation
 using a primitive root, which evaluates the CBC search criteria for all
-candidate residues at once in O(p log p).
+candidate residues at once in O(p log p).  The reindexing for each
+(prime, root) is built once and cached as a `RaderPlan`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,11 @@ def next_pow2(m: int) -> int:
 
 @dataclass(frozen=True)
 class ConvolutionPlan:
-    """Transform sizing for cyclic convolutions of a fixed length."""
+    """Zero-padded linear-convolution sizing (a power of two >= 2L - 1) for length L.
+
+    The transforms in this module are unpadded; the plan remains as a
+    sizing estimate for callers that compare against the padded layout.
+    """
 
     length: int
     padded_length: int
@@ -42,6 +48,24 @@ class ConvolutionPlan:
         return cls(length=length, padded_length=next_pow2(2 * length - 1))
 
 
+def _cyclic(a: np.ndarray, b: np.ndarray, correlate: bool, sum_batch: bool) -> np.ndarray:
+    """Length-L cyclic convolution or correlation along the last axis, by real FFTs.
+
+    Convolution: c[m] = sum_k a[k] b[(m - k) mod L].
+    Correlation: c[m] = sum_k a[(k - m) mod L] b[k].
+    With sum_batch the leading axes are summed in the frequency domain, so a
+    whole batch costs a single inverse transform.
+    """
+    L = a.shape[-1]
+    fa = np.fft.rfft(a, axis=-1)
+    if correlate:
+        np.conjugate(fa, out=fa)
+    spec = fa * np.fft.rfft(b, axis=-1)
+    if sum_batch:
+        spec = spec.reshape(-1, spec.shape[-1]).sum(axis=0)
+    return np.fft.irfft(spec, L, axis=-1)
+
+
 def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[m] = sum_k a[k] b[(m - k) mod L] along the last axis.
 
@@ -51,16 +75,7 @@ def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    L = a.shape[-1]
-    if L == 1:
-        return a * b
-    M = next_pow2(2 * L - 1)
-    fa = np.fft.rfft(a, M, axis=-1)
-    fb = np.fft.rfft(b, M, axis=-1)
-    lin = np.fft.irfft(fa * fb, M, axis=-1)[..., : 2 * L - 1]
-    out = lin[..., :L].copy()
-    out[..., : L - 1] += lin[..., L:]
-    return out
+    return _cyclic(a, b, correlate=False, sum_batch=False)
 
 
 def check_primitive_root(p: int, g: int) -> None:
@@ -84,35 +99,77 @@ def power_permutation(p: int, g: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class RaderPlan:
+    """Rader reindexing of the nonzero residues mod p for the primitive root g.
+
+    powers[a] = g^a mod p orders the summation index k; z_index[b] = g^-b mod p
+    is the candidate z whose sweep value lands at correlation lag b.
+    """
+
+    p: int
+    g: int
+    powers: np.ndarray
+    z_index: np.ndarray
+
+
+@functools.lru_cache(maxsize=1024)
+def rader_plan(p: int, g: int) -> RaderPlan:
+    """Checked, cached plan for (p, g); an invalid root raises on every call."""
+    check_primitive_root(p, g)
+    powers = power_permutation(p, g)
+    L = p - 1
+    z_index = powers[(-np.arange(L)) % L]
+    powers.flags.writeable = False
+    z_index.flags.writeable = False
+    return RaderPlan(p=p, g=g, powers=powers, z_index=z_index)
+
+
+def _rader_inputs(
+    p: int, g: int, values: np.ndarray, weights: np.ndarray
+) -> tuple[RaderPlan, np.ndarray, np.ndarray]:
+    """Plan plus values and weights as float arrays broadcast to (..., p)."""
+    plan = rader_plan(p, g)
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if v.shape[-1] != p or w.shape[-1] != p:
+        raise ShapeError(f"values and weights must have length p={p}")
+    batch = np.broadcast_shapes(v.shape[:-1], w.shape[:-1])
+    return plan, np.broadcast_to(v, batch + (p,)), np.broadcast_to(w, batch + (p,))
+
+
 def rader_cbc_kernel(
     p: int, g: int, values: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """S[z] = sum_{k in Z_p} values[(k z) mod p] * weights[k] for every z in Z_p.
 
     Splits off the k = 0 and z = 0 terms, reindexes k = g^a and z = g^{-b},
-    and reduces to a cyclic convolution of length p - 1.  values/weights may
+    and reduces to a cyclic correlation of length p - 1.  values/weights may
     carry a leading batch axis; the result has the matching shape (..., p).
     """
-    check_primitive_root(p, g)
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape[-1] != p or w.shape[-1] != p:
-        raise ShapeError(f"values and weights must have length p={p}")
-    batch = np.broadcast_shapes(v.shape[:-1], w.shape[:-1])
-    v = np.broadcast_to(v, batch + (p,))
-    w = np.broadcast_to(w, batch + (p,))
-
-    L = p - 1
-    powers = power_permutation(p, g)
-    t = v[..., powers]  # t[a] = v[g^a]
-    u = w[..., powers]  # u[a] = w[g^a]
-    t_rev = t[..., (-np.arange(L)) % L]
-    c = cyclic_convolve(t_rev, u)  # c[b] = sum_a v[g^(a-b)] w[g^a]
-
-    S = np.empty(batch + (p,), dtype=float)
+    plan, v, w = _rader_inputs(p, g, values, weights)
+    # c[b] = sum_a v[g^(a-b)] w[g^a]
+    c = _cyclic(v[..., plan.powers], w[..., plan.powers], correlate=True, sum_batch=False)
+    S = np.empty(v.shape, dtype=float)
     S[..., 0] = v[..., 0] * w.sum(axis=-1)
-    z_index = powers[(L - np.arange(L)) % L]  # z = g^{-b}
-    S[..., z_index] = v[..., :1] * w[..., :1] + c
+    S[..., plan.z_index] = v[..., :1] * w[..., :1] + c
+    return S
+
+
+def rader_cbc_sum(
+    p: int, g: int, values: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Sum of `rader_cbc_kernel(p, g, values, weights)` over all batch axes.
+
+    The per-row spectra are summed before one inverse transform, so a batch
+    of rows costs one irfft instead of one per row.  Returns shape (p,).
+    """
+    plan, v, w = _rader_inputs(p, g, values, weights)
+    c = _cyclic(v[..., plan.powers], w[..., plan.powers], correlate=True, sum_batch=True)
+    v0 = v[..., 0].ravel()
+    S = np.empty(p, dtype=float)
+    S[0] = v0 @ w.sum(axis=-1).ravel()
+    S[plan.z_index] = v0 @ w[..., 0].ravel() + c
     return S
 
 

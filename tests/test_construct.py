@@ -47,7 +47,7 @@ def test_select_candidate_mirror_tie_resolves_to_smaller_residue():
     state = ConstructionState(pool=pool, params=params, tau=0.5, cached=True)
     p = pool.primes[0]
     theta = state.theta_all(p)
-    t_hat = state.t_hat_all(p)
+    t_hat = state.t_hat_all(p, theta)
     z = select_candidate(theta, t_hat, 0.5)
     assert 0 < z < p - z
     assert t_hat[p - z] == pytest.approx(t_hat[z], rel=1e-11)
@@ -101,6 +101,25 @@ def test_t_hat_fast_matches_naive_triple_loop():
                 assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
                 state.choose(p)
             state.finish_dimension()
+
+
+def test_t_hat_fast_matches_naive_n30_pool():
+    # four primes (17, 19, 23, 29): the folded larger-prime sweep and the
+    # frequency-domain sums over several smaller primes
+    pool = build_prime_pool(30)
+    params = _params(3)
+    state = ConstructionState(pool=pool, params=params, tau=0.5, cached=True)
+    for _ in range(2, 4):
+        for p in pool.primes:
+            theta = state.theta_all(p)
+            fast = state.t_hat_all(p, theta)
+            assert np.array_equal(fast, state.t_hat_all(p))
+            slow = t_hat_all_naive(
+                pool, params, state.s, p, state.residues, state.chosen_this_dim
+            )
+            assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
+            state.choose(p)
+        state.finish_dimension()
 
 
 def test_relaxed_criterion_shifts_by_candidate_independent_constant():

@@ -10,6 +10,8 @@ from ranlat.fftconv import (
     power_permutation,
     rader_cbc_kernel,
     rader_cbc_kernel_naive,
+    rader_cbc_sum,
+    rader_plan,
 )
 from ranlat.primes import primitive_root, sieve_primes
 
@@ -117,3 +119,40 @@ def test_rader_batched_leading_axis():
     assert out.shape == (5, p)
     for i in range(5):
         assert np.allclose(out[i], rader_cbc_kernel_naive(p, v[i], w[i]))
+
+
+def test_rader_plan_cached_per_prime_and_root():
+    plan = rader_plan(13, 2)
+    assert rader_plan(13, 2) is plan
+    assert plan.powers.tolist() == power_permutation(13, 2).tolist()
+    # z_index[b] = g^-b: the lag-b correlation value belongs to z = g^-b
+    assert [(int(z) * pow(2, b, 13)) % 13 for b, z in enumerate(plan.z_index)] == [1] * 12
+    with pytest.raises(ValueError):
+        plan.powers[0] = 5
+
+
+def test_rader_plan_bad_root_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(InvalidRootError):
+            rader_plan(7, 2)
+        with pytest.raises(InvalidRootError):
+            rader_cbc_kernel(7, 2, np.ones(7), np.ones(7))
+        with pytest.raises(InvalidRootError):
+            rader_cbc_sum(7, 2, np.ones((3, 7)), np.ones((3, 7)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 53, 307])
+def test_rader_cbc_sum_matches_naive_batch_sum(p):
+    rng = np.random.default_rng(p)
+    g = primitive_root(p)
+    for rows in (1, 4):
+        v = rng.standard_normal((rows, p))
+        w = rng.standard_normal((rows, p))
+        slow = sum(rader_cbc_kernel_naive(p, v[i], w[i]) for i in range(rows))
+        fast = rader_cbc_sum(p, g, v, w)
+        assert fast.shape == (p,)
+        assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
+        # a broadcast 1-D weight row is summed against every value row
+        slow_b = sum(rader_cbc_kernel_naive(p, v[i], w[0]) for i in range(rows))
+        fast_b = rader_cbc_sum(p, g, v, w[0])
+        assert np.max(np.abs(fast_b - slow_b)) < 1e-9 * max(1.0, np.max(np.abs(slow_b)))
