@@ -22,6 +22,9 @@ C_PRIME = 0.23  # lower-bound constant for |P_n| > c' n / ln n
 
 _CLAMP_FLOOR = -1e-12
 
+# Largest n with (n - 1)^2 < 2^63, so that k z (k, z < n) fits in int64.
+_MAX_POINTS = 3_037_000_499
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -98,6 +101,8 @@ def _clamp_sq(value: float) -> tuple[float, bool]:
 
 def point_products(n: int, z: Sequence[int], params: KorobovSpaceParams) -> np.ndarray:
     """prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)) for k = 0..n-1."""
+    if n > _MAX_POINTS:
+        raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
     k = np.arange(n, dtype=np.int64)
     prod = np.ones(n)
     for j in range(params.d):
@@ -122,10 +127,32 @@ def worst_case_error_sq(
     return value
 
 
+def _pair_point_products(
+    p: int, q: int, res_p: Sequence[int], res_q: Sequence[int],
+    params: KorobovSpaceParams,
+) -> np.ndarray:
+    """Point products of the pq-point rule on the separable grid Z_p x Z_q.
+
+    Entry (k, l) is prod_j (1 + gamma_j^2 sigma_alpha(k z_j^p / p + l z_j^q / q)).
+    By the CRT these are the point products of the pq-point rule whose
+    vector is z_j^p mod p and z_j^q mod q, in a permuted order.  sigma is
+    evaluated once on the pq grid and addressed by exact integer indices.
+    """
+    n = p * q
+    sigma = sigma_alpha(np.arange(n) / n, params.alpha)
+    k = np.arange(p, dtype=np.int64)
+    l = np.arange(q, dtype=np.int64)
+    prod = np.ones((p, q))
+    for j in range(params.d):
+        m = ((k * (int(res_p[j]) % p)) % p * q)[:, None] + ((l * (int(res_q[j]) % q)) % q * p)
+        prod *= 1.0 + params.gamma[j] ** 2 * sigma[m % n]
+    return prod
+
+
 def crt_combined_residues(
     p: int, q: int, res_p: Sequence[int], res_q: Sequence[int]
 ) -> tuple[int, ...]:
-    """Componentwise CRT combination modulo p*q."""
+    """Componentwise CRT combination modulo p*q (the pq-point rule's vector)."""
     return tuple(
         crt_pair(rp, p, rq, q) for rp, rq in zip(res_p, res_q, strict=True)
     )
@@ -142,7 +169,9 @@ def randomized_error_sq_fixed(
 
         [e_ran]^2 = (1/L^2) [ sum_p E(p) + 2 sum_{p<q} E(p q) ]
 
-    with E(m) the squared worst-case error of the m-point rule.  Terms are
+    with E(m) the squared worst-case error of the m-point rule.  E(p q) is
+    summed over the separable Z_p x Z_q grid (`_pair_point_products`), which
+    the CRT maps onto the points of the pq-point rule.  Terms are
     accumulated in sorted prime(-pair) order for bit-reproducibility.
     """
     primes = v.pool.primes
@@ -155,12 +184,11 @@ def randomized_error_sq_fixed(
         terms[f"p={p}"] = scale * worst_case_error_sq(p, res, params)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
-            res_pq = crt_combined_residues(
-                p, q, v.residues_for(p), v.residues_for(q)
+            prod = _pair_point_products(
+                p, q, v.residues_for(p), v.residues_for(q), params
             )
-            terms[f"pq={p}x{q}"] = 2.0 * scale * worst_case_error_sq(
-                p * q, res_pq, params
-            )
+            e_pq, _ = _clamp_sq(math.fsum(prod.ravel()) / (p * q) - 1.0)
+            terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
     total, clamped = _clamp_sq(math.fsum(terms.values()))
     return ErrorReport(
         squared_error=total, decomposition=terms, method="point-formula",

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ranlat.errors as errors_module
 from ranlat.errors import (
     BoundParams,
+    crt_combined_residues,
+    point_products,
     default_lambda_grid,
     dual_tail_bound,
     good_set_threshold,
@@ -19,7 +22,7 @@ from ranlat.errors import (
     worst_case_error_sq,
     worst_case_error_sq_truncated,
 )
-from ranlat.kernels import KorobovSpaceParams, poly_weights, sigma_alpha, zeta
+from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights, sigma_alpha, zeta
 from ranlat.primes import ResidueVector, build_prime_pool
 
 UNIT_1D = KorobovSpaceParams(d=1, alpha=1, gamma=(1.0,))
@@ -87,6 +90,40 @@ def test_eran_decomposition_sums_to_total():
         math.fsum(rep.decomposition.values()), rel=1e-13
     )
     assert all(t >= 0.0 for t in rep.decomposition.values())
+
+
+def test_eran_pair_terms_equal_crt_point_formula():
+    # the separable Z_p x Z_q grid holds the CRT-combined rule's points in a
+    # permuted order, and fsum is exact, so every term agrees bit for bit
+    params = KorobovSpaceParams(d=4, alpha=2, gamma=poly_weights(4, 3.0))
+    pool = build_prime_pool(60)
+    rng = np.random.default_rng(7)
+    res = tuple((1,) + tuple(int(r) for r in rng.integers(0, p, 3)) for p in pool.primes)
+    v = ResidueVector(pool=pool, residues=res, d=4)
+    rep = randomized_error_sq_fixed(v, params)
+    scale = 1.0 / len(pool.primes) ** 2
+    pairs = 0
+    for i, p in enumerate(pool.primes):
+        for q in pool.primes[i + 1:]:
+            z = crt_combined_residues(p, q, v.residues_for(p), v.residues_for(q))
+            crt_term = 2.0 * scale * worst_case_error_sq(p * q, z, params)
+            assert rep.decomposition[f"pq={p}x{q}"] == crt_term
+            pairs += 1
+    assert pairs == 21  # pool 31, 37, 41, 43, 47, 53, 59
+
+
+def test_point_products_overflow_guard(monkeypatch):
+    params = KorobovSpaceParams(d=1, alpha=1, gamma=(1.0,))
+
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the overflow guard")
+
+    monkeypatch.setattr(errors_module, "np", NoArrays())
+    with pytest.raises(DomainError):
+        point_products(3_037_000_500, (1,), params)
+    with pytest.raises(DomainError):
+        worst_case_error_sq(2 ** 40, (1,), params)
 
 
 def test_eran_matches_truncated_brute_force():
