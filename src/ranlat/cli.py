@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -75,18 +74,6 @@ def parse_k_range(spec: str) -> range:
     if b < a:
         raise DomainError(f"empty k-range {spec!r}")
     return range(a, b + 1)
-
-
-def thread_count() -> int:
-    """Validated thread-count hint from the environment (single process)."""
-    raw = os.environ.get("RANLAT_THREADS", "1")
-    try:
-        t = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"RANLAT_THREADS must be an integer, got {raw!r}") from exc
-    if t < 1:
-        raise DomainError(f"RANLAT_THREADS must be >= 1, got {t}")
-    return t
 
 
 def closest_prime(x: float) -> int:
@@ -173,12 +160,10 @@ def cmd_study(args: argparse.Namespace) -> int:
             ns.append(n)
     ns.sort()
     rows = []
-    warned = False
     for n in ns:
         if n > args.max_n and not args.allow_large:
             print(f"warning: skipping n={n} > cap {args.max_n} "
                   "(pass --allow-large to override)", file=sys.stderr)
-            warned = True
             continue
         t0 = time.perf_counter()
         z = cbc_construct(n, params)
@@ -217,7 +202,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     print(f"slope(e_det) = {fmt(slope_det)}  slope(e_ran) = {fmt(slope_ran)}",
           file=sys.stderr)
-    return EXIT_OK if not warned else EXIT_OK
+    return EXIT_OK
 
 
 def _verify_lemma_averaging() -> list[str]:
@@ -376,7 +361,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        thread_count()
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -149,10 +149,3 @@ def test_study_single_row_has_absent_slopes(tmp_path):
     assert rc == EXIT_OK
     text = out.read_text()
     assert "absent" in text
-
-
-def test_thread_env_var_validated(monkeypatch):
-    monkeypatch.setenv("RANLAT_THREADS", "zero")
-    assert main(["verify", "--suite", "lemma-averaging"]) == EXIT_USAGE
-    monkeypatch.setenv("RANLAT_THREADS", "2")
-    assert main(["verify", "--suite", "lemma-averaging"]) == EXIT_OK
