@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbc import TIE_RTOL
-from .errors import DomainError
+from .errors import DomainError, pair_index, pair_sigma_grid, pair_table
 from .fftconv import rader_cbc_kernel, rader_cbc_sum
 from .kernels import KorobovSpaceParams, sigma_alpha
 from .primes import PrimePool, ResidueVector, build_prime_pool
@@ -54,37 +54,6 @@ def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
     vals = t_hat[candidates]
     best = vals.min()
     return int(candidates[vals <= best + TIE_RTOL * abs(best)].min())
-
-
-def pair_sigma_grid(p: int, q: int, alpha: int) -> np.ndarray:
-    """sigma_alpha(m / (p q)) for m in Z_{pq}."""
-    n = p * q
-    return sigma_alpha(np.arange(n) / n, alpha)
-
-
-def _pair_index(p: int, q: int, zp: int, zq: int) -> np.ndarray:
-    """Index matrix m(k, l) with m / (pq) = (k zp / p + l zq / q) mod 1.
-
-    Exact integer addressing: m = (k zp mod p) q + (l zq mod q) p, mod pq.
-    """
-    k = (np.arange(p, dtype=np.int64) * (zp % p)) % p
-    l = (np.arange(q, dtype=np.int64) * (zq % q)) % q
-    return (k[:, None] * q + l[None, :] * p) % (p * q)
-
-
-def pair_table(
-    p: int,
-    q: int,
-    res_p: list[int],
-    res_q: list[int],
-    params: KorobovSpaceParams,
-    sigma_pq: np.ndarray,
-) -> np.ndarray:
-    """P(k, l) = prod_j (1 + gamma_j^2 sigma_alpha(k z_j/p + l z_j/q)), j over the prefix."""
-    table = np.ones((p, q))
-    for j, (zp, zq) in enumerate(zip(res_p, res_q, strict=True)):
-        table *= 1.0 + params.gamma[j] ** 2 * sigma_pq[_pair_index(p, q, zp, zq)]
-    return table
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:
@@ -203,7 +172,7 @@ class ConstructionState:
                     else pair_sigma_grid(q, p, alpha)
                 )
                 # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
-                v = grid[_pair_index(q, p, zq, 1)]
+                v = grid[pair_index(q, p, zq, 1)]
                 cross += (2.0 / q) * rader_cbc_sum(p, g, v, table.T)
             else:
                 row_sums = table.sum(axis=1)  # (p,)
@@ -233,7 +202,7 @@ class ConstructionState:
             primes = self.pool.primes
             for i, p in enumerate(primes):
                 for q in primes[i + 1 :]:
-                    idx = _pair_index(
+                    idx = pair_index(
                         p, q, self.chosen_this_dim[p], self.chosen_this_dim[q]
                     )
                     self.P_pair[(p, q)] = self.P_pair[(p, q)] * (

@@ -127,26 +127,40 @@ def worst_case_error_sq(
     return value
 
 
-def _pair_point_products(
-    p: int, q: int, res_p: Sequence[int], res_q: Sequence[int],
-    params: KorobovSpaceParams,
-) -> np.ndarray:
-    """Point products of the pq-point rule on the separable grid Z_p x Z_q.
-
-    Entry (k, l) is prod_j (1 + gamma_j^2 sigma_alpha(k z_j^p / p + l z_j^q / q)).
-    By the CRT these are the point products of the pq-point rule whose
-    vector is z_j^p mod p and z_j^q mod q, in a permuted order.  sigma is
-    evaluated once on the pq grid and addressed by exact integer indices.
-    """
+def pair_sigma_grid(p: int, q: int, alpha: int) -> np.ndarray:
+    """sigma_alpha(m / (p q)) for m in Z_{pq}."""
     n = p * q
-    sigma = sigma_alpha(np.arange(n) / n, params.alpha)
-    k = np.arange(p, dtype=np.int64)
-    l = np.arange(q, dtype=np.int64)
-    prod = np.ones((p, q))
-    for j in range(params.d):
-        m = ((k * (int(res_p[j]) % p)) % p * q)[:, None] + ((l * (int(res_q[j]) % q)) % q * p)
-        prod *= 1.0 + params.gamma[j] ** 2 * sigma[m % n]
-    return prod
+    return sigma_alpha(np.arange(n) / n, alpha)
+
+
+def pair_index(p: int, q: int, zp: int, zq: int) -> np.ndarray:
+    """Index matrix m(k, l) with m / (pq) = (k zp / p + l zq / q) mod 1.
+
+    Exact integer addressing: m = (k zp mod p) q + (l zq mod q) p, mod pq.
+    """
+    k = (np.arange(p, dtype=np.int64) * (zp % p)) % p
+    l = (np.arange(q, dtype=np.int64) * (zq % q)) % q
+    return (k[:, None] * q + l[None, :] * p) % (p * q)
+
+
+def pair_table(
+    p: int,
+    q: int,
+    res_p: Sequence[int],
+    res_q: Sequence[int],
+    params: KorobovSpaceParams,
+    sigma_pq: np.ndarray,
+) -> np.ndarray:
+    """P(k, l) = prod_j (1 + gamma_j^2 sigma_alpha(k z_j/p + l z_j/q)), j over the prefix.
+
+    Over the full vector these are the point products of the pq-point rule
+    whose vector is z_j^p mod p and z_j^q mod q: by the CRT, the separable
+    grid Z_p x Z_q holds that rule's points in a permuted order.
+    """
+    table = np.ones((p, q))
+    for j, (zp, zq) in enumerate(zip(res_p, res_q, strict=True)):
+        table *= 1.0 + params.gamma[j] ** 2 * sigma_pq[pair_index(p, q, zp, zq)]
+    return table
 
 
 def crt_combined_residues(
@@ -170,8 +184,8 @@ def randomized_error_sq_fixed(
         [e_ran]^2 = (1/L^2) [ sum_p E(p) + 2 sum_{p<q} E(p q) ]
 
     with E(m) the squared worst-case error of the m-point rule.  E(p q) is
-    summed over the separable Z_p x Z_q grid (`_pair_point_products`), which
-    the CRT maps onto the points of the pq-point rule.  Terms are
+    summed over the separable Z_p x Z_q grid (`pair_table`), which the CRT
+    maps onto the points of the pq-point rule.  Terms are
     accumulated in sorted prime(-pair) order for bit-reproducibility.
     """
     primes = v.pool.primes
@@ -184,10 +198,11 @@ def randomized_error_sq_fixed(
         terms[f"p={p}"] = scale * worst_case_error_sq(p, res, params)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
-            prod = _pair_point_products(
-                p, q, v.residues_for(p), v.residues_for(q), params
+            table = pair_table(
+                p, q, v.residues_for(p), v.residues_for(q), params,
+                pair_sigma_grid(p, q, params.alpha),
             )
-            e_pq, _ = _clamp_sq(math.fsum(prod.ravel()) / (p * q) - 1.0)
+            e_pq, _ = _clamp_sq(math.fsum(table.ravel()) / (p * q) - 1.0)
             terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
     total, clamped = _clamp_sq(math.fsum(terms.values()))
     return ErrorReport(
