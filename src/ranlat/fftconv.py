@@ -107,8 +107,6 @@ class RaderPlan:
     is the candidate z whose sweep value lands at correlation lag b.
     """
 
-    p: int
-    g: int
     powers: np.ndarray
     z_index: np.ndarray
 
@@ -122,7 +120,7 @@ def rader_plan(p: int, g: int) -> RaderPlan:
     z_index = powers[(-np.arange(L)) % L]
     powers.flags.writeable = False
     z_index.flags.writeable = False
-    return RaderPlan(p=p, g=g, powers=powers, z_index=z_index)
+    return RaderPlan(powers=powers, z_index=z_index)
 
 
 def _rader_inputs(
