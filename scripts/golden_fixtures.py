@@ -2,9 +2,9 @@
 """Write the golden construction fixtures `tests/data/golden_n<N>.json`.
 
 Each fixture holds, for one budget n and every (d, alpha) of the grid, the
-exact residues of the fixed vector (cached mode) and its squared randomised
-error.  `tests/test_golden.py` checks that both construction modes still
-reproduce them.  Regenerating the fixtures changes what counts as correct:
+exact residues of the fixed vector and its squared randomised error.
+`tests/test_golden.py` checks that construction still reproduces them with
+its pair tables kept and with them rebuilt.  Regenerating the fixtures changes what counts as correct:
 do it only on an intended numerics change, and record why.
 
     PYTHONPATH=src python3 scripts/golden_fixtures.py [--out-dir tests/data]
@@ -34,7 +34,7 @@ def fixture(n: int) -> dict:
         gamma = poly_weights(d, WEIGHT_DECAY)
         for alpha in ALPHAS:
             params = KorobovSpaceParams(d=d, alpha=alpha, gamma=gamma)
-            v = construct_fixed_vector(n, d, params, tau=TAU, mode="cached")
+            v = construct_fixed_vector(n, d, params, tau=TAU)
             cases.append({
                 "d": d,
                 "alpha": alpha,

@@ -8,7 +8,7 @@ search, and online randomised integration.
 __version__ = "0.1.0"
 
 from .cbc import cbc_construct
-from .construct import CapacityError, construct_fixed_vector
+from .construct import construct_fixed_vector
 from .errors import (
     BoundParams,
     ErrorReport,
@@ -51,7 +51,6 @@ from .runtime import (
 
 __all__ = [
     "BoundParams",
-    "CapacityError",
     "DomainError",
     "ErrorReport",
     "Integrand",

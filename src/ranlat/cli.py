@@ -1,8 +1,8 @@
 """Command-line surface: construction, convergence studies, verification
 suites, and online integration runs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
-3 capacity error.
+Exit codes: 0 success, 1 verification failure, 2 usage/validation error
+(including a malformed vector file).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cbc import cbc_construct
-from .construct import CapacityError, construct_fixed_vector
+from .construct import construct_fixed_vector
 from .errors import (
     BoundParams,
     default_lambda_grid,
@@ -45,10 +45,9 @@ FORMAT_VERSION = 1
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-EXIT_CAPACITY = 3
 
 
-def parse_gamma_spec(spec: str, d: int) -> np.ndarray:
+def parse_gamma_spec(spec: str, d: int) -> tuple[float, ...]:
     """`poly:c` (gamma_j = j^-c) or an explicit comma-separated list of length d."""
     if spec.startswith("poly:"):
         try:
@@ -57,7 +56,7 @@ def parse_gamma_spec(spec: str, d: int) -> np.ndarray:
             raise DomainError(f"bad poly exponent in gamma spec {spec!r}") from exc
         return poly_weights(d, c)
     try:
-        gamma = np.array([float(t) for t in spec.split(",")])
+        gamma = tuple(float(t) for t in spec.split(","))
     except ValueError as exc:
         raise DomainError(f"cannot parse gamma spec {spec!r}") from exc
     if len(gamma) != d:
@@ -105,18 +104,28 @@ def write_vector_file(path: str, payload: dict) -> None:
 
 
 def read_vector_file(path: str) -> tuple[ResidueVector, KorobovSpaceParams, dict]:
+    """Validated vector file contents, with residues and weights as tuples."""
     with open(path) as fh:
         data = json.load(fh)
     if data.get("format_version") != FORMAT_VERSION:
         raise DomainError(f"unsupported vector file version {data.get('format_version')}")
+    missing = {"n", "d", "alpha", "gamma", "tau", "primes", "residues"} - data.keys()
+    if missing:
+        raise DomainError(f"vector file lacks {sorted(missing)}")
+    tau = data["tau"]
+    if not isinstance(tau, (int, float)) or not 0.0 < tau < 1.0:
+        raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
     pool = build_prime_pool(data["n"])
     if list(pool.primes) != list(data["primes"]):
         raise DomainError("prime list in file does not match the budget pool")
-    residues = np.array(data["residues"], dtype=np.int64)
-    v = ResidueVector(pool=pool, residues=residues, d=data["d"])
     params = KorobovSpaceParams(
-        d=data["d"], alpha=data["alpha"], gamma=np.array(data["gamma"])
+        d=data["d"], alpha=data["alpha"],
+        gamma=tuple(float(g) for g in data["gamma"]),
     )
+    residues = tuple(tuple(int(r) for r in row) for row in data["residues"])
+    v = ResidueVector(pool=pool, residues=residues, d=params.d)
+    if any(row[0] != 1 for row in residues):
+        raise DomainError("the first component must be 1 for every prime")
     return v, params, data
 
 
@@ -124,13 +133,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     gamma = parse_gamma_spec(args.gamma_spec, args.d)
     params = KorobovSpaceParams(d=args.d, alpha=args.alpha, gamma=gamma)
     t0 = time.perf_counter()
-    v = construct_fixed_vector(args.n, args.d, params, tau=args.tau, mode=args.mode)
+    v = construct_fixed_vector(args.n, args.d, params, tau=args.tau)
     seconds = time.perf_counter() - t0
     report = randomized_error_sq_fixed(v, params)
     bounds = BoundParams(tau=args.tau, lambda_grid=default_lambda_grid(args.alpha))
     bound = theorem_bound_min(args.n, params, bounds)
     payload = vector_to_dict(v, params, args.tau, {
-        "mode": args.mode,
         "construct_seconds": seconds,
         "code_version": __version__,
     })
@@ -296,9 +304,9 @@ def make_integrand(spec: str, v: ResidueVector, params: KorobovSpaceParams):
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
-    v, params, data = read_vector_file(args.vector_file)
+    v, params, _ = read_vector_file(args.vector_file)
     f = make_integrand(args.integrand, v, params)
-    cfg = RunConfig(seed=args.seed, repetitions=args.reps, tau=data.get("tau", 0.5))
+    cfg = RunConfig(seed=args.seed, repetitions=args.reps)
     estimates = run_rpfv(f, v, cfg)
     out = sys.stdout if not args.out else open(args.out, "w")
     try:
@@ -327,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=int, default=1)
     c.add_argument("--gamma-spec", default="poly:2")
     c.add_argument("--tau", type=float, default=0.5)
-    c.add_argument("--mode", choices=("auto", "cached", "streaming"), default="auto")
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
@@ -362,9 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,53 +4,58 @@ Implements the component-by-component, prime-by-prime search that minimises
 the cross-prime criterion T-hat over the ceil(tau p) candidates with the
 smallest theta, for each prime of the budget pool in ascending order.
 
-Cached mode keeps one product table per prime pair in memory
-(Theta(sum_{p<q} p q) floats); streaming mode recomputes pair tables from
-the chosen prefix on demand and produces bit-identical vectors.
+Right after prime p's residue is chosen, it is folded into each pair table
+P(q, p), q < p, whose row sums feed q's next larger-prime terms.  The tables
+are then kept (Theta(sum_{q<p} q p) floats) if they fit in half of physical
+memory, else rebuilt from the chosen prefix at the next dimension; both
+give bit-identical vectors.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbc import TIE_RTOL
+from .cbc import TIE_RTOL, CbcState, theta_all
 from .errors import DomainError, pair_index, pair_sigma_grid, pair_table
 from .fftconv import rader_cbc_kernel, rader_cbc_sum
 from .kernels import KorobovSpaceParams, sigma_alpha
 from .primes import PrimePool, ResidueVector, build_prime_pool
 
-DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
-
-
-class CapacityError(RuntimeError):
-    """Cached pair tables would exceed the memory budget; use streaming mode."""
-
 
 class SequencingError(RuntimeError):
-    """A T-hat evaluation was requested before earlier residues were chosen."""
+    """A residue was requested out of the ascending prime order of a dimension."""
 
 
-def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
-    """Residue choice: T-hat-minimiser among the ceil(tau p) smallest-theta candidates.
+def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
+    """Indices of the ceil(tau p) candidates with the smallest theta.
 
-    Values within relative TIE_RTOL of each other count as tied.  Theta
-    values tied with the ceil(tau p)-th smallest fill the candidate set in
-    index order; T-hat ties resolve to the smaller index.
+    Values within relative TIE_RTOL of the ceil(tau p)-th smallest count as
+    tied with it and fill the set in index order, so round-off cannot choose
+    between the members of a tie.
     """
-    p = len(theta)
-    if len(t_hat) != p:
-        raise DomainError("theta and t_hat must have equal length")
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
-    m = math.ceil(tau * p)
+    m = math.ceil(tau * len(theta))
     edge = np.sort(theta)[m - 1]
     tol = TIE_RTOL * abs(edge)
     below = np.flatnonzero(theta < edge - tol)
     tied = np.flatnonzero(np.abs(theta - edge) <= tol)
-    candidates = np.concatenate([below, tied[: m - len(below)]])
+    return np.concatenate([below, tied[: m - len(below)]])
+
+
+def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
+    """Residue choice: T-hat-minimiser among the `candidate_set` of theta.
+
+    T-hat values within relative TIE_RTOL of the minimum count as tied and
+    resolve to the smaller index.
+    """
+    if len(t_hat) != len(theta):
+        raise DomainError("theta and t_hat must have equal length")
+    candidates = candidate_set(theta, tau)
     vals = t_hat[candidates]
     best = vals.min()
     return int(candidates[vals <= best + TIE_RTOL * abs(best)].min())
@@ -66,24 +71,30 @@ def estimate_cached_bytes(pool: PrimePool) -> int:
     return total
 
 
+def physical_memory_bytes() -> int:
+    """Installed physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass
 class ConstructionState:
     """All tables needed by the per-(dimension, prime) search step.
 
-    Residues are stored per prime as growing lists; `chosen_this_dim` tracks
-    which primes already have their component for the current dimension.
+    single[p] is prime p's CBC state: sigma table, running point products and
+    chosen residues.  tables[(q, p)] holds a kept sigma grid and pair table
+    P(q, p), q < p; folded[p] the weights of p's larger-prime terms.
+    chosen_this_dim tracks which primes already have their component for the
+    current dimension.
     """
 
     pool: PrimePool
     params: KorobovSpaceParams
     tau: float
-    cached: bool
+    keep_tables: bool = True
 
-    residues: dict[int, list[int]] = field(init=False)
-    sigma_p: dict[int, np.ndarray] = field(init=False)
-    P_single: dict[int, np.ndarray] = field(init=False)
-    sigma_pq: dict[tuple[int, int], np.ndarray] = field(init=False)
-    P_pair: dict[tuple[int, int], np.ndarray] = field(init=False)
+    single: dict[int, CbcState] = field(init=False)
+    tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(init=False)
+    folded: dict[int, np.ndarray] = field(init=False)
     # dimension currently being chosen; z_1 = 1 is fixed at init
     s: int = field(init=False, default=2)
     chosen_this_dim: dict[int, int] = field(init=False)
@@ -91,123 +102,128 @@ class ConstructionState:
     def __post_init__(self) -> None:
         primes = self.pool.primes
         alpha = self.params.alpha
-        self.sigma_p = {
-            p: sigma_alpha(np.arange(p) / p, alpha) for p in primes
+        self.single = {
+            p: CbcState(p=p, g=self.pool.root_of(p), params=self.params)
+            for p in primes
         }
-        # z_1 = 1 for every prime.
-        self.residues = {p: [1] for p in primes}
-        g1sq = self.params.gamma[0] ** 2
-        self.P_single = {p: 1.0 + g1sq * self.sigma_p[p] for p in primes}
-        self.sigma_pq = {}
-        self.P_pair = {}
-        if self.cached:
-            for i, p in enumerate(primes):
-                for q in primes[i + 1 :]:
-                    grid = pair_sigma_grid(p, q, alpha)
-                    self.sigma_pq[(p, q)] = grid
-                    self.P_pair[(p, q)] = pair_table(
-                        p, q, [1], [1], self.params, grid
-                    )
+        for state in self.single.values():
+            state.extend(1)
+        self.tables = {}
         self.chosen_this_dim = {}
+        # With z_1 = 1, sum_{l in Z_q} sigma(x + l/q) = q^(1 - 2 alpha) sigma(q x)
+        # (the sum over l keeps the frequencies divisible by q), so the row
+        # sums of P(p, q) are known before any pair table is built.
+        g1sq = self.params.gamma[0] ** 2
+        self.folded = {p: np.zeros(p) for p in primes}
+        for i, p in enumerate(primes):
+            k = np.arange(p, dtype=np.int64)
+            for q in primes[i + 1 :]:
+                sigma = self.single[p].sigma_table[k * q % p]
+                self._fold_row_sums(p, q, q + g1sq * q ** (1 - 2 * alpha) * sigma)
 
-    # -- pair-table access (cached or recomputed) ---------------------------
+    @property
+    def residues(self) -> dict[int, list[int]]:
+        """Chosen residues per prime; a prime chosen at dimension s holds z_s."""
+        return {p: state.z_prefix for p, state in self.single.items()}
 
-    def _pair(self, p: int, q: int) -> np.ndarray:
-        """Product table oriented (k in Z_p, l in Z_q), prefix of length s-1."""
-        key, transpose = ((p, q), False) if p < q else ((q, p), True)
-        if self.cached:
-            table = self.P_pair[key]
-        else:
-            a, b = key
-            grid = pair_sigma_grid(a, b, self.params.alpha)
-            table = pair_table(
-                a, b,
-                self.residues[a][: self.s - 1],
-                self.residues[b][: self.s - 1],
-                self.params, grid,
-            )
-        return table.T if transpose else table
+    def _fold_row_sums(self, p: int, q: int, row_sums: np.ndarray) -> None:
+        """Add the row sums of P(p, q), q > p, to p's larger-prime weights.
+
+        Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
+        all larger primes share one sweep against sigma(k z / p).
+        """
+        k = np.arange(p, dtype=np.int64)
+        self.folded[p] += (
+            2.0 / q ** (2 * self.params.alpha + 1) * row_sums[k * pow(q, -1, p) % p]
+        )
+
+    def _partner_tables(self, p: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(q, sigma grid, P(q, p) over the prefix s-1) for every smaller prime q."""
+        s = self.s
+        partners = []
+        for q in self.pool.primes:
+            if q >= p:
+                break
+            if q not in self.chosen_this_dim:
+                raise SequencingError(
+                    f"residue for prime {q} at dimension {s} not chosen yet"
+                )
+            entry = self.tables.get((q, p))
+            if entry is None:
+                grid = pair_sigma_grid(q, p, self.params.alpha)
+                table = pair_table(
+                    q, p,
+                    self.single[q].z_prefix[: s - 1],
+                    self.single[p].z_prefix[: s - 1],
+                    self.params, grid,
+                )
+                entry = (grid, table)
+            partners.append((q, *entry))
+        return partners
 
     # -- criteria ------------------------------------------------------------
 
     def theta_all(self, p: int) -> np.ndarray:
-        gam2 = self.params.gamma[self.s - 1] ** 2
-        S = rader_cbc_kernel(
-            p, self.pool.root_of(p), self.sigma_p[p], self.P_single[p]
-        )
-        return gam2 / p * S
+        return theta_all(self.single[p])
 
-    def t_hat_all(self, p: int, theta: np.ndarray | None = None) -> np.ndarray:
+    def t_hat_all(
+        self,
+        p: int,
+        theta: np.ndarray | None = None,
+        partners: list[tuple[int, np.ndarray, np.ndarray]] | None = None,
+    ) -> np.ndarray:
         """T-hat for every candidate residue z in Z_p at the current dimension.
 
         Adds to theta (computed here unless given) the cross-prime
         corrections.  Each smaller prime q contributes one batched Rader
-        sweep over the residue classes of q, summed in the frequency domain.
-        All larger primes share one sweep against sigma(k z / p): since
-        sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
-        their pair-table row sums fold into a single weight row.
+        sweep over the residue classes of q, summed in the frequency domain;
+        all larger primes share one sweep over p's folded weights.
         """
-        s = self.s
-        gam2 = self.params.gamma[s - 1] ** 2
+        gam2 = self.params.gamma[self.s - 1] ** 2
         g = self.pool.root_of(p)
-        alpha = self.params.alpha
         if theta is None:
             theta = self.theta_all(p)
-        k = np.arange(p, dtype=np.int64)
+        if partners is None:
+            partners = self._partner_tables(p)
         cross = np.zeros(p)
-        folded = np.zeros(p)  # weights of the larger-prime terms against sigma_p
-        for q in self.pool.primes:
-            if q == p:
-                continue
-            table = self._pair(p, q)  # (p, q)
-            if q < p:
-                if q not in self.chosen_this_dim:
-                    raise SequencingError(
-                        f"residue for prime {q} at dimension {s} not chosen yet"
-                    )
-                zq = self.chosen_this_dim[q]
-                grid = (
-                    self.sigma_pq[(q, p)]
-                    if self.cached
-                    else pair_sigma_grid(q, p, alpha)
-                )
-                # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
-                v = grid[pair_index(q, p, zq, 1)]
-                cross += (2.0 / q) * rader_cbc_sum(p, g, v, table.T)
-            else:
-                row_sums = table.sum(axis=1)  # (p,)
-                folded += 2.0 / q ** (2 * alpha + 1) * row_sums[k * pow(q, -1, p) % p]
+        for q, grid, table in partners:
+            # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
+            v = grid[pair_index(q, p, self.chosen_this_dim[q], 1)]
+            cross += (2.0 / q) * rader_cbc_sum(p, g, v, table)
         if p < self.pool.primes[-1]:
-            cross += rader_cbc_kernel(p, g, self.sigma_p[p], folded)
+            cross += rader_cbc_kernel(p, g, self.single[p].sigma_table, self.folded[p])
         return theta + gam2 / p * cross
 
     # -- stepping ------------------------------------------------------------
 
     def choose(self, p: int) -> int:
+        """Choose p's residue, then fold it into p's partner tables.
+
+        The fold is skipped at the last dimension, where nothing reads it.
+        """
+        partners = self._partner_tables(p)
         theta = self.theta_all(p)
-        z = select_candidate(theta, self.t_hat_all(p, theta), self.tau)
+        z = select_candidate(theta, self.t_hat_all(p, theta, partners), self.tau)
         self.chosen_this_dim[p] = z
+        self.single[p].extend(z)
+        gam2 = self.params.gamma[self.s - 1] ** 2
+        self.folded[p] = np.zeros(p)
+        while partners:  # popping frees each old table once it is folded
+            q, grid, table = partners.pop()
+            self.tables.pop((q, p), None)
+            if self.s == self.params.d:
+                continue
+            idx = pair_index(q, p, self.chosen_this_dim[q], z)
+            table = table * (1.0 + gam2 * grid[idx])
+            self._fold_row_sums(q, p, table.sum(axis=1))
+            if self.keep_tables:
+                self.tables[(q, p)] = (grid, table)
         return z
 
     def finish_dimension(self) -> None:
-        """Fold this dimension's residues into all product tables."""
-        s = self.s
-        gam2 = self.params.gamma[s - 1] ** 2
-        for p in self.pool.primes:
-            z = self.chosen_this_dim[p]
-            self.residues[p].append(z)
-            k = (np.arange(p, dtype=np.int64) * z) % p
-            self.P_single[p] = self.P_single[p] * (1.0 + gam2 * self.sigma_p[p][k])
-        if self.cached:
-            primes = self.pool.primes
-            for i, p in enumerate(primes):
-                for q in primes[i + 1 :]:
-                    idx = pair_index(
-                        p, q, self.chosen_this_dim[p], self.chosen_this_dim[q]
-                    )
-                    self.P_pair[(p, q)] = self.P_pair[(p, q)] * (
-                        1.0 + gam2 * self.sigma_pq[(p, q)][idx]
-                    )
+        """Move on to the next dimension once every prime has its residue."""
+        if len(self.chosen_this_dim) != len(self.pool.primes):
+            raise SequencingError(f"dimension {self.s} is missing residues")
         self.chosen_this_dim = {}
         self.s += 1
 
@@ -217,37 +233,23 @@ def construct_fixed_vector(
     d: int,
     params: KorobovSpaceParams,
     tau: float = 0.5,
-    mode: str = "auto",
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
 ) -> ResidueVector:
     """Build the fixed generating vector for budget n (primes in (n/2, n]).
 
     z_1 = 1 for every prime; for s = 2..d and each pool prime ascending, the
     residue is the T-hat minimiser among the ceil(tau p) best-theta candidates.
-    mode is one of "cached", "streaming", "auto" (cached when the estimated
-    table memory fits the budget).
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
     if d != params.d:
         raise DomainError(f"dimension mismatch: d={d} vs params.d={params.d}")
     pool = build_prime_pool(n)
-    est = estimate_cached_bytes(pool)
-    if mode == "auto":
-        cached = est <= memory_budget_bytes
-    elif mode == "cached":
-        if est > memory_budget_bytes:
-            raise CapacityError(
-                f"cached mode needs ~{est} bytes (> budget {memory_budget_bytes}); "
-                "use streaming mode"
-            )
-        cached = True
-    elif mode == "streaming":
-        cached = False
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-
-    state = ConstructionState(pool=pool, params=params, tau=tau, cached=cached)
+    # Keep the pair tables only if they fit in half of physical memory: the
+    # other half holds what runs beside them, that is, one prime's partner
+    # tables with their permuted sigma rows and FFT spectra during a choice,
+    # the e_ran evaluation that usually follows, and other processes.
+    keep = 2 * estimate_cached_bytes(pool) <= physical_memory_bytes()
+    state = ConstructionState(pool=pool, params=params, tau=tau, keep_tables=keep)
     for _ in range(2, d + 1):
         for p in pool.primes:
             state.choose(p)

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cbc
+from .construct import candidate_set
 from .errors import BoundParams, default_lambda_grid, good_set_threshold, omega_weight
 from .kernels import DomainError, KorobovSpaceParams, r_alpha, sigma_alpha
 from .primes import PrimePool, ResidueVector, build_prime_pool
@@ -136,11 +137,10 @@ def truncated_extremal(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed, repetition count and relaxation parameter for the online runs."""
+    """Seed and repetition count for the online runs."""
 
     seed: int
     repetitions: int
-    tau: float = 0.5
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -184,15 +184,6 @@ def run_rpfv(f: Integrand, v: ResidueVector, cfg: RunConfig) -> np.ndarray:
     return out
 
 
-def _good_component_set(
-    state: cbc.CbcState, tau: float
-) -> np.ndarray:
-    """Indices of the ceil(tau p) smallest-theta candidates (stable order)."""
-    theta = cbc.theta_all(state)
-    m = math.ceil(tau * state.p)
-    return np.argsort(theta, kind="stable")[:m]
-
-
 def run_rp_cbc(
     f: Integrand,
     n: int,
@@ -201,7 +192,7 @@ def run_rp_cbc(
     cfg: RunConfig,
 ) -> np.ndarray:
     """Random-prime random-CBC-vector: z_1 = 1, then each z_s uniform among
-    the ceil(tau p) best-theta candidates for the drawn prime."""
+    the ceil(tau p) best-theta candidates (`candidate_set`) for the drawn prime."""
     pool = build_prime_pool(n)
     good_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     out = np.empty(cfg.repetitions)
@@ -216,7 +207,7 @@ def run_rp_cbc(
                 state = cbc.CbcState(p=p, g=pool.root_of(p), params=params)
                 for zj in z:
                     state.extend(zj)
-                good = _good_component_set(state, tau)
+                good = candidate_set(cbc.theta_all(state), tau)
                 good_cache[key] = good
             z.append(int(good[rng.next_below(len(good))]))
         out[i] = lattice_rule(f, p, z)

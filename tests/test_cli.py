@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ranlat.cli import (
-    EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
     closest_prime,
@@ -20,7 +19,7 @@ from ranlat.primes import crt_reconstruct
 
 def test_parse_gamma_spec():
     assert parse_gamma_spec("poly:2", 3) == pytest.approx((1.0, 0.25, 1 / 9))
-    assert parse_gamma_spec("1.0,0.5", 2) == pytest.approx([1.0, 0.5])
+    assert parse_gamma_spec("1.0,0.5", 2) == (1.0, 0.5)
     with pytest.raises(ValueError):
         parse_gamma_spec("1.0,0.5", 3)
     with pytest.raises(ValueError):
@@ -74,12 +73,37 @@ def test_construct_tau_one_rejected():
     assert main(["construct", "--n", "12", "--d", "2", "--tau", "1.0"]) == EXIT_USAGE
 
 
-def test_construct_capacity_exit(tmp_path):
-    rc = main([
-        "construct", "--n", "40", "--d", "2", "--mode", "cached",
-        "--out", str(tmp_path / "v.json"),
-    ])
-    assert rc == EXIT_OK  # well within any realistic budget
+def test_read_vector_file_returns_hashable_tuples(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["construct", "--n", "30", "--d", "3", "--out", str(out)]) == EXIT_OK
+    v, params, _ = read_vector_file(str(out))
+    v2, params2, _ = read_vector_file(str(out))
+    assert v == v2 and params == params2
+    assert hash(params) == hash(params2)
+    assert isinstance(v.residues, tuple) and isinstance(v.residues[0], tuple)
+    assert all(type(r) is int for row in v.residues for r in row)
+    assert isinstance(params.gamma, tuple)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", 7.0), ("tau", 0.0), ("tau", 1.0), ("tau", None), ("z_1", 0), ("z_1", 2),
+    ("missing", "gamma"),
+])
+def test_integrate_rejects_invalid_vector_file(tmp_path, capsys, field, value):
+    out = tmp_path / "v.json"
+    assert main(["construct", "--n", "30", "--d", "3", "--out", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    if field == "tau":
+        data["tau"] = value
+    elif field == "z_1":
+        data["residues"][-1][0] = value
+    else:
+        del data[value]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["integrate", "--vector-file", str(out), "--reps", "5"])
+    assert rc == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_integrate_reproducible_and_dim_checked(tmp_path, capsys):

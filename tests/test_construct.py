@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranlat.cbc import cbc_construct
+from ranlat import construct
+from ranlat.cbc import cbc_construct, new_state, theta_all
 from ranlat.construct import (
-    CapacityError,
     ConstructionState,
+    candidate_set,
     construct_fixed_vector,
     estimate_cached_bytes,
     select_candidate,
@@ -44,7 +45,7 @@ def test_select_candidate_mirror_tie_resolves_to_smaller_residue():
     # symmetric under z <-> p - z; round-off must not pick the larger one
     pool = build_prime_pool(101)
     params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 3.0))
-    state = ConstructionState(pool=pool, params=params, tau=0.5, cached=True)
+    state = ConstructionState(pool=pool, params=params, tau=0.5)
     p = pool.primes[0]
     theta = state.theta_all(p)
     t_hat = state.t_hat_all(p, theta)
@@ -91,7 +92,7 @@ def test_t_hat_fast_matches_naive_triple_loop():
     pool = build_prime_pool(12)
     for d in (2, 3):
         params = _params(d)
-        state = ConstructionState(pool=pool, params=params, tau=0.5, cached=True)
+        state = ConstructionState(pool=pool, params=params, tau=0.5)
         for _ in range(2, d + 1):
             for p in pool.primes:
                 fast = state.t_hat_all(p)
@@ -108,7 +109,7 @@ def test_t_hat_fast_matches_naive_n30_pool():
     # frequency-domain sums over several smaller primes
     pool = build_prime_pool(30)
     params = _params(3)
-    state = ConstructionState(pool=pool, params=params, tau=0.5, cached=True)
+    state = ConstructionState(pool=pool, params=params, tau=0.5)
     for _ in range(2, 4):
         for p in pool.primes:
             theta = state.theta_all(p)
@@ -130,7 +131,7 @@ def test_relaxed_criterion_shifts_by_candidate_independent_constant():
     # differ by a constant, leaving the ranking unchanged.
     pool = build_prime_pool(12)
     params = _params(2)
-    state = ConstructionState(pool=pool, params=params, tau=0.5, cached=True)
+    state = ConstructionState(pool=pool, params=params, tau=0.5)
     z7 = state.choose(7)
     p, q, hmax = 11, 7, 40
     g1, g2 = params.gamma
@@ -165,19 +166,74 @@ def test_relaxed_criterion_shifts_by_candidate_independent_constant():
                           np.argsort(strict, kind="stable"))
 
 
-def test_streaming_and_cached_identical():
+def _probe_reports(monkeypatch, memory_bytes):
+    monkeypatch.setattr(construct, "physical_memory_bytes", lambda: memory_bytes)
+
+
+def _count_pair_builds(monkeypatch):
+    counts = {"pair_table": 0, "pair_sigma_grid": 0}
+    for name in counts:
+        def counted(*args, _orig=getattr(construct, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(construct, name, counted)
+    return counts
+
+
+def test_streaming_and_cached_identical(monkeypatch):
+    # cached: the pair tables are kept between dimensions; streaming: they
+    # are rebuilt from the chosen prefix at every dimension
     params = _params(4)
-    vc = construct_fixed_vector(30, 4, params, mode="cached")
-    vs = construct_fixed_vector(30, 4, params, mode="streaming")
+    _probe_reports(monkeypatch, 1 << 62)
+    vc = construct_fixed_vector(30, 4, params)
+    _probe_reports(monkeypatch, 0)
+    vs = construct_fixed_vector(30, 4, params)
     assert vc.residues == vs.residues
 
 
-def test_capacity_error_and_streaming_fallback():
-    params = _params(2)
-    with pytest.raises(CapacityError):
-        construct_fixed_vector(30, 2, params, mode="cached", memory_budget_bytes=64)
-    v = construct_fixed_vector(30, 2, params, mode="auto", memory_budget_bytes=64)
-    assert v.residues == construct_fixed_vector(30, 2, params, mode="cached").residues
+def test_estimate_over_probe_selects_rebuild(monkeypatch):
+    # the tables are kept up to half of the probed memory; one byte more
+    # rebuilds them at each of the d - 1 = 2 chosen dimensions
+    params = _params(3)
+    est = estimate_cached_bytes(build_prime_pool(30))
+    counts = _count_pair_builds(monkeypatch)
+    _probe_reports(monkeypatch, 2 * est)
+    kept = construct_fixed_vector(30, 3, params)
+    assert counts["pair_table"] == 6
+    _probe_reports(monkeypatch, 2 * est - 1)
+    rebuilt = construct_fixed_vector(30, 3, params)
+    assert counts["pair_table"] == 6 + 12
+    assert rebuilt.residues == kept.residues
+
+
+@pytest.mark.parametrize("memory_bytes, builds", [(1 << 62, 6), (0, 12)])
+def test_pair_table_builds_per_policy(monkeypatch, memory_bytes, builds):
+    # n=30: primes 17, 19, 23, 29 make 6 pairs.  Kept tables are built once;
+    # rebuilt ones once per chosen dimension (s = 2, 3), grid included.
+    counts = _count_pair_builds(monkeypatch)
+    _probe_reports(monkeypatch, memory_bytes)
+    construct_fixed_vector(30, 3, _params(3))
+    assert counts == {"pair_table": builds, "pair_sigma_grid": builds}
+
+
+def test_candidate_set_boundary_mirror_tie():
+    # p = 11, s = 2: theta(z) = theta(-z) = theta(z^-1), so 2, 9, 6 and 5 tie
+    # at the edge of the ceil(11/2) = 6 smallest, with 3, 4, 7, 8 below it.
+    # The tie fills the set in index order, whichever member round-off makes
+    # smallest; a stable argsort took 9 instead of 5.
+    p = 11
+    state = new_state(p, _params(2))
+    state.extend(1)
+    theta = theta_all(state)
+    tied = [2, 5, 6, 9]
+    assert np.ptp(theta[tied]) <= 1e-12 * theta[2]
+    expect = [2, 3, 4, 5, 7, 8]
+    assert sorted(candidate_set(theta, 0.5).tolist()) == expect
+    for bumped in tied:
+        for sign in (1.0, -1.0):
+            th2 = theta.copy()
+            th2[bumped] *= 1.0 + sign * 1e-12
+            assert sorted(candidate_set(th2, 0.5).tolist()) == expect
 
 
 def test_estimate_cached_bytes():
@@ -201,12 +257,8 @@ def test_constructed_beats_exhaustive_candidate_mean():
     v = construct_fixed_vector(12, 2, params, tau=tau)
     e2 = randomized_error_sq_fixed(v, params).squared_error
 
-    state = ConstructionState(pool=pool, params=params, tau=tau, cached=True)
-    cand = {}
-    for p in pool.primes:
-        theta = state.theta_all(p)
-        m = math.ceil(tau * p)
-        cand[p] = np.argsort(theta, kind="stable")[:m]
+    state = ConstructionState(pool=pool, params=params, tau=tau)
+    cand = {p: candidate_set(state.theta_all(p), tau) for p in pool.primes}
     vals = []
     for z7, z11 in itertools.product(cand[7], cand[11]):
         w = ResidueVector(pool=pool, residues=((1, int(z7)), (1, int(z11))), d=2)

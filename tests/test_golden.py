@@ -2,7 +2,10 @@
 
 The fixtures under tests/data were written by scripts/golden_fixtures.py.
 Any change to the T-hat evaluation or the e_ran evaluation must leave every
-residue unchanged and e_ran^2 equal to 1e-12 relative, in both modes.
+residue unchanged and e_ran^2 equal to 1e-12 relative, under both pair-table
+policies.  A policy is forced through the memory probe: "cached" reports
+ample memory, so the pair tables are kept between dimensions; "streaming"
+reports none, so they are rebuilt from the chosen prefix at every dimension.
 """
 
 import json
@@ -10,10 +13,11 @@ import pathlib
 
 import pytest
 
-from ranlat.construct import construct_fixed_vector
+from ranlat import construct
 from ranlat.errors import randomized_error_sq_fixed
 from ranlat.kernels import KorobovSpaceParams
 
+PROBED_MEMORY = {"cached": 1 << 62, "streaming": 0}
 FIXTURES = sorted((pathlib.Path(__file__).parent / "data").glob("golden_*.json"))
 
 
@@ -22,15 +26,18 @@ def test_fixture_grid_present():
     assert names == {f"golden_n{n}.json" for n in (12, 30, 53, 101)}
 
 
-@pytest.mark.parametrize("mode", ["cached", "streaming"])
+@pytest.mark.parametrize("policy", ["cached", "streaming"])
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
-def test_golden_vectors_reproduced(path, mode):
+def test_golden_vectors_reproduced(path, policy, monkeypatch):
+    monkeypatch.setattr(
+        construct, "physical_memory_bytes", lambda: PROBED_MEMORY[policy]
+    )
     fix = json.loads(path.read_text())
     for case in fix["cases"]:
         params = KorobovSpaceParams(
             d=case["d"], alpha=case["alpha"], gamma=tuple(case["gamma"])
         )
-        v = construct_fixed_vector(fix["n"], case["d"], params, tau=fix["tau"], mode=mode)
+        v = construct.construct_fixed_vector(fix["n"], case["d"], params, tau=fix["tau"])
         label = f"n={fix['n']} d={case['d']} alpha={case['alpha']}"
         assert list(v.pool.primes) == fix["primes"], label
         assert [list(res) for res in v.residues] == case["residues"], label

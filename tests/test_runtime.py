@@ -125,7 +125,7 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
     # outcome distribution at n=12, d=2 is small: uniform prime in {7, 11},
     # then z_2 uniform over that prime's best-theta candidate set
     from ranlat.cbc import new_state, theta_all
-    from ranlat.runtime import _good_component_set
+    from ranlat.construct import candidate_set
 
     params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 2.0))
     f = product_bernoulli(params)
@@ -134,7 +134,7 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
     for p in pool.primes:
         state = new_state(p, params)
         state.extend(1)
-        good = _good_component_set(state, 0.5)
+        good = candidate_set(theta_all(state), 0.5)
         prime_means.append(
             np.mean([lattice_rule(f, p, [1, int(z)]) for z in good])
         )
