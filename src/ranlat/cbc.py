@@ -14,7 +14,6 @@ import numpy as np
 
 from .fftconv import rader_cbc_kernel, rader_cbc_kernel_naive
 from .kernels import KorobovSpaceParams, sigma_alpha
-from .primes import primitive_root
 
 # Relative tolerance under which two criterion values count as tied.  Exact
 # mathematical ties (z and p - z give the same theta and T-hat at the
@@ -28,19 +27,15 @@ class CbcState:
     """Search state after choosing components z_1..z_{s-1} modulo p."""
 
     p: int
-    g: int
     params: KorobovSpaceParams
-    z_prefix: list[int] = field(default_factory=list)
-    P_products: np.ndarray = field(default=None)  # type: ignore[assignment]
-    sigma_table: np.ndarray = field(default=None)  # type: ignore[assignment]
+    z_prefix: list[int] = field(init=False)
+    P_products: np.ndarray = field(init=False)
+    sigma_table: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.sigma_table is None:
-            self.sigma_table = sigma_alpha(
-                np.arange(self.p) / self.p, self.params.alpha
-            )
-        if self.P_products is None:
-            self.P_products = np.ones(self.p)
+        self.z_prefix = []
+        self.P_products = np.ones(self.p)
+        self.sigma_table = sigma_alpha(np.arange(self.p) / self.p, self.params.alpha)
 
     @property
     def s(self) -> int:
@@ -58,10 +53,6 @@ class CbcState:
         self.z_prefix.append(z_s)
 
 
-def new_state(p: int, params: KorobovSpaceParams) -> CbcState:
-    return CbcState(p=p, g=primitive_root(p), params=params)
-
-
 def theta_all(state: CbcState) -> np.ndarray:
     """Squared-error increment theta_s(z) for every candidate z in Z_p.
 
@@ -69,7 +60,7 @@ def theta_all(state: CbcState) -> np.ndarray:
     for all z at once through the Rader convolution sweep.
     """
     gam2 = state.params.gamma[state.s - 1] ** 2
-    S = rader_cbc_kernel(state.p, state.g, state.sigma_table, state.P_products)
+    S = rader_cbc_kernel(state.p, state.sigma_table, state.P_products)
     return gam2 / state.p * S
 
 
@@ -97,7 +88,7 @@ def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
 
     Ties in the theta sweep are broken by the smallest candidate residue.
     """
-    state = new_state(p, params)
+    state = CbcState(p=p, params=params)
     state.extend(1)
     for _ in range(2, params.d + 1):
         state.extend(argmin_first(theta_all(state)))
@@ -106,7 +97,7 @@ def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
 
 def cbc_construct_naive(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
     """Oracle CBC: exhaustive per-component argmin via the naive theta sweep."""
-    state = new_state(p, params)
+    state = CbcState(p=p, params=params)
     state.extend(1)
     for _ in range(2, params.d + 1):
         state.extend(argmin_first(theta_all_naive(state)))

@@ -103,26 +103,43 @@ def write_vector_file(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not a JSON number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def read_vector_file(path: str) -> tuple[ResidueVector, KorobovSpaceParams, dict]:
     """Validated vector file contents, with residues and weights as tuples."""
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("format_version") != FORMAT_VERSION:
-        raise DomainError(f"unsupported vector file version {data.get('format_version')}")
+    if not isinstance(data, dict):
+        raise DomainError("a vector file must hold a JSON object")
+    version = data.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise DomainError(f"unsupported vector file version {version!r}")
     missing = {"n", "d", "alpha", "gamma", "tau", "primes", "residues"} - data.keys()
     if missing:
         raise DomainError(f"vector file lacks {sorted(missing)}")
+    for key in ("n", "d", "alpha"):
+        if not _is_int(data[key]):
+            raise DomainError(f"{key} must be an integer, got {data[key]!r}")
     tau = data["tau"]
     if not isinstance(tau, (int, float)) or not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
+    gamma, rows = data["gamma"], data["residues"]
+    if not isinstance(gamma, list) or not all(
+            isinstance(g, (int, float)) and not isinstance(g, bool) for g in gamma):
+        raise DomainError("gamma must be a list of numbers")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(_is_int, row)) for row in rows):
+        raise DomainError("residues must be a list of lists of integers")
     pool = build_prime_pool(data["n"])
-    if list(pool.primes) != list(data["primes"]):
+    if list(pool.primes) != data["primes"]:
         raise DomainError("prime list in file does not match the budget pool")
     params = KorobovSpaceParams(
-        d=data["d"], alpha=data["alpha"],
-        gamma=tuple(float(g) for g in data["gamma"]),
+        d=data["d"], alpha=data["alpha"], gamma=tuple(float(g) for g in gamma),
     )
-    residues = tuple(tuple(int(r) for r in row) for row in data["residues"])
+    residues = tuple(tuple(row) for row in rows)
     v = ResidueVector(pool=pool, residues=residues, d=params.d)
     if any(row[0] != 1 for row in residues):
         raise DomainError("the first component must be 1 for every prime")
@@ -236,12 +253,11 @@ def _verify_fft_oracle() -> list[str]:
     failures = []
     rng = SplitMix64(2024)
     primes = [p for p in sieve_primes(200) if p >= 3]
-    from .primes import primitive_root
     for i in range(20):
         p = primes[rng.next_below(len(primes))]
         vals = np.array([(rng.next_u64() >> 11) / 2.0 ** 53 for _ in range(p)])
         wts = np.array([(rng.next_u64() >> 11) / 2.0 ** 53 for _ in range(p)])
-        fast = rader_cbc_kernel(p, primitive_root(p), vals, wts)
+        fast = rader_cbc_kernel(p, vals, wts)
         slow = rader_cbc_kernel_naive(p, vals, wts)
         err = float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)))
         if err > 1e-9:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cbc import TIE_RTOL, CbcState, theta_all
 from .errors import DomainError, pair_index, pair_sigma_grid, pair_table
-from .fftconv import rader_cbc_kernel, rader_cbc_sum
+from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams, sigma_alpha
 from .primes import PrimePool, ResidueVector, build_prime_pool
 
@@ -102,10 +102,7 @@ class ConstructionState:
     def __post_init__(self) -> None:
         primes = self.pool.primes
         alpha = self.params.alpha
-        self.single = {
-            p: CbcState(p=p, g=self.pool.root_of(p), params=self.params)
-            for p in primes
-        }
+        self.single = {p: CbcState(p=p, params=self.params) for p in primes}
         for state in self.single.values():
             state.extend(1)
         self.tables = {}
@@ -180,7 +177,6 @@ class ConstructionState:
         all larger primes share one sweep over p's folded weights.
         """
         gam2 = self.params.gamma[self.s - 1] ** 2
-        g = self.pool.root_of(p)
         if theta is None:
             theta = self.theta_all(p)
         if partners is None:
@@ -189,9 +185,9 @@ class ConstructionState:
         for q, grid, table in partners:
             # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
             v = grid[pair_index(q, p, self.chosen_this_dim[q], 1)]
-            cross += (2.0 / q) * rader_cbc_sum(p, g, v, table)
+            cross += (2.0 / q) * rader_cbc_kernel(p, v, table)
         if p < self.pool.primes[-1]:
-            cross += rader_cbc_kernel(p, g, self.single[p].sigma_table, self.folded[p])
+            cross += rader_cbc_kernel(p, self.single[p].sigma_table, self.folded[p])
         return theta + gam2 / p * cross
 
     # -- stepping ------------------------------------------------------------

@@ -92,17 +92,13 @@ def primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimePool:
-    """Primes in (n/2, n] for budget n, with their primitive roots."""
+    """Primes in (n/2, n] for budget n."""
 
     n: int
     primes: tuple[int, ...]
-    primitive_roots: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.primes)
-
-    def root_of(self, p: int) -> int:
-        return self.primitive_roots[self.primes.index(p)]
 
     @property
     def modulus(self) -> int:
@@ -111,7 +107,7 @@ class PrimePool:
 
 
 def build_prime_pool(n: int) -> PrimePool:
-    """Complete sorted pool of primes in (n/2, n] with verified primitive roots."""
+    """Complete sorted pool of primes in (n/2, n]."""
     if n < 4:
         raise BudgetTooSmallError(f"budget must be >= 4 to guarantee a prime in (n/2, n], got {n}")
     primes = tuple(p for p in sieve_primes(n) if 2 * p > n)
@@ -121,8 +117,7 @@ def build_prime_pool(n: int) -> PrimePool:
     assert len(primes) > 0.23 * n / math.log(n), (
         f"pool size {len(primes)} below the 0.23 n/ln n lower bound at n={n}"
     )
-    roots = tuple(primitive_root(p) for p in primes)
-    return PrimePool(n=n, primes=primes, primitive_roots=roots)
+    return PrimePool(n=n, primes=primes)
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def run_rp_cbc(
             key = (p, tuple(z))
             good = good_cache.get(key)
             if good is None:
-                state = cbc.CbcState(p=p, g=pool.root_of(p), params=params)
+                state = cbc.CbcState(p=p, params=params)
                 for zj in z:
                     state.extend(zj)
                 good = candidate_set(cbc.theta_all(state), tau)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from ranlat.cbc import cbc_construct, cbc_construct_naive, new_state, theta_all, theta_all_naive
+from ranlat.cbc import CbcState, cbc_construct, cbc_construct_naive, theta_all, theta_all_naive
 from ranlat.construct import (
     ConstructionState,
     candidate_set,
@@ -80,7 +80,7 @@ def test_criterion_3_fast_path_equivalence():
     for p in [q for q in sieve_primes(101) if q >= 3]:
         d = 3
         params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 2.0))
-        state = new_state(p, params)
+        state = CbcState(p=p, params=params)
         for _ in range(d):
             fast = theta_all(state)
             slow = theta_all_naive(state)
@@ -170,7 +170,7 @@ def test_criterion_5_lemma_suite():
     # per-component good-set cardinality with a fixed prefix
     comp_ok = True
     for p in [q for q in sieve_primes(31) if q >= 3]:
-        state = new_state(p, params)
+        state = CbcState(p=p, params=params)
         state.extend(1)
         theta = theta_all(state)
         thr = component_threshold(p, 2, params, bounds)

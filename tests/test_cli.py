@@ -88,17 +88,22 @@ def test_read_vector_file_returns_hashable_tuples(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("tau", 7.0), ("tau", 0.0), ("tau", 1.0), ("tau", None), ("z_1", 0), ("z_1", 2),
     ("missing", "gamma"),
+    ("n", "30"), ("n", 30.0), ("d", 3.0), ("alpha", True), ("gamma", 5),
+    ("residues", 5), ("residues", [1, 17, 5]), ("z_2", 25.7), ("z_2", "25"),
+    ("file", "list"), ("format_version", True),
 ])
 def test_integrate_rejects_invalid_vector_file(tmp_path, capsys, field, value):
     out = tmp_path / "v.json"
     assert main(["construct", "--n", "30", "--d", "3", "--out", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
-    if field == "tau":
-        data["tau"] = value
-    elif field == "z_1":
-        data["residues"][-1][0] = value
-    else:
+    if field in ("z_1", "z_2"):
+        data["residues"][-1][int(field[-1]) - 1] = value
+    elif field == "missing":
         del data[value]
+    elif field == "file":
+        data = [data]
+    else:
+        data[field] = value
     out.write_text(json.dumps(data))
     capsys.readouterr()
     rc = main(["integrate", "--vector-file", str(out), "--reps", "5"])

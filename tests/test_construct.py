@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranlat import construct
-from ranlat.cbc import cbc_construct, new_state, theta_all
+from ranlat.cbc import CbcState, cbc_construct, theta_all
 from ranlat.construct import (
     ConstructionState,
     candidate_set,
@@ -222,7 +222,7 @@ def test_candidate_set_boundary_mirror_tie():
     # The tie fills the set in index order, whichever member round-off makes
     # smallest; a stable argsort took 9 instead of 5.
     p = 11
-    state = new_state(p, _params(2))
+    state = CbcState(p=p, params=_params(2))
     state.extend(1)
     theta = theta_all(state)
     tied = [2, 5, 6, 9]

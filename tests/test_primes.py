@@ -48,7 +48,7 @@ def test_pool_budget_too_small():
         build_prime_pool(3)
 
 
-def test_primitive_roots():
+def test_primitive_root():
     assert primitive_root(7) == 3
     assert primitive_root(11) == 2
     assert primitive_root(2) == 1
@@ -78,7 +78,7 @@ def test_crt_reconstruct_examples():
 
 
 def test_crt_reconstruct_two_primes():
-    pool = PrimePool(n=13, primes=(11, 13), primitive_roots=(2, 2))
+    pool = PrimePool(n=13, primes=(11, 13))
     v = ResidueVector(pool=pool, residues=((7,), (2,)), d=1)
     x = crt_reconstruct(v, 0)
     assert x % 11 == 7 and x % 13 == 2 and 0 <= x < 143

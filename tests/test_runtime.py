@@ -124,7 +124,7 @@ def test_truncated_extremal_unit_norm_properties():
 def test_run_rp_cbc_mean_matches_exact_expectation():
     # outcome distribution at n=12, d=2 is small: uniform prime in {7, 11},
     # then z_2 uniform over that prime's best-theta candidate set
-    from ranlat.cbc import new_state, theta_all
+    from ranlat.cbc import CbcState, theta_all
     from ranlat.construct import candidate_set
 
     params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 2.0))
@@ -132,7 +132,7 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
     pool = build_prime_pool(12)
     prime_means = []
     for p in pool.primes:
-        state = new_state(p, params)
+        state = CbcState(p=p, params=params)
         state.extend(1)
         good = candidate_set(theta_all(state), 0.5)
         prime_means.append(
