@@ -24,7 +24,11 @@ TIE_RTOL = 1e-9
 
 @dataclass
 class CbcState:
-    """Search state after choosing components z_1..z_{s-1} modulo p."""
+    """Search state after choosing components z_1..z_{s-1} modulo p.
+
+    P_products holds the point products of the p-point rule over z_1..z_{s-1}.
+    Any modulus p >= 1 works for `extend`; `theta_all` needs p prime.
+    """
 
     p: int
     params: KorobovSpaceParams
@@ -71,16 +75,16 @@ def theta_all_naive(state: CbcState) -> np.ndarray:
     return gam2 / state.p * S
 
 
-def argmin_first(values: np.ndarray, rtol: float = TIE_RTOL) -> int:
+def argmin_first(values: np.ndarray) -> int:
     """Index of the minimum, ties broken by smallest index.
 
-    Values within relative rtol of the minimum count as tied, so exact
+    Values within relative TIE_RTOL of the minimum count as tied, so exact
     mathematical ties survive the differing round-off of the FFT and
     naive evaluation paths.
     """
     v = np.asarray(values)
     best = v.min()
-    return int(np.flatnonzero(v <= best + rtol * abs(best))[0])
+    return int(np.flatnonzero(v <= best + TIE_RTOL * abs(best))[0])
 
 
 def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:

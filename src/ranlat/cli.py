@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fftconv import rader_cbc_kernel, rader_cbc_kernel_naive
 from .kernels import DomainError, KorobovSpaceParams, poly_weights
-from .primes import ResidueVector, build_prime_pool, sieve_primes
+from .primes import C_PRIME, ResidueVector, build_prime_pool, sieve_primes
 from .runtime import (
     RunConfig,
     SplitMix64,
@@ -133,8 +133,13 @@ def read_vector_file(path: str) -> tuple[ResidueVector, KorobovSpaceParams, dict
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(map(_is_int, row)) for row in rows):
         raise DomainError("residues must be a list of lists of integers")
-    pool = build_prime_pool(data["n"])
-    if list(pool.primes) != data["primes"]:
+    n, primes = data["n"], data["primes"]
+    # The pool has more than C_PRIME n / ln n primes: bound n before sieving.
+    if not (isinstance(primes, list)
+            and C_PRIME * n / math.log(max(n, 2)) < len(primes)):
+        raise DomainError(f"prime list in file is too short for a budget of n={n}")
+    pool = build_prime_pool(n)
+    if list(pool.primes) != primes:
         raise DomainError("prime list in file does not match the budget pool")
     params = KorobovSpaceParams(
         d=data["d"], alpha=data["alpha"], gamma=tuple(float(g) for g in gamma),
@@ -186,9 +191,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     ns.sort()
     rows = []
     for n in ns:
-        if n > args.max_n and not args.allow_large:
+        if n > args.max_n:
             print(f"warning: skipping n={n} > cap {args.max_n} "
-                  "(pass --allow-large to override)", file=sys.stderr)
+                  "(raise --max-n to override)", file=sys.stderr)
             continue
         t0 = time.perf_counter()
         z = cbc_construct(n, params)
@@ -361,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k-range", default="15..26")
     s.add_argument("--tau", type=float, default=0.5)
     s.add_argument("--max-n", type=int, default=600)
-    s.add_argument("--allow-large", action="store_true")
     s.add_argument("--out")
     s.set_defaults(func=cmd_study)
 

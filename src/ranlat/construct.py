@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbc import TIE_RTOL, CbcState, theta_all
+from .cbc import TIE_RTOL, CbcState, argmin_first, theta_all
 from .errors import DomainError, pair_index, pair_sigma_grid, pair_table
 from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams, sigma_alpha
@@ -27,7 +27,7 @@ from .primes import PrimePool, ResidueVector, build_prime_pool
 
 
 class SequencingError(RuntimeError):
-    """A residue was requested out of the ascending prime order of a dimension."""
+    """A residue was requested out of the dimension-by-dimension, ascending prime order."""
 
 
 def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
@@ -50,15 +50,12 @@ def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
 def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
     """Residue choice: T-hat-minimiser among the `candidate_set` of theta.
 
-    T-hat values within relative TIE_RTOL of the minimum count as tied and
-    resolve to the smaller index.
+    T-hat ties resolve to the smaller index, as in `argmin_first`.
     """
     if len(t_hat) != len(theta):
         raise DomainError("theta and t_hat must have equal length")
-    candidates = candidate_set(theta, tau)
-    vals = t_hat[candidates]
-    best = vals.min()
-    return int(candidates[vals <= best + TIE_RTOL * abs(best)].min())
+    candidates = np.sort(candidate_set(theta, tau))
+    return int(candidates[argmin_first(t_hat[candidates])])
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:
@@ -80,11 +77,10 @@ def physical_memory_bytes() -> int:
 class ConstructionState:
     """All tables needed by the per-(dimension, prime) search step.
 
-    single[p] is prime p's CBC state: sigma table, running point products and
-    chosen residues.  tables[(q, p)] holds a kept sigma grid and pair table
+    single[p] is prime p's CBC state and the only record of where p stands:
+    its chosen residues, hence the dimension it chooses next, and its running
+    point products.  tables[(q, p)] holds a kept sigma grid and pair table
     P(q, p), q < p; folded[p] the weights of p's larger-prime terms.
-    chosen_this_dim tracks which primes already have their component for the
-    current dimension.
     """
 
     pool: PrimePool
@@ -95,9 +91,6 @@ class ConstructionState:
     single: dict[int, CbcState] = field(init=False)
     tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(init=False)
     folded: dict[int, np.ndarray] = field(init=False)
-    # dimension currently being chosen; z_1 = 1 is fixed at init
-    s: int = field(init=False, default=2)
-    chosen_this_dim: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         primes = self.pool.primes
@@ -106,7 +99,6 @@ class ConstructionState:
         for state in self.single.values():
             state.extend(1)
         self.tables = {}
-        self.chosen_this_dim = {}
         # With z_1 = 1, sum_{l in Z_q} sigma(x + l/q) = q^(1 - 2 alpha) sigma(q x)
         # (the sum over l keeps the frequencies divisible by q), so the row
         # sums of P(p, q) are known before any pair table is built.
@@ -135,16 +127,21 @@ class ConstructionState:
         )
 
     def _partner_tables(self, p: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(q, sigma grid, P(q, p) over the prefix s-1) for every smaller prime q."""
-        s = self.s
+        """(q, sigma grid, P(q, p) over the prefix s-1) for every smaller prime q.
+
+        Raises unless s <= d, every smaller prime has its z_s and every larger
+        one z_{s-1}.
+        """
+        s = self.single[p].s
+        for q, state in self.single.items():
+            if s > self.params.d or state.s != (s + 1 if q < p else s):
+                raise SequencingError(
+                    f"prime {p} at dimension {s} of {self.params.d}; prime {q} at {state.s}"
+                )
         partners = []
         for q in self.pool.primes:
             if q >= p:
                 break
-            if q not in self.chosen_this_dim:
-                raise SequencingError(
-                    f"residue for prime {q} at dimension {s} not chosen yet"
-                )
             entry = self.tables.get((q, p))
             if entry is None:
                 grid = pair_sigma_grid(q, p, self.params.alpha)
@@ -176,7 +173,8 @@ class ConstructionState:
         sweep over the residue classes of q, summed in the frequency domain;
         all larger primes share one sweep over p's folded weights.
         """
-        gam2 = self.params.gamma[self.s - 1] ** 2
+        s = self.single[p].s
+        gam2 = self.params.gamma[s - 1] ** 2
         if theta is None:
             theta = self.theta_all(p)
         if partners is None:
@@ -184,7 +182,7 @@ class ConstructionState:
         cross = np.zeros(p)
         for q, grid, table in partners:
             # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
-            v = grid[pair_index(q, p, self.chosen_this_dim[q], 1)]
+            v = grid[pair_index(q, p, self.single[q].z_prefix[s - 1], 1)]
             cross += (2.0 / q) * rader_cbc_kernel(p, v, table)
         if p < self.pool.primes[-1]:
             cross += rader_cbc_kernel(p, self.single[p].sigma_table, self.folded[p])
@@ -198,30 +196,23 @@ class ConstructionState:
         The fold is skipped at the last dimension, where nothing reads it.
         """
         partners = self._partner_tables(p)
+        s = self.single[p].s
         theta = self.theta_all(p)
         z = select_candidate(theta, self.t_hat_all(p, theta, partners), self.tau)
-        self.chosen_this_dim[p] = z
         self.single[p].extend(z)
-        gam2 = self.params.gamma[self.s - 1] ** 2
+        gam2 = self.params.gamma[s - 1] ** 2
         self.folded[p] = np.zeros(p)
         while partners:  # popping frees each old table once it is folded
             q, grid, table = partners.pop()
             self.tables.pop((q, p), None)
-            if self.s == self.params.d:
+            if s == self.params.d:
                 continue
-            idx = pair_index(q, p, self.chosen_this_dim[q], z)
+            idx = pair_index(q, p, self.single[q].z_prefix[s - 1], z)
             table = table * (1.0 + gam2 * grid[idx])
             self._fold_row_sums(q, p, table.sum(axis=1))
             if self.keep_tables:
                 self.tables[(q, p)] = (grid, table)
         return z
-
-    def finish_dimension(self) -> None:
-        """Move on to the next dimension once every prime has its residue."""
-        if len(self.chosen_this_dim) != len(self.pool.primes):
-            raise SequencingError(f"dimension {self.s} is missing residues")
-        self.chosen_this_dim = {}
-        self.s += 1
 
 
 def construct_fixed_vector(
@@ -249,7 +240,6 @@ def construct_fixed_vector(
     for _ in range(2, d + 1):
         for p in pool.primes:
             state.choose(p)
-        state.finish_dimension()
     return ResidueVector(
         pool=pool,
         residues=tuple(tuple(state.residues[p]) for p in pool.primes),
@@ -264,16 +254,16 @@ def construct_fixed_vector(
 def t_hat_all_naive(
     pool: PrimePool,
     params: KorobovSpaceParams,
-    s: int,
     p: int,
     residues: dict[int, list[int]],
-    chosen_this_dim: dict[int, int],
 ) -> np.ndarray:
     """Direct triple-loop evaluation of T-hat over (q, l, k); no FFT, no grids.
 
-    residues[q] holds the s-1 prefix components for every pool prime;
-    chosen_this_dim[q] the already-fixed dimension-s residues for q < p.
+    residues[p] holds p's s-1 prefix components, which set the dimension s;
+    residues[q] holds at least those s-1 for every pool prime, and also z_s
+    for q < p.
     """
+    s = len(residues[p]) + 1
     alpha = params.alpha
     gam2 = params.gamma[s - 1] ** 2
     out = np.zeros(p)
@@ -297,7 +287,7 @@ def t_hat_all_naive(
         for q in pool.primes:
             if q >= p:
                 continue
-            zq = chosen_this_dim[q]
+            zq = residues[q][s - 1]
             acc = 0.0
             for l in range(q):
                 for k in range(p):

@@ -10,15 +10,14 @@ theoretical error bound of the constructive theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .cbc import CbcState
 from .kernels import DomainError, KorobovSpaceParams, mu_quantity, sigma_alpha, zeta
-from .primes import PrimePool, ResidueVector, crt_pair
-
-C_PRIME = 0.23  # lower-bound constant for |P_n| > c' n / ln n
+from .primes import C_PRIME, ResidueVector, crt_pair
 
 _CLAMP_FLOOR = -1e-12
 
@@ -32,7 +31,6 @@ class ErrorReport:
 
     squared_error: float
     decomposition: dict[str, float]
-    method: str
     clamped: bool = False
 
     @property
@@ -46,7 +44,6 @@ class BoundParams:
 
     tau: float
     lambda_grid: tuple[float, ...]
-    c_prime: float = C_PRIME
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
@@ -55,29 +52,28 @@ class BoundParams:
             raise DomainError("lambda grid must be nonempty")
 
 
-def default_lambda_grid(alpha: int, points: int = 32) -> tuple[float, ...]:
-    """Equispaced grid on [1/2, alpha - 0.01]."""
-    return tuple(np.linspace(0.5, alpha - 0.01, points))
+def default_lambda_grid(alpha: int) -> tuple[float, ...]:
+    """32 equispaced points on [1/2, alpha - 0.01]."""
+    return tuple(np.linspace(0.5, alpha - 0.01, 32))
 
 
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 20
 
 
-def _grid_infimum(
-    fun: Callable[[float], float], grid: Sequence[float], refine_iters: int = 20
-) -> float:
+def _grid_infimum(fun: Callable[[float], float], grid: Sequence[float]) -> float:
     """Grid minimum with golden-section refinement around the grid argmin."""
     vals = [fun(lam) for lam in grid]
     i = int(np.argmin(vals))
     best = vals[i]
-    if len(grid) == 1 or refine_iters <= 0:
+    if len(grid) == 1:
         return best
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
     x1 = b - _GOLDEN_INV * (b - a)
     x2 = a + _GOLDEN_INV * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(refine_iters):
+    for _ in range(_GOLDEN_STEPS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN_INV * (b - a)
@@ -100,16 +96,17 @@ def _clamp_sq(value: float) -> tuple[float, bool]:
 
 
 def point_products(n: int, z: Sequence[int], params: KorobovSpaceParams) -> np.ndarray:
-    """prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)) for k = 0..n-1."""
+    """prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)) for k = 0..n-1.
+
+    The components are folded one by one into an n-point `CbcState`, the
+    running product the CBC search keeps.
+    """
     if n > _MAX_POINTS:
         raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
-    k = np.arange(n, dtype=np.int64)
-    prod = np.ones(n)
+    state = CbcState(p=n, params=params)
     for j in range(params.d):
-        zj = int(z[j]) % n
-        x = (k * zj % n) / n
-        prod *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(x, params.alpha)
-    return prod
+        state.extend(z[j])
+    return state.P_products
 
 
 def worst_case_error_sq(
@@ -205,10 +202,7 @@ def randomized_error_sq_fixed(
             e_pq, _ = _clamp_sq(math.fsum(table.ravel()) / (p * q) - 1.0)
             terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
     total, clamped = _clamp_sq(math.fsum(terms.values()))
-    return ErrorReport(
-        squared_error=total, decomposition=terms, method="point-formula",
-        clamped=clamped,
-    )
+    return ErrorReport(squared_error=total, decomposition=terms, clamped=clamped)
 
 
 def omega_weight(h: Sequence[int], v: ResidueVector) -> float:
@@ -350,26 +344,25 @@ def component_threshold(
     return _grid_infimum(fun, bounds.lambda_grid)
 
 
-def theorem_constant(tau: float, lam: float, c_prime: float = C_PRIME) -> float:
+def theorem_constant(tau: float, lam: float) -> float:
     """Explicit constant of the constructive randomised-error bound."""
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
     one_m = 1.0 - tau
     return (
-        2.0 ** (4 * lam) / (c_prime * one_m ** (2 * lam))
+        2.0 ** (4 * lam) / (C_PRIME * one_m ** (2 * lam))
         + 2.0 ** (4 * lam + 1) / (tau * one_m ** (2 * lam))
         + 2.0 ** (4 * lam) * (1.0 + tau) / (tau * one_m ** (2 * lam - 1))
     )
 
 
 def theorem_bound_eran(
-    n: int, params: KorobovSpaceParams, tau: float, lam: float,
-    c_prime: float = C_PRIME,
+    n: int, params: KorobovSpaceParams, tau: float, lam: float
 ) -> float:
     """Randomised-error bound (C ln n)^(1/2) / n^(lambda + 1/2) * mu(lambda)^lambda."""
     if not (0.5 <= lam < params.alpha):
         raise DomainError(f"lambda must lie in [1/2, alpha), got {lam}")
-    c = theorem_constant(tau, lam, c_prime)
+    c = theorem_constant(tau, lam)
     return (
         math.sqrt(c * math.log(n))
         / n ** (lam + 0.5)
@@ -382,7 +375,7 @@ def theorem_bound_min(
 ) -> float:
     """Minimum of the constructive bound over the lambda-grid (with refinement)."""
     return _grid_infimum(
-        lambda lam: theorem_bound_eran(n, params, bounds.tau, lam, bounds.c_prime),
+        lambda lam: theorem_bound_eran(n, params, bounds.tau, lam),
         bounds.lambda_grid,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class KorobovSpaceParams:
         for g in self.gamma:
             if not (g > 0.0 and math.isfinite(g)):
                 raise DomainError(f"weights must be positive and finite, got {g}")
-
-    @property
-    def gamma_sq(self) -> np.ndarray:
-        return np.asarray(self.gamma, dtype=float) ** 2
 
 
 def poly_weights(d: int, c: float) -> tuple[float, ...]:
@@ -137,11 +133,6 @@ def zeta(s: float) -> float:
         tail += b / math.factorial(2 * i) * rising * n ** (-s - 2 * i + 1)
         rising *= (s + 2 * i - 1) * (s + 2 * i)
     return head + tail
-
-
-def support(h: Sequence[int]) -> tuple[int, ...]:
-    """Indices j (0-based) with h_j != 0."""
-    return tuple(j for j, hj in enumerate(h) if hj != 0)
 
 
 def r_alpha(params: KorobovSpaceParams, h: Sequence[int]) -> float:

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
+
+
+# Lower-bound constant of the pool size: |P_n| > C_PRIME n / ln n.
+C_PRIME = 0.23
 
 
 class NotPrimeError(ValueError):
@@ -97,14 +100,6 @@ class PrimePool:
     n: int
     primes: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    @property
-    def modulus(self) -> int:
-        """N = product of the pool primes (arbitrary precision)."""
-        return reduce(lambda a, b: a * b, self.primes, 1)
-
 
 def build_prime_pool(n: int) -> PrimePool:
     """Complete sorted pool of primes in (n/2, n]."""
@@ -113,9 +108,8 @@ def build_prime_pool(n: int) -> PrimePool:
     primes = tuple(p for p in sieve_primes(n) if 2 * p > n)
     # Bertrand's postulate guarantees nonemptiness for n >= 4.
     assert primes, f"empty pool at n={n}"
-    # Advisory lower bound on the pool size: |P_n| > 0.23 n / ln n.
-    assert len(primes) > 0.23 * n / math.log(n), (
-        f"pool size {len(primes)} below the 0.23 n/ln n lower bound at n={n}"
+    assert len(primes) > C_PRIME * n / math.log(n), (
+        f"pool size {len(primes)} below the {C_PRIME} n/ln n lower bound at n={n}"
     )
     return PrimePool(n=n, primes=primes)
 

@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import cbc
 from .construct import candidate_set
-from .errors import BoundParams, default_lambda_grid, good_set_threshold, omega_weight
+from .errors import (
+    BoundParams,
+    default_lambda_grid,
+    good_set_threshold,
+    omega_weight,
+    worst_case_error_sq,
+)
 from .kernels import DomainError, KorobovSpaceParams, r_alpha, sigma_alpha
-from .primes import PrimePool, ResidueVector, build_prime_pool
+from .primes import ResidueVector, build_prime_pool
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -58,28 +64,27 @@ def stream_seed(seed: int, index: int) -> int:
     return _mix64(seed & _MASK64) ^ _mix64((index + 1) & _MASK64)
 
 
+MAX_TRIES = 10_000  # rejection-sampling tries per `run_rp_rv` repetition
+
+
 class SamplingFailureError(RuntimeError):
-    """Rejection sampling exceeded its try cap (indicates a threshold bug)."""
+    """Rejection sampling exceeded MAX_TRIES (indicates a threshold bug)."""
 
 
 @dataclass(frozen=True)
 class Integrand:
-    """Vectorised integrand on [0,1)^d with an optional known integral."""
+    """Vectorised integrand on [0,1)^d."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]  # (m, d) -> (m,)
     d: int
-    known_integral: Optional[float] = None
-    description: str = ""
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)
 
 
-def constant_integrand(d: int, c: float = 1.0) -> Integrand:
-    return Integrand(
-        evaluate=lambda x: np.full(len(x), c),
-        d=d, known_integral=c, description=f"constant {c}",
-    )
+def constant_integrand(d: int) -> Integrand:
+    """f(x) = 1."""
+    return Integrand(evaluate=lambda x: np.ones(len(x)), d=d)
 
 
 def product_cosine(d: int) -> Integrand:
@@ -89,8 +94,7 @@ def product_cosine(d: int) -> Integrand:
     def f(x: np.ndarray) -> np.ndarray:
         return np.prod(1.0 + coeffs * np.cos(2.0 * math.pi * x), axis=1)
 
-    return Integrand(evaluate=f, d=d, known_integral=1.0,
-                     description="product cosine")
+    return Integrand(evaluate=f, d=d)
 
 
 def product_bernoulli(params: KorobovSpaceParams) -> Integrand:
@@ -100,8 +104,7 @@ def product_bernoulli(params: KorobovSpaceParams) -> Integrand:
     def f(x: np.ndarray) -> np.ndarray:
         return np.prod(1.0 + gam * sigma_alpha(x, params.alpha), axis=1)
 
-    return Integrand(evaluate=f, d=params.d, known_integral=1.0,
-                     description="product Bernoulli kernel")
+    return Integrand(evaluate=f, d=params.d)
 
 
 def truncated_extremal(
@@ -131,8 +134,7 @@ def truncated_extremal(
         phase = 2.0 * math.pi * (x @ H.T)
         return (np.cos(phase) @ coeff) / norm
 
-    return Integrand(evaluate=f, d=d, known_integral=0.0,
-                     description=f"truncated extremal fit (|h|<={hmax})")
+    return Integrand(evaluate=f, d=d)
 
 
 @dataclass(frozen=True)
@@ -220,15 +222,12 @@ def run_rp_rv(
     params: KorobovSpaceParams,
     tau: float,
     cfg: RunConfig,
-    max_tries: int = 10_000,
 ) -> np.ndarray:
     """Random-prime random-vector: rejection-sample z uniform over the good set.
 
-    Acceptance probability is at least tau, so the try cap should never bind;
-    hitting it raises SamplingFailureError.
+    Acceptance probability is at least tau, so the MAX_TRIES cap should
+    never bind; hitting it raises SamplingFailureError.
     """
-    from .errors import worst_case_error_sq  # local import avoids cycle at module load
-
     pool = build_prime_pool(n)
     bounds = BoundParams(tau=tau, lambda_grid=default_lambda_grid(params.alpha))
     thresholds = {
@@ -239,7 +238,7 @@ def run_rp_rv(
     for i in range(cfg.repetitions):
         rng = SplitMix64(stream_seed(cfg.seed, i))
         p = pool.primes[rng.next_below(len(pool.primes))]
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             z = tuple(rng.next_below(p) for _ in range(params.d))
             e2 = ecache.get((p, z))
             if e2 is None:
@@ -249,7 +248,7 @@ def run_rp_rv(
                 break
         else:
             raise SamplingFailureError(
-                f"no accepted vector for p={p} within {max_tries} tries"
+                f"no accepted vector for p={p} within {MAX_TRIES} tries"
             )
         out[i] = lattice_rule(f, p, z)
     return out

@@ -98,12 +98,9 @@ def test_criterion_3_fast_path_equivalence():
         for _ in range(2, d + 1):
             for p in pool.primes:
                 fast = state.t_hat_all(p)
-                slow = t_hat_all_naive(
-                    pool, params, state.s, p, state.residues, state.chosen_this_dim
-                )
+                slow = t_hat_all_naive(pool, params, p, state.residues)
                 worst_that = max(worst_that, np.max(np.abs(fast - slow) / np.abs(slow)))
                 state.choose(p)
-            state.finish_dimension()
     that_ok = worst_that <= 1e-9
 
     cbc_ok = True

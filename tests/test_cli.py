@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ranlat.primes as primes_module
 from ranlat.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -13,7 +14,7 @@ from ranlat.cli import (
     parse_k_range,
     read_vector_file,
 )
-from ranlat.kernels import zeta
+from ranlat.kernels import DomainError, zeta
 from ranlat.primes import crt_reconstruct
 
 
@@ -83,6 +84,22 @@ def test_read_vector_file_returns_hashable_tuples(tmp_path):
     assert isinstance(v.residues, tuple) and isinstance(v.residues[0], tuple)
     assert all(type(r) is int for row in v.residues for r in row)
     assert isinstance(params.gamma, tuple)
+
+
+def test_read_vector_file_bounds_n_before_sieving(tmp_path, monkeypatch):
+    # the pool of n = 10^9 has more than C_PRIME n / ln n primes, so a file
+    # listing one prime is rejected before the sieve up to n could run
+    def no_sieve(limit):
+        raise AssertionError(f"sieve up to {limit} ran before the pool-size check")
+
+    monkeypatch.setattr(primes_module, "sieve_primes", no_sieve)
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "n": 10 ** 9, "d": 1, "alpha": 1, "gamma": [1.0],
+        "tau": 0.5, "primes": [999_999_937], "residues": [[1]],
+    }))
+    with pytest.raises(DomainError):
+        read_vector_file(str(path))
 
 
 @pytest.mark.parametrize("field, value", [

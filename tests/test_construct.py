@@ -9,6 +9,7 @@ from ranlat import construct
 from ranlat.cbc import CbcState, cbc_construct, theta_all
 from ranlat.construct import (
     ConstructionState,
+    SequencingError,
     candidate_set,
     construct_fixed_vector,
     estimate_cached_bytes,
@@ -96,12 +97,29 @@ def test_t_hat_fast_matches_naive_triple_loop():
         for _ in range(2, d + 1):
             for p in pool.primes:
                 fast = state.t_hat_all(p)
-                slow = t_hat_all_naive(
-                    pool, params, state.s, p, state.residues, state.chosen_this_dim
-                )
+                slow = t_hat_all_naive(pool, params, p, state.residues)
                 assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
                 state.choose(p)
-            state.finish_dimension()
+
+
+def test_choose_out_of_turn_raises_and_leaves_state_intact():
+    # pool {7, 11}: each dimension takes 7 then 11, and a rejected call must
+    # not change what the full construction goes on to choose
+    pool = build_prime_pool(12)
+    params = _params(3)
+    state = ConstructionState(pool=pool, params=params, tau=0.5)
+    with pytest.raises(SequencingError):
+        state.choose(11)  # out of order: 7 has no z_2 yet
+    state.choose(7)
+    with pytest.raises(SequencingError):
+        state.choose(7)  # repeated: 11 has no z_2 yet
+    for p in (11, 7, 11):
+        state.choose(p)
+    for p in (7, 11):
+        with pytest.raises(SequencingError):
+            state.choose(p)  # past the last dimension
+    v = construct_fixed_vector(12, 3, params)
+    assert tuple(tuple(state.residues[p]) for p in pool.primes) == v.residues
 
 
 def test_t_hat_fast_matches_naive_n30_pool():
@@ -115,12 +133,9 @@ def test_t_hat_fast_matches_naive_n30_pool():
             theta = state.theta_all(p)
             fast = state.t_hat_all(p, theta)
             assert np.array_equal(fast, state.t_hat_all(p))
-            slow = t_hat_all_naive(
-                pool, params, state.s, p, state.residues, state.chosen_this_dim
-            )
+            slow = t_hat_all_naive(pool, params, p, state.residues)
             assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
             state.choose(p)
-        state.finish_dimension()
 
 
 def test_relaxed_criterion_shifts_by_candidate_independent_constant():

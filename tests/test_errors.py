@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import ranlat.cbc as cbc_module
 import ranlat.errors as errors_module
 from ranlat.errors import (
     BoundParams,
@@ -120,10 +121,39 @@ def test_point_products_overflow_guard(monkeypatch):
             raise AssertionError(f"np.{name} reached before the overflow guard")
 
     monkeypatch.setattr(errors_module, "np", NoArrays())
+    monkeypatch.setattr(cbc_module, "np", NoArrays())
     with pytest.raises(DomainError):
         point_products(3_037_000_500, (1,), params)
     with pytest.raises(DomainError):
         worst_case_error_sq(2 ** 40, (1,), params)
+
+
+def _point_products_sigma_formula(n, z, params):
+    """The per-dimension sigma evaluation point_products made before it
+    folded the components through CbcState; kept here as the reference."""
+    k = np.arange(n, dtype=np.int64)
+    prod = np.ones(n)
+    for j in range(params.d):
+        zj = int(z[j]) % n
+        x = (k * zj % n) / n
+        prod *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(x, params.alpha)
+    return prod
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=307, alpha=2, z=[1, 117, 45], gamma=[1.0, 0.125, 0.037])
+@example(n=3599, alpha=3, z=[1, 1024, 3598, 60], gamma=[1.0, 0.25, 0.1, 0.0625])
+@given(
+    n=st.integers(min_value=1, max_value=500),
+    alpha=st.sampled_from([1, 2, 3]),
+    z=st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), min_size=1, max_size=6),
+    gamma=st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=6, max_size=6),
+)
+def test_point_products_bit_identical_to_sigma_formula(n, alpha, z, gamma):
+    # prime (307) and composite (3599 = 59 * 61) budgets as fixed examples
+    params = KorobovSpaceParams(d=len(z), alpha=alpha, gamma=tuple(gamma[: len(z)]))
+    fast = point_products(n, z, params)
+    assert fast.tobytes() == _point_products_sigma_formula(n, z, params).tobytes()
 
 
 def test_eran_matches_truncated_brute_force():
@@ -157,7 +187,7 @@ def test_omega_in_unit_interval(h1, h2):
 
 def test_theorem_constant_value():
     # lambda = tau = 1/2: 2^2/(c' (1/2)) + 2^3/((1/2)(1/2)) + 2^2 (3/2)/((1/2)(1/2)^0)
-    c = theorem_constant(0.5, 0.5, c_prime=0.23)
+    c = theorem_constant(0.5, 0.5)
     assert c == pytest.approx(8.0 / 0.23 + 32.0 + 12.0, rel=1e-13)
 
 

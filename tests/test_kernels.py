@@ -12,7 +12,6 @@ from ranlat.kernels import (
     poly_weights,
     r_alpha,
     sigma_alpha,
-    support,
     zeta,
 )
 
@@ -81,11 +80,6 @@ def test_params_validation():
         KorobovSpaceParams(d=2, alpha=1, gamma=(1.0,))
     with pytest.raises(DomainError):
         KorobovSpaceParams(d=1, alpha=1, gamma=(0.0,))
-
-
-def test_support():
-    assert support((0, 3, 0, -1)) == (1, 3)
-    assert support((0, 0)) == ()
 
 
 def test_r_alpha_examples():
