@@ -14,6 +14,7 @@ import numpy as np
 
 from .fftconv import rader_cbc_kernel, rader_cbc_kernel_naive
 from .kernels import KorobovSpaceParams, sigma_alpha
+from .primes import residue_perm
 
 # Relative tolerance under which two criterion values count as tied.  Exact
 # mathematical ties (z and p - z give the same theta and T-hat at the
@@ -49,10 +50,9 @@ class CbcState:
     def extend(self, z_s: int) -> None:
         """Fix component s and fold it into the running products."""
         z_s = int(z_s) % self.p
-        k = np.arange(self.p, dtype=np.int64)
         gam2 = self.params.gamma[self.s - 1] ** 2
         self.P_products = self.P_products * (
-            1.0 + gam2 * self.sigma_table[(k * z_s) % self.p]
+            1.0 + gam2 * self.sigma_table[residue_perm(self.p, z_s)]
         )
         self.z_prefix.append(z_s)
 

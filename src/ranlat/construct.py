@@ -8,7 +8,8 @@ Right after prime p's residue is chosen, it is folded into each pair table
 P(q, p), q < p, whose row sums feed q's next larger-prime terms.  The tables
 are then kept (Theta(sum_{q<p} q p) floats) if they fit in half of physical
 memory, else rebuilt from the chosen prefix at the next dimension; both
-give bit-identical vectors.
+give bit-identical vectors.  The sweep rows and the fold read each pair's
+CRT-ordered sigma grid through row and column permutations (`residue_perm`).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbc import TIE_RTOL, CbcState, argmin_first, theta_all
-from .errors import DomainError, pair_index, pair_sigma_grid, pair_table
+from .errors import DomainError, pair_sigma_grid, pair_table
 from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams, sigma_alpha
-from .primes import PrimePool, ResidueVector, build_prime_pool
+from .primes import PrimePool, ResidueVector, build_prime_pool, residue_perm
 
 
 class SequencingError(RuntimeError):
@@ -105,9 +106,8 @@ class ConstructionState:
         g1sq = self.params.gamma[0] ** 2
         self.folded = {p: np.zeros(p) for p in primes}
         for i, p in enumerate(primes):
-            k = np.arange(p, dtype=np.int64)
             for q in primes[i + 1 :]:
-                sigma = self.single[p].sigma_table[k * q % p]
+                sigma = self.single[p].sigma_table[residue_perm(p, q)]
                 self._fold_row_sums(p, q, q + g1sq * q ** (1 - 2 * alpha) * sigma)
 
     @property
@@ -121,9 +121,8 @@ class ConstructionState:
         Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
         all larger primes share one sweep against sigma(k z / p).
         """
-        k = np.arange(p, dtype=np.int64)
         self.folded[p] += (
-            2.0 / q ** (2 * self.params.alpha + 1) * row_sums[k * pow(q, -1, p) % p]
+            2.0 / q ** (2 * self.params.alpha + 1) * row_sums[residue_perm(p, pow(q, -1, p))]
         )
 
     def _partner_tables(self, p: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -182,7 +181,7 @@ class ConstructionState:
         cross = np.zeros(p)
         for q, grid, table in partners:
             # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
-            v = grid[pair_index(q, p, self.single[q].z_prefix[s - 1], 1)]
+            v = grid[residue_perm(q, self.single[q].z_prefix[s - 1])]
             cross += (2.0 / q) * rader_cbc_kernel(p, v, table)
         if p < self.pool.primes[-1]:
             cross += rader_cbc_kernel(p, self.single[p].sigma_table, self.folded[p])
@@ -207,8 +206,8 @@ class ConstructionState:
             self.tables.pop((q, p), None)
             if s == self.params.d:
                 continue
-            idx = pair_index(q, p, self.single[q].z_prefix[s - 1], z)
-            table = table * (1.0 + gam2 * grid[idx])
+            rows = residue_perm(q, self.single[q].z_prefix[s - 1])
+            table = table * (1.0 + gam2 * grid[rows][:, residue_perm(p, z)])
             self._fold_row_sums(q, p, table.sum(axis=1))
             if self.keep_tables:
                 self.tables[(q, p)] = (grid, table)

@@ -2,22 +2,25 @@
 
 Contains the point formula for the squared worst-case error, the exact
 CRT prime-pair decomposition of the squared randomised error of the
-random-prime fixed-vector algorithm, truncated dual-lattice oracles used
-for cross-validation, the good-set thresholds, and the explicit
-theoretical error bound of the constructive theorem.
+random-prime fixed-vector algorithm (each pair's sigma grid is stored in
+CRT order, so every lookup in it is a row and a column permutation),
+truncated dual-lattice oracles used for cross-validation, the good-set
+thresholds, and the explicit theoretical error bound of the constructive
+theorem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cbc import CbcState
 from .kernels import DomainError, KorobovSpaceParams, mu_quantity, sigma_alpha, zeta
-from .primes import C_PRIME, ResidueVector, crt_pair
+from .primes import C_PRIME, ResidueVector, residue_perm
 
 _CLAMP_FLOOR = -1e-12
 
@@ -27,11 +30,14 @@ _MAX_POINTS = 3_037_000_499
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Squared error value with the decomposition terms that produced it."""
+    """Squared error value with the decomposition terms that produced it.
+
+    clamped counts the terms that round-off put below 0 and that were set to 0.
+    """
 
     squared_error: float
     decomposition: dict[str, float]
-    clamped: bool = False
+    clamped: int
 
     @property
     def error(self) -> float:
@@ -85,7 +91,9 @@ def _grid_infimum(fun: Callable[[float], float], grid: Sequence[float]) -> float
     return min(best, f1, f2)
 
 
-def _clamp_sq(value: float) -> tuple[float, bool]:
+def _error_sq(products: np.ndarray) -> tuple[float, bool]:
+    """E(m) = fsum(products) / m - 1, and whether round-off below 0 was clamped to 0."""
+    value = math.fsum(products.ravel()) / products.size - 1.0
     if value < 0.0:
         if value < _CLAMP_FLOOR:
             raise ArithmeticError(
@@ -119,25 +127,16 @@ def worst_case_error_sq(
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    total = math.fsum(point_products(n, z, params))
-    value, _ = _clamp_sq(total / n - 1.0)
-    return value
+    return _error_sq(point_products(n, z, params))[0]
 
 
 def pair_sigma_grid(p: int, q: int, alpha: int) -> np.ndarray:
-    """sigma_alpha(m / (p q)) for m in Z_{pq}."""
-    n = p * q
-    return sigma_alpha(np.arange(n) / n, alpha)
+    """sigma_alpha on Z_pq in CRT order: G[a, b] = sigma_alpha(((a q + b p) mod pq) / pq).
 
-
-def pair_index(p: int, q: int, zp: int, zq: int) -> np.ndarray:
-    """Index matrix m(k, l) with m / (pq) = (k zp / p + l zq / q) mod 1.
-
-    Exact integer addressing: m = (k zp mod p) q + (l zq mod q) p, mod pq.
+    The point (k zp / p + l zq / q) mod 1 sits at G[k zp mod p, l zq mod q].
     """
-    k = (np.arange(p, dtype=np.int64) * (zp % p)) % p
-    l = (np.arange(q, dtype=np.int64) * (zq % q)) % q
-    return (k[:, None] * q + l[None, :] * p) % (p * q)
+    n = p * q
+    return sigma_alpha((np.arange(p)[:, None] * q + np.arange(q) * p) % n / n, alpha)
 
 
 def pair_table(
@@ -152,21 +151,14 @@ def pair_table(
 
     Over the full vector these are the point products of the pq-point rule
     whose vector is z_j^p mod p and z_j^q mod q: by the CRT, the separable
-    grid Z_p x Z_q holds that rule's points in a permuted order.
+    grid Z_p x Z_q holds that rule's points in a permuted order.  sigma_pq is
+    `pair_sigma_grid(p, q, alpha)`, read through `residue_perm` rows and columns.
     """
     table = np.ones((p, q))
     for j, (zp, zq) in enumerate(zip(res_p, res_q, strict=True)):
-        table *= 1.0 + params.gamma[j] ** 2 * sigma_pq[pair_index(p, q, zp, zq)]
+        sigma = sigma_pq[residue_perm(p, zp)][:, residue_perm(q, zq)]
+        table *= 1.0 + params.gamma[j] ** 2 * sigma
     return table
-
-
-def crt_combined_residues(
-    p: int, q: int, res_p: Sequence[int], res_q: Sequence[int]
-) -> tuple[int, ...]:
-    """Componentwise CRT combination modulo p*q (the pq-point rule's vector)."""
-    return tuple(
-        crt_pair(rp, p, rq, q) for rp, rq in zip(res_p, res_q, strict=True)
-    )
 
 
 def randomized_error_sq_fixed(
@@ -182,8 +174,8 @@ def randomized_error_sq_fixed(
 
     with E(m) the squared worst-case error of the m-point rule.  E(p q) is
     summed over the separable Z_p x Z_q grid (`pair_table`), which the CRT
-    maps onto the points of the pq-point rule.  Terms are
-    accumulated in sorted prime(-pair) order for bit-reproducibility.
+    maps onto the points of the pq-point rule.  Terms are accumulated in
+    sorted prime(-pair) order for bit-reproducibility; clamped ones are counted.
     """
     primes = v.pool.primes
     if not primes:
@@ -191,18 +183,17 @@ def randomized_error_sq_fixed(
     L = len(primes)
     scale = 1.0 / (L * L)
     terms: dict[str, float] = {}
+    clamped = 0
     for p, res in zip(primes, v.residues):
-        terms[f"p={p}"] = scale * worst_case_error_sq(p, res, params)
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            table = pair_table(
-                p, q, v.residues_for(p), v.residues_for(q), params,
-                pair_sigma_grid(p, q, params.alpha),
-            )
-            e_pq, _ = _clamp_sq(math.fsum(table.ravel()) / (p * q) - 1.0)
-            terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
-    total, clamped = _clamp_sq(math.fsum(terms.values()))
-    return ErrorReport(squared_error=total, decomposition=terms, clamped=clamped)
+        e_p, flag = _error_sq(point_products(p, res, params))
+        terms[f"p={p}"] = scale * e_p
+        clamped += flag
+    for (p, res_p), (q, res_q) in combinations(zip(primes, v.residues), 2):
+        table = pair_table(p, q, res_p, res_q, params, pair_sigma_grid(p, q, params.alpha))
+        e_pq, flag = _error_sq(table)
+        terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
+        clamped += flag
+    return ErrorReport(math.fsum(terms.values()), terms, clamped)
 
 
 def omega_weight(h: Sequence[int], v: ResidueVector) -> float:

@@ -136,9 +136,6 @@ class ResidueVector:
             if any(not (0 <= r < p) for r in res):
                 raise ValueError(f"residues for p={p} must lie in [0, {p})")
 
-    def residues_for(self, p: int) -> tuple[int, ...]:
-        return self.residues[self.pool.primes.index(p)]
-
     def truncated(self, d: int) -> "ResidueVector":
         """Restriction to the first d components (usable for any d' <= d)."""
         if not 1 <= d <= self.d:
@@ -148,6 +145,11 @@ class ResidueVector:
             residues=tuple(res[:d] for res in self.residues),
             d=d,
         )
+
+
+def residue_perm(p: int, z: int) -> np.ndarray:
+    """k z mod p for k = 0..p-1: the residue of the k-th point's coordinate."""
+    return np.arange(p, dtype=np.int64) * (z % p) % p
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

@@ -1,14 +1,17 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ranlat.cbc as cbc_module
 import ranlat.errors as errors_module
+from ranlat.construct import construct_fixed_vector
 from ranlat.errors import (
     BoundParams,
-    crt_combined_residues,
+    pair_sigma_grid,
+    pair_table,
     point_products,
     default_lambda_grid,
     dual_tail_bound,
@@ -24,7 +27,7 @@ from ranlat.errors import (
     worst_case_error_sq_truncated,
 )
 from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights, sigma_alpha, zeta
-from ranlat.primes import ResidueVector, build_prime_pool
+from ranlat.primes import ResidueVector, build_prime_pool, crt_pair
 
 UNIT_1D = KorobovSpaceParams(d=1, alpha=1, gamma=(1.0,))
 
@@ -103,14 +106,68 @@ def test_eran_pair_terms_equal_crt_point_formula():
     v = ResidueVector(pool=pool, residues=res, d=4)
     rep = randomized_error_sq_fixed(v, params)
     scale = 1.0 / len(pool.primes) ** 2
-    pairs = 0
-    for i, p in enumerate(pool.primes):
-        for q in pool.primes[i + 1:]:
-            z = crt_combined_residues(p, q, v.residues_for(p), v.residues_for(q))
-            crt_term = 2.0 * scale * worst_case_error_sq(p * q, z, params)
-            assert rep.decomposition[f"pq={p}x{q}"] == crt_term
-            pairs += 1
-    assert pairs == 21  # pool 31, 37, 41, 43, 47, 53, 59
+    count = 0
+    for (p, res_p), (q, res_q) in combinations(zip(pool.primes, v.residues), 2):
+        # the pq-point rule's vector: componentwise CRT combination
+        z = [crt_pair(rp, p, rq, q) for rp, rq in zip(res_p, res_q, strict=True)]
+        crt_term = 2.0 * scale * worst_case_error_sq(p * q, z, params)
+        assert rep.decomposition[f"pq={p}x{q}"] == crt_term
+        count += 1
+    assert count == 21  # pool 31, 37, 41, 43, 47, 53, 59
+
+
+def _pair_table_flat_formula(p, q, res_p, res_q, params):
+    """The flat Z_pq sigma grid and index matrix pair_table read before the
+    grid was stored in CRT order; kept here as the reference."""
+    n = p * q
+    sigma_flat = sigma_alpha(np.arange(n) / n, params.alpha)
+    table = np.ones((p, q))
+    for j, (zp, zq) in enumerate(zip(res_p, res_q, strict=True)):
+        k = np.arange(p, dtype=np.int64) * (zp % p) % p
+        l = np.arange(q, dtype=np.int64) * (zq % q) % q
+        idx = (k[:, None] * q + l[None, :] * p) % n
+        table *= 1.0 + params.gamma[j] ** 2 * sigma_flat[idx]
+    return table
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+@settings(max_examples=80, deadline=None)
+@example(p=7, q=61, alpha=3, data=[3, 0, 60, 5, 1, 2, 4, 59])
+@example(p=61, q=7, alpha=2, data=[3, 0, 60, 5, 1, 2, 4, 59])
+@given(
+    p=st.sampled_from(_SMALL_PRIMES),
+    q=st.sampled_from(_SMALL_PRIMES),
+    alpha=st.sampled_from([1, 2, 3]),
+    data=st.lists(st.integers(min_value=0, max_value=10 ** 4), max_size=8),
+)
+def test_pair_table_bit_identical_to_flat_formula(p, q, alpha, data):
+    # p < q and p > q; prefix lengths 0..4 from the residue pairs in data
+    assume(p != q)
+    m = len(data) // 2
+    res_p = [r % p for r in data[:m]]
+    res_q = [r % q for r in data[m : 2 * m]]
+    params = KorobovSpaceParams(d=max(m, 1), alpha=alpha, gamma=poly_weights(max(m, 1), 1.5))
+    fast = pair_table(p, q, res_p, res_q, params, pair_sigma_grid(p, q, alpha))
+    flat = _pair_table_flat_formula(p, q, res_p, res_q, params)
+    assert fast.tobytes() == flat.tobytes()
+
+
+def test_eran_counts_clamped_terms(monkeypatch):
+    # n=131, alpha=3: round-off puts one pair term (109 x 127) below 0
+    params = KorobovSpaceParams(d=5, alpha=3, gamma=poly_weights(5, 3.0))
+    v = construct_fixed_vector(131, 5, params)
+    assert randomized_error_sq_fixed(v, params).clamped == 1
+    # products of 1 - 1e-14 put every pair term at -1e-14, above the floor
+    monkeypatch.setattr(
+        errors_module, "pair_table", lambda p, q, *args: np.full((p, q), 1.0 - 1e-14)
+    )
+    rep = randomized_error_sq_fixed(v, params)
+    pair_terms = [t for key, t in rep.decomposition.items() if key.startswith("pq=")]
+    assert len(pair_terms) == 91  # 14 primes in (65, 131]
+    assert rep.clamped == 91 and set(pair_terms) == {0.0}
+    assert rep.squared_error == math.fsum(rep.decomposition.values())
 
 
 def test_point_products_overflow_guard(monkeypatch):
