@@ -21,6 +21,7 @@ from .cbc import cbc_construct
 from .construct import construct_fixed_vector
 from .errors import (
     BoundParams,
+    ErrorReport,
     default_lambda_grid,
     dual_tail_bound,
     randomized_error_sq_fixed,
@@ -151,6 +152,12 @@ def read_vector_file(path: str) -> tuple[ResidueVector, KorobovSpaceParams, dict
     return v, params, data
 
 
+def warn_clamped(report: ErrorReport) -> None:
+    if report.clamped:
+        print(f"warning: {report.clamped} of {len(report.decomposition)} e_ran terms "
+              "fell below 0 from round-off and were clamped to 0", file=sys.stderr)
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     gamma = parse_gamma_spec(args.gamma_spec, args.d)
     params = KorobovSpaceParams(d=args.d, alpha=args.alpha, gamma=gamma)
@@ -158,6 +165,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     v = construct_fixed_vector(args.n, args.d, params, tau=args.tau)
     seconds = time.perf_counter() - t0
     report = randomized_error_sq_fixed(v, params)
+    warn_clamped(report)
     bounds = BoundParams(tau=args.tau, lambda_grid=default_lambda_grid(args.alpha))
     bound = theorem_bound_min(args.n, params, bounds)
     payload = vector_to_dict(v, params, args.tau, {
@@ -199,11 +207,12 @@ def cmd_study(args: argparse.Namespace) -> int:
         z = cbc_construct(n, params)
         e_det = math.sqrt(worst_case_error_sq(n, z, params))
         v = construct_fixed_vector(n, args.d, params, tau=args.tau)
-        e_ran = randomized_error_sq_fixed(v, params).error
+        report = randomized_error_sq_fixed(v, params)
         seconds = time.perf_counter() - t0
-        rows.append((n, e_det, e_ran, seconds))
-        print(f"n={n} e_det={e_det:.6e} e_ran={e_ran:.6e} ({seconds:.2f}s)",
+        rows.append((n, e_det, report.error, seconds))
+        print(f"n={n} e_det={e_det:.6e} e_ran={report.error:.6e} ({seconds:.2f}s)",
               file=sys.stderr)
+        warn_clamped(report)
     if not rows:
         print("no rows within budget", file=sys.stderr)
         return EXIT_USAGE

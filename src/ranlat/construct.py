@@ -79,21 +79,26 @@ class ConstructionState:
     """All tables needed by the per-(dimension, prime) search step.
 
     single[p] is prime p's CBC state and the only record of where p stands:
-    its chosen residues, hence the dimension it chooses next, and its running
-    point products.  tables[(q, p)] holds a kept sigma grid and pair table
-    P(q, p), q < p; folded[p] the weights of p's larger-prime terms.
+    its chosen residues, hence its next dimension, and its running point products.
+    tables[(q, p)] holds a sigma grid and pair table P(q, p), q < p, kept if
+    keep_tables (set from physical memory); folded[p] p's larger-prime weights.
     """
 
     pool: PrimePool
     params: KorobovSpaceParams
     tau: float
-    keep_tables: bool = True
 
+    keep_tables: bool = field(init=False)
     single: dict[int, CbcState] = field(init=False)
     tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(init=False)
     folded: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
+        # Keep the pair tables only if they fit in half of physical memory: the
+        # other half holds what runs beside them, that is, one prime's partner
+        # tables with their permuted sigma rows and FFT spectra during a choice,
+        # the e_ran evaluation that usually follows, and other processes.
+        self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
         primes = self.pool.primes
         alpha = self.params.alpha
         self.single = {p: CbcState(p=p, params=self.params) for p in primes}
@@ -230,12 +235,7 @@ def construct_fixed_vector(
     if d != params.d:
         raise DomainError(f"dimension mismatch: d={d} vs params.d={params.d}")
     pool = build_prime_pool(n)
-    # Keep the pair tables only if they fit in half of physical memory: the
-    # other half holds what runs beside them, that is, one prime's partner
-    # tables with their permuted sigma rows and FFT spectra during a choice,
-    # the e_ran evaluation that usually follows, and other processes.
-    keep = 2 * estimate_cached_bytes(pool) <= physical_memory_bytes()
-    state = ConstructionState(pool=pool, params=params, tau=tau, keep_tables=keep)
+    state = ConstructionState(pool=pool, params=params, tau=tau)
     for _ in range(2, d + 1):
         for p in pool.primes:
             state.choose(p)

@@ -370,25 +370,3 @@ def theorem_bound_min(
         bounds.lambda_grid,
     )
 
-
-def bound_B(n: int, params: KorobovSpaceParams, bounds: BoundParams) -> float:
-    """Diagnostic lower-bound level sup_lambda n^lambda (4 mu / (1 - tau))^-lambda."""
-    return -_grid_infimum(
-        lambda lam: -(
-            n ** lam * (4.0 * mu_quantity(params, lam) / (1.0 - bounds.tau)) ** (-lam)
-        ),
-        bounds.lambda_grid,
-    )
-
-
-def bound_B_tilde(
-    s: int, n: int, params: KorobovSpaceParams, bounds: BoundParams
-) -> float:
-    """Componentwise diagnostic level with the h_s != 0 frequency sum."""
-    return -_grid_infimum(
-        lambda lam: -(
-            n ** lam
-            * (4.0 * sum_hs_nonzero(params, s, lam) / (1.0 - bounds.tau)) ** (-lam)
-        ),
-        bounds.lambda_grid,
-    )

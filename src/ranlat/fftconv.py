@@ -18,7 +18,7 @@ from .primes import primitive_root
 
 
 class ShapeError(ValueError):
-    """Raised on mismatched vector lengths."""
+    """Raised on mismatched array shapes."""
 
 
 def power_permutation(p: int, g: int) -> np.ndarray:
@@ -57,19 +57,16 @@ def rader_plan(p: int) -> RaderPlan:
 def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """S[z] = sum_{k in Z_p} values[(k z) mod p] * weights[k] for every z in Z_p.
 
-    values and weights may carry leading batch axes, broadcast against each
-    other; S is summed over them and has shape (p,).  The k = 0 and z = 0
-    terms are split off, and reindexing k = g^a, z = g^-b leaves a cyclic
-    correlation of length p - 1.  The batch spectra are summed before one
-    inverse transform.
+    values and weights share one shape; S sums over its leading batch axes and
+    has shape (p,).  The k = 0 and z = 0 terms are split off, and reindexing
+    k = g^a, z = g^-b leaves a cyclic correlation of length p - 1, whose batch
+    spectra are summed before one inverse transform.
     """
     plan = rader_plan(p)
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if v.shape[-1] != p or w.shape[-1] != p:
-        raise ShapeError(f"values and weights must have length p={p}")
-    if v.shape != w.shape:  # at p near 100 a broadcast is a fifth of the call time
-        v, w = np.broadcast_arrays(v, w)
+    if v.shape != w.shape or v.shape[-1] != p:
+        raise ShapeError(f"values and weights must share one shape ending in p={p}")
     v = v.reshape(-1, p)
     w = w.reshape(-1, p)
     # c[b] = sum_rows sum_a v[g^(a-b)] w[g^a]

@@ -193,26 +193,25 @@ def run_rp_cbc(
     tau: float,
     cfg: RunConfig,
 ) -> np.ndarray:
-    """Random-prime random-CBC-vector: z_1 = 1, then each z_s uniform among
-    the ceil(tau p) best-theta candidates (`candidate_set`) for the drawn prime."""
+    """Random-prime random-CBC-vector: z_1 = 1, then each z_s uniform among the
+    ceil(tau p) best-theta candidates (`candidate_set`) of one CBC state per draw,
+    which takes each drawn z_s; candidate sets are memoised per (prime, prefix)."""
     pool = build_prime_pool(n)
     good_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     out = np.empty(cfg.repetitions)
     for i in range(cfg.repetitions):
         rng = SplitMix64(stream_seed(cfg.seed, i))
         p = pool.primes[rng.next_below(len(pool.primes))]
-        z = [1]
+        state = cbc.CbcState(p=p, params=params)
+        state.extend(1)
         for _ in range(2, params.d + 1):
-            key = (p, tuple(z))
+            key = (p, tuple(state.z_prefix))
             good = good_cache.get(key)
             if good is None:
-                state = cbc.CbcState(p=p, params=params)
-                for zj in z:
-                    state.extend(zj)
                 good = candidate_set(cbc.theta_all(state), tau)
                 good_cache[key] = good
-            z.append(int(good[rng.next_below(len(good))]))
-        out[i] = lattice_rule(f, p, z)
+            state.extend(int(good[rng.next_below(len(good))]))
+        out[i] = lattice_rule(f, p, state.z_prefix)
     return out
 
 
@@ -230,21 +229,14 @@ def run_rp_rv(
     """
     pool = build_prime_pool(n)
     bounds = BoundParams(tau=tau, lambda_grid=default_lambda_grid(params.alpha))
-    thresholds = {
-        p: good_set_threshold(p, params, bounds) ** 2 for p in pool.primes
-    }
-    ecache: dict[tuple[int, tuple[int, ...]], float] = {}
+    thresholds = {p: good_set_threshold(p, params, bounds) ** 2 for p in pool.primes}
     out = np.empty(cfg.repetitions)
     for i in range(cfg.repetitions):
         rng = SplitMix64(stream_seed(cfg.seed, i))
         p = pool.primes[rng.next_below(len(pool.primes))]
         for _ in range(MAX_TRIES):
             z = tuple(rng.next_below(p) for _ in range(params.d))
-            e2 = ecache.get((p, z))
-            if e2 is None:
-                e2 = worst_case_error_sq(p, z, params)
-                ecache[(p, z)] = e2
-            if e2 <= thresholds[p]:
+            if worst_case_error_sq(p, z, params) <= thresholds[p]:
                 break
         else:
             raise SamplingFailureError(

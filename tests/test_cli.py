@@ -70,6 +70,18 @@ def test_construct_d1_closed_form(tmp_path, capsys):
     assert e_ran == pytest.approx(math.sqrt(expect2), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, clamped", [(131, "1 of 105"), (101, None)], ids=["n131", "n101"])
+def test_construct_warns_of_clamped_terms(capsys, n, clamped):
+    rc = main(["construct", "--n", str(n), "--d", "5", "--alpha", "3", "--gamma-spec", "poly:3"])
+    assert rc == EXIT_OK
+    err = capsys.readouterr().err
+    if clamped is None:
+        assert "warning" not in err
+    else:
+        assert (f"warning: {clamped} e_ran terms fell below 0 from round-off "
+                "and were clamped to 0") in err.splitlines()
+
+
 def test_construct_tau_one_rejected():
     assert main(["construct", "--n", "12", "--d", "2", "--tau", "1.0"]) == EXIT_USAGE
 

@@ -279,14 +279,3 @@ def test_good_set_threshold_is_loose_enough():
         for z2 in range(p)
     )
     assert count >= math.ceil(0.5 * p ** 2)
-
-
-def test_diagnostic_bounds_grow_with_n():
-    from ranlat.errors import bound_B, bound_B_tilde
-
-    params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 2.0))
-    bounds = BoundParams(tau=0.5, lambda_grid=default_lambda_grid(2))
-    bs = [bound_B(n, params, bounds) for n in (20, 40, 80, 160)]
-    assert all(b > 0 for b in bs) and all(a < b for a, b in zip(bs, bs[1:]))
-    bt = [bound_B_tilde(2, n, params, bounds) for n in (20, 40, 80, 160)]
-    assert all(b > 0 for b in bt) and all(a < b for a, b in zip(bt, bt[1:]))

@@ -145,6 +145,59 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
     assert abs(np.mean(est) - expect) <= 5.0 * sem + 1e-12
 
 
+@pytest.mark.parametrize("n, d, reps", [(30, 3, 200), (101, 5, 300)])
+def test_run_rp_cbc_matches_prefix_replay(n, d, reps):
+    # reference: the candidate set of each prefix from a state replayed from z_1
+    from ranlat.cbc import CbcState, theta_all
+    from ranlat.construct import candidate_set
+
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    f = product_cosine(d)
+    pool = build_prime_pool(n)
+    for seed in (0, 1, 7):
+        good_cache = {}
+        ref = np.empty(reps)
+        for i in range(reps):
+            rng = SplitMix64(stream_seed(seed, i))
+            p = pool.primes[rng.next_below(len(pool.primes))]
+            z = [1]
+            for _ in range(2, d + 1):
+                key = (p, tuple(z))
+                good = good_cache.get(key)
+                if good is None:
+                    state = CbcState(p=p, params=params)
+                    for zj in z:
+                        state.extend(zj)
+                    good = candidate_set(theta_all(state), 0.5)
+                    good_cache[key] = good
+                z.append(int(good[rng.next_below(len(good))]))
+            ref[i] = lattice_rule(f, p, z)
+        est = run_rp_cbc(f, n, params, 0.5, RunConfig(seed=seed, repetitions=reps))
+        assert est.tobytes() == ref.tobytes()
+
+
+def test_run_rp_cbc_builds_one_state_per_draw(monkeypatch):
+    from ranlat.cbc import CbcState
+
+    counts = {"states": 0, "extends": 0}
+    post_init, extend = CbcState.__post_init__, CbcState.extend
+
+    def counted_post_init(self):
+        counts["states"] += 1
+        post_init(self)
+
+    def counted_extend(self, z_s):
+        counts["extends"] += 1
+        extend(self, z_s)
+
+    monkeypatch.setattr(CbcState, "__post_init__", counted_post_init)
+    monkeypatch.setattr(CbcState, "extend", counted_extend)
+    d, reps = 3, 50
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    run_rp_cbc(product_cosine(d), 30, params, 0.5, RunConfig(seed=1, repetitions=reps))
+    assert counts == {"states": reps, "extends": d * reps}
+
+
 def test_run_rp_rv_mean_matches_exact_expectation():
     from ranlat.errors import (
         BoundParams,
