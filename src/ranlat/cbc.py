@@ -8,12 +8,13 @@ O(p^2) path is kept as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fftconv import rader_cbc_kernel, rader_cbc_kernel_naive
-from .kernels import KorobovSpaceParams, sigma_alpha
+from .kernels import DomainError, KorobovSpaceParams, sigma_alpha
 from .primes import residue_perm
 
 # Relative tolerance under which two criterion values count as tied.  Exact
@@ -85,6 +86,23 @@ def argmin_first(values: np.ndarray) -> int:
     v = np.asarray(values)
     best = v.min()
     return int(np.flatnonzero(v <= best + TIE_RTOL * abs(best))[0])
+
+
+def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
+    """Indices of the ceil(tau p) candidates with the smallest theta.
+
+    Values within relative TIE_RTOL of the ceil(tau p)-th smallest count as
+    tied with it and fill the set in index order, so round-off cannot choose
+    between the members of a tie.
+    """
+    if not 0.0 < tau < 1.0:
+        raise DomainError(f"tau must lie in (0, 1), got {tau}")
+    m = math.ceil(tau * len(theta))
+    edge = np.sort(theta)[m - 1]
+    tol = TIE_RTOL * abs(edge)
+    below = np.flatnonzero(theta < edge - tol)
+    tied = np.flatnonzero(np.abs(theta - edge) <= tol)
+    return np.concatenate([below, tied[: m - len(below)]])
 
 
 def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:

@@ -4,24 +4,24 @@ Implements the component-by-component, prime-by-prime search that minimises
 the cross-prime criterion T-hat over the ceil(tau p) candidates with the
 smallest theta, for each prime of the budget pool in ascending order.
 
-Right after prime p's residue is chosen, it is folded into each pair table
-P(q, p), q < p, whose row sums feed q's next larger-prime terms.  The tables
-are then kept (Theta(sum_{q<p} q p) floats) if they fit in half of physical
-memory, else rebuilt from the chosen prefix at the next dimension; both
-give bit-identical vectors.  The sweep rows and the fold read each pair's
-CRT-ordered sigma grid through row and column permutations (`residue_perm`).
+Right after prime p's residue is chosen, it is folded into the point
+products of each pair (q, p), q < p, whose row sums feed q's next
+larger-prime terms.  Each pair is one `PairState`, the record e_ran builds
+too; only it reads the pair's CRT-ordered sigma grid.  The pairs are kept
+(Theta(sum_{q<p} q p) floats) if they fit in half of physical memory, else
+rebuilt from the chosen prefix at the next dimension; both give
+bit-identical vectors.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbc import TIE_RTOL, CbcState, argmin_first, theta_all
-from .errors import DomainError, pair_sigma_grid, pair_table
+from .cbc import CbcState, argmin_first, candidate_set, theta_all
+from .errors import DomainError, PairState
 from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams, sigma_alpha
 from .primes import PrimePool, ResidueVector, build_prime_pool, residue_perm
@@ -29,23 +29,6 @@ from .primes import PrimePool, ResidueVector, build_prime_pool, residue_perm
 
 class SequencingError(RuntimeError):
     """A residue was requested out of the dimension-by-dimension, ascending prime order."""
-
-
-def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
-    """Indices of the ceil(tau p) candidates with the smallest theta.
-
-    Values within relative TIE_RTOL of the ceil(tau p)-th smallest count as
-    tied with it and fill the set in index order, so round-off cannot choose
-    between the members of a tie.
-    """
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must lie in (0, 1), got {tau}")
-    m = math.ceil(tau * len(theta))
-    edge = np.sort(theta)[m - 1]
-    tol = TIE_RTOL * abs(edge)
-    below = np.flatnonzero(theta < edge - tol)
-    tied = np.flatnonzero(np.abs(theta - edge) <= tol)
-    return np.concatenate([below, tied[: m - len(below)]])
 
 
 def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
@@ -60,7 +43,7 @@ def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:
-    """Bytes for the pair product tables plus the pair sigma grids."""
+    """Bytes for the sigma grids and point products of every `PairState`."""
     total = 0
     primes = pool.primes
     for i, p in enumerate(primes):
@@ -76,12 +59,12 @@ def physical_memory_bytes() -> int:
 
 @dataclass
 class ConstructionState:
-    """All tables needed by the per-(dimension, prime) search step.
+    """All records needed by the per-(dimension, prime) search step.
 
     single[p] is prime p's CBC state and the only record of where p stands:
     its chosen residues, hence its next dimension, and its running point products.
-    tables[(q, p)] holds a sigma grid and pair table P(q, p), q < p, kept if
-    keep_tables (set from physical memory); folded[p] p's larger-prime weights.
+    pairs[(q, p)] is the `PairState` of q < p, kept if keep_tables (set from
+    physical memory); folded[p] holds p's larger-prime weights.
     """
 
     pool: PrimePool
@@ -90,13 +73,13 @@ class ConstructionState:
 
     keep_tables: bool = field(init=False)
     single: dict[int, CbcState] = field(init=False)
-    tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(init=False)
+    pairs: dict[tuple[int, int], PairState] = field(init=False)
     folded: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
-        # Keep the pair tables only if they fit in half of physical memory: the
+        # Keep the pairs only if they fit in half of physical memory: the
         # other half holds what runs beside them, that is, one prime's partner
-        # tables with their permuted sigma rows and FFT spectra during a choice,
+        # pairs with their permuted sigma rows and FFT spectra during a choice,
         # the e_ran evaluation that usually follows, and other processes.
         self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
         primes = self.pool.primes
@@ -104,10 +87,10 @@ class ConstructionState:
         self.single = {p: CbcState(p=p, params=self.params) for p in primes}
         for state in self.single.values():
             state.extend(1)
-        self.tables = {}
+        self.pairs = {}
         # With z_1 = 1, sum_{l in Z_q} sigma(x + l/q) = q^(1 - 2 alpha) sigma(q x)
         # (the sum over l keeps the frequencies divisible by q), so the row
-        # sums of P(p, q) are known before any pair table is built.
+        # sums of P(p, q) are known before any pair is built.
         g1sq = self.params.gamma[0] ** 2
         self.folded = {p: np.zeros(p) for p in primes}
         for i, p in enumerate(primes):
@@ -130,8 +113,8 @@ class ConstructionState:
             2.0 / q ** (2 * self.params.alpha + 1) * row_sums[residue_perm(p, pow(q, -1, p))]
         )
 
-    def _partner_tables(self, p: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(q, sigma grid, P(q, p) over the prefix s-1) for every smaller prime q.
+    def _partner_tables(self, p: int) -> list[tuple[int, PairState]]:
+        """(q, pair (q, p) over the prefix s-1) for every smaller prime q.
 
         Raises unless s <= d, every smaller prime has its z_s and every larger
         one z_{s-1}.
@@ -146,17 +129,13 @@ class ConstructionState:
         for q in self.pool.primes:
             if q >= p:
                 break
-            entry = self.tables.get((q, p))
-            if entry is None:
-                grid = pair_sigma_grid(q, p, self.params.alpha)
-                table = pair_table(
-                    q, p,
-                    self.single[q].z_prefix[: s - 1],
-                    self.single[p].z_prefix[: s - 1],
-                    self.params, grid,
-                )
-                entry = (grid, table)
-            partners.append((q, *entry))
+            pair = self.pairs.get((q, p))
+            if pair is None:
+                zq, zp = self.single[q].z_prefix, self.single[p].z_prefix
+                pair = PairState(q, p, self.params, zip(zq[: s - 1], zp[: s - 1]))
+                if self.keep_tables:
+                    self.pairs[(q, p)] = pair
+            partners.append((q, pair))
         return partners
 
     # -- criteria ------------------------------------------------------------
@@ -168,7 +147,7 @@ class ConstructionState:
         self,
         p: int,
         theta: np.ndarray | None = None,
-        partners: list[tuple[int, np.ndarray, np.ndarray]] | None = None,
+        partners: list[tuple[int, PairState]] | None = None,
     ) -> np.ndarray:
         """T-hat for every candidate residue z in Z_p at the current dimension.
 
@@ -184,10 +163,10 @@ class ConstructionState:
         if partners is None:
             partners = self._partner_tables(p)
         cross = np.zeros(p)
-        for q, grid, table in partners:
-            # v[l, m] = sigma((l zq/q + m/p) mod 1), batched over l
-            v = grid[residue_perm(q, self.single[q].z_prefix[s - 1])]
-            cross += (2.0 / q) * rader_cbc_kernel(p, v, table)
+        for q, pair in partners:
+            # row l: sigma((l zq/q + m/p) mod 1) for m in Z_p
+            v = pair.sigma_rows(self.single[q].z_prefix[s - 1])
+            cross += (2.0 / q) * rader_cbc_kernel(p, v, pair.P_products)
         if p < self.pool.primes[-1]:
             cross += rader_cbc_kernel(p, self.single[p].sigma_table, self.folded[p])
         return theta + gam2 / p * cross
@@ -195,7 +174,7 @@ class ConstructionState:
     # -- stepping ------------------------------------------------------------
 
     def choose(self, p: int) -> int:
-        """Choose p's residue, then fold it into p's partner tables.
+        """Choose p's residue, then fold it into p's partner pairs.
 
         The fold is skipped at the last dimension, where nothing reads it.
         """
@@ -204,18 +183,11 @@ class ConstructionState:
         theta = self.theta_all(p)
         z = select_candidate(theta, self.t_hat_all(p, theta, partners), self.tau)
         self.single[p].extend(z)
-        gam2 = self.params.gamma[s - 1] ** 2
         self.folded[p] = np.zeros(p)
-        while partners:  # popping frees each old table once it is folded
-            q, grid, table = partners.pop()
-            self.tables.pop((q, p), None)
-            if s == self.params.d:
-                continue
-            rows = residue_perm(q, self.single[q].z_prefix[s - 1])
-            table = table * (1.0 + gam2 * grid[rows][:, residue_perm(p, z)])
-            self._fold_row_sums(q, p, table.sum(axis=1))
-            if self.keep_tables:
-                self.tables[(q, p)] = (grid, table)
+        if s < self.params.d:
+            for q, pair in partners:
+                pair.extend(self.single[q].z_prefix[s - 1], z)
+                self._fold_row_sums(q, p, pair.P_products.sum(axis=1))
         return z
 
 

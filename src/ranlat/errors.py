@@ -2,19 +2,19 @@
 
 Contains the point formula for the squared worst-case error, the exact
 CRT prime-pair decomposition of the squared randomised error of the
-random-prime fixed-vector algorithm (each pair's sigma grid is stored in
-CRT order, so every lookup in it is a row and a column permutation),
-truncated dual-lattice oracles used for cross-validation, the good-set
-thresholds, and the explicit theoretical error bound of the constructive
-theorem.
+random-prime fixed-vector algorithm, `PairState` (one prime pair's
+CRT-ordered sigma grid and running point products, which the construction
+shares), truncated dual-lattice oracles used for cross-validation, the
+good-set thresholds, and the explicit theoretical error bound of the
+constructive theorem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -130,35 +130,47 @@ def worst_case_error_sq(
     return _error_sq(point_products(n, z, params))[0]
 
 
-def pair_sigma_grid(p: int, q: int, alpha: int) -> np.ndarray:
-    """sigma_alpha on Z_pq in CRT order: G[a, b] = sigma_alpha(((a q + b p) mod pq) / pq).
+@dataclass
+class PairState:
+    """Running point products of the pq-point rule, p != q primes, on Z_p x Z_q.
 
-    The point (k zp / p + l zq / q) mod 1 sits at G[k zp mod p, l zq mod q].
+    The pair's counterpart of `CbcState`.  grid is sigma_alpha on Z_pq in CRT
+    order, grid[a, b] = sigma_alpha(((a q + b p) mod pq) / pq), so the point
+    (k zp / p + l zq / q) mod 1 sits at grid[k zp mod p, l zq mod q]: every
+    lookup is a row and a column permutation (`residue_perm`).
+    P_products[k, l] = prod_j (1 + gamma_j^2 sigma_alpha(k z_j^p / p + l z_j^q / q))
+    over the dims components folded in so far, `prefix` first.  By the CRT
+    these are the point products of the pq-point rule whose vector is
+    z_j^p mod p and z_j^q mod q, in a permuted order.
     """
-    n = p * q
-    return sigma_alpha((np.arange(p)[:, None] * q + np.arange(q) * p) % n / n, alpha)
 
+    p: int
+    q: int
+    params: KorobovSpaceParams
+    prefix: InitVar[Iterable[tuple[int, int]]]
+    dims: int = field(init=False)
+    grid: np.ndarray = field(init=False)
+    P_products: np.ndarray = field(init=False)
 
-def pair_table(
-    p: int,
-    q: int,
-    res_p: Sequence[int],
-    res_q: Sequence[int],
-    params: KorobovSpaceParams,
-    sigma_pq: np.ndarray,
-) -> np.ndarray:
-    """P(k, l) = prod_j (1 + gamma_j^2 sigma_alpha(k z_j/p + l z_j/q)), j over the prefix.
+    def __post_init__(self, prefix: Iterable[tuple[int, int]]) -> None:
+        p, q, n = self.p, self.q, self.p * self.q
+        self.grid = sigma_alpha(  # inline: freed before the fold, or peak RSS grows
+            (np.arange(p)[:, None] * q + np.arange(q) * p) % n / n, self.params.alpha
+        )
+        self.dims = 0
+        self.P_products = np.ones((p, q))
+        for zp, zq in prefix:
+            self.extend(zp, zq)
 
-    Over the full vector these are the point products of the pq-point rule
-    whose vector is z_j^p mod p and z_j^q mod q: by the CRT, the separable
-    grid Z_p x Z_q holds that rule's points in a permuted order.  sigma_pq is
-    `pair_sigma_grid(p, q, alpha)`, read through `residue_perm` rows and columns.
-    """
-    table = np.ones((p, q))
-    for j, (zp, zq) in enumerate(zip(res_p, res_q, strict=True)):
-        sigma = sigma_pq[residue_perm(p, zp)][:, residue_perm(q, zq)]
-        table *= 1.0 + params.gamma[j] ** 2 * sigma
-    return table
+    def sigma_rows(self, zp: int) -> np.ndarray:
+        """Row k holds sigma_alpha((k zp / p + b / q) mod 1) for b in Z_q."""
+        return self.grid[residue_perm(self.p, zp)]
+
+    def extend(self, zp: int, zq: int) -> None:
+        """Fold the next component, zp mod p and zq mod q, into the products."""
+        gam2 = self.params.gamma[self.dims] ** 2
+        self.P_products *= 1.0 + gam2 * self.sigma_rows(zp)[:, residue_perm(self.q, zq)]
+        self.dims += 1
 
 
 def randomized_error_sq_fixed(
@@ -173,7 +185,7 @@ def randomized_error_sq_fixed(
         [e_ran]^2 = (1/L^2) [ sum_p E(p) + 2 sum_{p<q} E(p q) ]
 
     with E(m) the squared worst-case error of the m-point rule.  E(p q) is
-    summed over the separable Z_p x Z_q grid (`pair_table`), which the CRT
+    summed over the separable Z_p x Z_q grid of a `PairState`, which the CRT
     maps onto the points of the pq-point rule.  Terms are accumulated in
     sorted prime(-pair) order for bit-reproducibility; clamped ones are counted.
     """
@@ -189,8 +201,7 @@ def randomized_error_sq_fixed(
         terms[f"p={p}"] = scale * e_p
         clamped += flag
     for (p, res_p), (q, res_q) in combinations(zip(primes, v.residues), 2):
-        table = pair_table(p, q, res_p, res_q, params, pair_sigma_grid(p, q, params.alpha))
-        e_pq, flag = _error_sq(table)
+        e_pq, flag = _error_sq(PairState(p, q, params, zip(res_p, res_q, strict=True)).P_products)
         terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
         clamped += flag
     return ErrorReport(math.fsum(terms.values()), terms, clamped)

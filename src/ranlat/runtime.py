@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from . import cbc
-from .construct import candidate_set
 from .errors import (
     BoundParams,
     default_lambda_grid,
@@ -164,6 +163,8 @@ def lattice_rule(f: Integrand, n: int, z) -> float:
     """Equal-weight average of f over the n-point rank-1 lattice."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if len(z) != f.d:
+        raise DomainError(f"integrand dimension {f.d} != vector dimension {len(z)}")
     return float(math.fsum(f(lattice_points(n, z))) / n)
 
 
@@ -173,8 +174,6 @@ def run_rpfv(f: Integrand, v: ResidueVector, cfg: RunConfig) -> np.ndarray:
     Since each repetition's estimate depends only on the drawn prime, the
     per-prime rule values are computed once and indexed by the draws.
     """
-    if f.d != v.d:
-        raise DomainError(f"integrand dimension {f.d} != vector dimension {v.d}")
     primes = v.pool.primes
     per_prime = np.array(
         [lattice_rule(f, p, res) for p, res in zip(primes, v.residues)]
@@ -208,7 +207,7 @@ def run_rp_cbc(
             key = (p, tuple(state.z_prefix))
             good = good_cache.get(key)
             if good is None:
-                good = candidate_set(cbc.theta_all(state), tau)
+                good = cbc.candidate_set(cbc.theta_all(state), tau)
                 good_cache[key] = good
             state.extend(int(good[rng.next_below(len(good))]))
         out[i] = lattice_rule(f, p, state.z_prefix)

@@ -9,10 +9,16 @@ import time
 
 import numpy as np
 
-from ranlat.cbc import CbcState, cbc_construct, cbc_construct_naive, theta_all, theta_all_naive
+from ranlat.cbc import (
+    CbcState,
+    candidate_set,
+    cbc_construct,
+    cbc_construct_naive,
+    theta_all,
+    theta_all_naive,
+)
 from ranlat.construct import (
     ConstructionState,
-    candidate_set,
     construct_fixed_vector,
     t_hat_all_naive,
 )

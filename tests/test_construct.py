@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranlat import construct
-from ranlat.cbc import CbcState, cbc_construct, theta_all
+from ranlat.cbc import CbcState, candidate_set, cbc_construct, theta_all
 from ranlat.construct import (
     ConstructionState,
     SequencingError,
-    candidate_set,
     construct_fixed_vector,
     estimate_cached_bytes,
     select_candidate,
     t_hat_all_naive,
 )
-from ranlat.errors import randomized_error_sq_fixed
+from ranlat.errors import PairState, randomized_error_sq_fixed
 from ranlat.kernels import KorobovSpaceParams, poly_weights
 from ranlat.primes import ResidueVector, build_prime_pool
 
@@ -186,12 +185,21 @@ def _probe_reports(monkeypatch, memory_bytes):
 
 
 def _count_pair_builds(monkeypatch):
-    counts = {"pair_table": 0, "pair_sigma_grid": 0}
-    for name in counts:
-        def counted(*args, _orig=getattr(construct, name), _name=name):
-            counts[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(construct, name, counted)
+    # builds: PairState.__post_init__ calls; extends: PairState.extend calls,
+    # the prefix a build folds in included
+    counts = {"builds": 0, "extends": 0}
+    post_init, extend = PairState.__post_init__, PairState.extend
+
+    def counted_post_init(self, prefix):
+        counts["builds"] += 1
+        post_init(self, prefix)
+
+    def counted_extend(self, zp, zq):
+        counts["extends"] += 1
+        extend(self, zp, zq)
+
+    monkeypatch.setattr(PairState, "__post_init__", counted_post_init)
+    monkeypatch.setattr(PairState, "extend", counted_extend)
     return counts
 
 
@@ -214,21 +222,31 @@ def test_estimate_over_probe_selects_rebuild(monkeypatch):
     counts = _count_pair_builds(monkeypatch)
     _probe_reports(monkeypatch, 2 * est)
     kept = construct_fixed_vector(30, 3, params)
-    assert counts["pair_table"] == 6
+    assert counts["builds"] == 6
     _probe_reports(monkeypatch, 2 * est - 1)
     rebuilt = construct_fixed_vector(30, 3, params)
-    assert counts["pair_table"] == 6 + 12
+    assert counts["builds"] == 6 + 12
     assert rebuilt.residues == kept.residues
 
 
 @pytest.mark.parametrize("memory_bytes, builds", [(1 << 62, 6), (0, 12)])
 def test_pair_table_builds_per_policy(monkeypatch, memory_bytes, builds):
-    # n=30: primes 17, 19, 23, 29 make 6 pairs.  Kept tables are built once;
-    # rebuilt ones once per chosen dimension (s = 2, 3), grid included.
+    # n=30: primes 17, 19, 23, 29 make 6 pairs.  Kept pairs are built once
+    # over z_1 and extended by z_2; rebuilt ones are built at s = 2 over z_1
+    # and extended by z_2, then built again at s = 3 over z_1, z_2.  Nothing
+    # is extended by z_3, the last component.
     counts = _count_pair_builds(monkeypatch)
     _probe_reports(monkeypatch, memory_bytes)
     construct_fixed_vector(30, 3, _params(3))
-    assert counts == {"pair_table": builds, "pair_sigma_grid": builds}
+    assert counts == {"builds": builds, "extends": 2 * builds}
+
+
+def test_eran_builds_one_pair_state_per_pair(monkeypatch):
+    # n=30, d=3: each of the 6 pairs is built once over all 3 components
+    v = construct_fixed_vector(30, 3, _params(3))
+    counts = _count_pair_builds(monkeypatch)
+    randomized_error_sq_fixed(v, _params(3))
+    assert counts == {"builds": 6, "extends": 18}
 
 
 def test_candidate_set_boundary_mirror_tie():

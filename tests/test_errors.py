@@ -10,8 +10,7 @@ import ranlat.errors as errors_module
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import (
     BoundParams,
-    pair_sigma_grid,
-    pair_table,
+    PairState,
     point_products,
     default_lambda_grid,
     dual_tail_bound,
@@ -116,9 +115,9 @@ def test_eran_pair_terms_equal_crt_point_formula():
     assert count == 21  # pool 31, 37, 41, 43, 47, 53, 59
 
 
-def _pair_table_flat_formula(p, q, res_p, res_q, params):
-    """The flat Z_pq sigma grid and index matrix pair_table read before the
-    grid was stored in CRT order; kept here as the reference."""
+def _pair_products_flat_formula(p, q, res_p, res_q, params):
+    """The flat Z_pq sigma grid and index matrix the pair products were read
+    through before the grid was stored in CRT order; kept here as the reference."""
     n = p * q
     sigma_flat = sigma_alpha(np.arange(n) / n, params.alpha)
     table = np.ones((p, q))
@@ -142,15 +141,15 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     alpha=st.sampled_from([1, 2, 3]),
     data=st.lists(st.integers(min_value=0, max_value=10 ** 4), max_size=8),
 )
-def test_pair_table_bit_identical_to_flat_formula(p, q, alpha, data):
+def test_pair_state_bit_identical_to_flat_formula(p, q, alpha, data):
     # p < q and p > q; prefix lengths 0..4 from the residue pairs in data
     assume(p != q)
     m = len(data) // 2
     res_p = [r % p for r in data[:m]]
     res_q = [r % q for r in data[m : 2 * m]]
     params = KorobovSpaceParams(d=max(m, 1), alpha=alpha, gamma=poly_weights(max(m, 1), 1.5))
-    fast = pair_table(p, q, res_p, res_q, params, pair_sigma_grid(p, q, alpha))
-    flat = _pair_table_flat_formula(p, q, res_p, res_q, params)
+    fast = PairState(p, q, params, zip(res_p, res_q, strict=True)).P_products
+    flat = _pair_products_flat_formula(p, q, res_p, res_q, params)
     assert fast.tobytes() == flat.tobytes()
 
 
@@ -160,9 +159,11 @@ def test_eran_counts_clamped_terms(monkeypatch):
     v = construct_fixed_vector(131, 5, params)
     assert randomized_error_sq_fixed(v, params).clamped == 1
     # products of 1 - 1e-14 put every pair term at -1e-14, above the floor
-    monkeypatch.setattr(
-        errors_module, "pair_table", lambda p, q, *args: np.full((p, q), 1.0 - 1e-14)
-    )
+    class ProductsBelowOne:
+        def __init__(self, p, q, params, prefix):
+            self.P_products = np.full((p, q), 1.0 - 1e-14)
+
+    monkeypatch.setattr(errors_module, "PairState", ProductsBelowOne)
     rep = randomized_error_sq_fixed(v, params)
     pair_terms = [t for key, t in rep.decomposition.items() if key.startswith("pq=")]
     assert len(pair_terms) == 91  # 14 primes in (65, 131]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import randomized_error_sq_fixed
-from ranlat.kernels import KorobovSpaceParams, poly_weights
+from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights
 from ranlat.primes import ResidueVector, build_prime_pool
 from ranlat.runtime import (
     RunConfig,
@@ -94,6 +94,23 @@ def test_run_rpfv_dimension_mismatch():
         run_rpfv(product_cosine(3), v, RunConfig(seed=0, repetitions=1))
 
 
+@pytest.mark.parametrize("f_dim", [1, 6])
+@pytest.mark.parametrize("algorithm", ["rpfv", "rp_cbc", "rp_rv"])
+def test_integrand_of_wrong_dimension_rejected(algorithm, f_dim):
+    # d=5 parameters: a 1- or 6-dimensional integrand must not be integrated
+    # over 5-dimensional points
+    params = KorobovSpaceParams(d=5, alpha=2, gamma=poly_weights(5, 3.0))
+    f = product_cosine(f_dim)
+    cfg = RunConfig(seed=1, repetitions=20)
+    with pytest.raises(DomainError):
+        if algorithm == "rpfv":
+            run_rpfv(f, construct_fixed_vector(101, 5, params), cfg)
+        elif algorithm == "rp_cbc":
+            run_rp_cbc(f, 101, params, 0.5, cfg)
+        else:
+            run_rp_rv(f, 101, params, 0.5, cfg)
+
+
 def test_run_rpfv_mean_matches_exact_expectation():
     # the estimator averages the per-prime rule values with equal weight, so
     # its exact expectation is enumerable; the empirical mean must sit within
@@ -124,8 +141,7 @@ def test_truncated_extremal_unit_norm_properties():
 def test_run_rp_cbc_mean_matches_exact_expectation():
     # outcome distribution at n=12, d=2 is small: uniform prime in {7, 11},
     # then z_2 uniform over that prime's best-theta candidate set
-    from ranlat.cbc import CbcState, theta_all
-    from ranlat.construct import candidate_set
+    from ranlat.cbc import CbcState, candidate_set, theta_all
 
     params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 2.0))
     f = product_bernoulli(params)
@@ -148,8 +164,7 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
 @pytest.mark.parametrize("n, d, reps", [(30, 3, 200), (101, 5, 300)])
 def test_run_rp_cbc_matches_prefix_replay(n, d, reps):
     # reference: the candidate set of each prefix from a state replayed from z_1
-    from ranlat.cbc import CbcState, theta_all
-    from ranlat.construct import candidate_set
+    from ranlat.cbc import CbcState, candidate_set, theta_all
 
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
     f = product_cosine(d)
