@@ -4,12 +4,14 @@ Implements the component-by-component, prime-by-prime search that minimises
 the cross-prime criterion T-hat over the ceil(tau p) candidates with the
 smallest theta, for each prime of the budget pool in ascending order.
 
-Right after prime p's residue is chosen, it is folded into the point
-products of each pair (q, p), q < p, whose row sums feed q's next
-larger-prime terms.  Each pair is one `PairState`, the record e_ran builds
-too; only it reads the pair's CRT-ordered sigma grid.  The pairs are kept
-(Theta(sum_{q<p} q p) floats) if they fit in half of physical memory, else
-rebuilt from the chosen prefix at the next dimension; both give
+T-hat of prime p reads one `PairState` per partner prime q: the pair
+(q, p) of a smaller q is swept against its sigma rows, and the row sums of
+the pair (p, q) of a larger q feed one shared sweep.  The `PairState`, the
+record e_ran builds too, is the only reader of a pair's CRT-ordered sigma
+grid.  The pairs are kept (Theta(sum_{q<p} q p) floats) if they fit in half
+of physical memory, and each is folded by the larger prime's residue right
+after that is chosen; else each pair is rebuilt from the chosen prefix
+whenever it is read, so at most two are alive at once.  Both give
 bit-identical vectors.
 """
 
@@ -64,7 +66,8 @@ class ConstructionState:
     single[p] is prime p's CBC state and the only record of where p stands:
     its chosen residues, hence its next dimension, and its running point products.
     pairs[(q, p)] is the `PairState` of q < p, kept if keep_tables (set from
-    physical memory); folded[p] holds p's larger-prime weights.
+    physical memory); else each pair is rebuilt from the chosen prefix
+    whenever it is read.
     """
 
     pool: PrimePool
@@ -74,47 +77,25 @@ class ConstructionState:
     keep_tables: bool = field(init=False)
     single: dict[int, CbcState] = field(init=False)
     pairs: dict[tuple[int, int], PairState] = field(init=False)
-    folded: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
         # Keep the pairs only if they fit in half of physical memory: the
-        # other half holds what runs beside them, that is, one prime's partner
-        # pairs with their permuted sigma rows and FFT spectra during a choice,
-        # the e_ran evaluation that usually follows, and other processes.
+        # other half holds what runs beside them, that is, one pair at a time
+        # with its permuted sigma rows and FFT spectra during a choice, the
+        # e_ran evaluation that usually follows, and other processes.
         self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
-        primes = self.pool.primes
-        alpha = self.params.alpha
-        self.single = {p: CbcState(p=p, params=self.params) for p in primes}
+        self.single = {p: CbcState(p=p, params=self.params) for p in self.pool.primes}
         for state in self.single.values():
             state.extend(1)
         self.pairs = {}
-        # With z_1 = 1, sum_{l in Z_q} sigma(x + l/q) = q^(1 - 2 alpha) sigma(q x)
-        # (the sum over l keeps the frequencies divisible by q), so the row
-        # sums of P(p, q) are known before any pair is built.
-        g1sq = self.params.gamma[0] ** 2
-        self.folded = {p: np.zeros(p) for p in primes}
-        for i, p in enumerate(primes):
-            for q in primes[i + 1 :]:
-                sigma = self.single[p].sigma_table[residue_perm(p, q)]
-                self._fold_row_sums(p, q, q + g1sq * q ** (1 - 2 * alpha) * sigma)
 
     @property
     def residues(self) -> dict[int, list[int]]:
         """Chosen residues per prime; a prime chosen at dimension s holds z_s."""
         return {p: state.z_prefix for p, state in self.single.items()}
 
-    def _fold_row_sums(self, p: int, q: int, row_sums: np.ndarray) -> None:
-        """Add the row sums of P(p, q), q > p, to p's larger-prime weights.
-
-        Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
-        all larger primes share one sweep against sigma(k z / p).
-        """
-        self.folded[p] += (
-            2.0 / q ** (2 * self.params.alpha + 1) * row_sums[residue_perm(p, pow(q, -1, p))]
-        )
-
-    def _partner_tables(self, p: int) -> list[tuple[int, PairState]]:
-        """(q, pair (q, p) over the prefix s-1) for every smaller prime q.
+    def _turn(self, p: int) -> int:
+        """The dimension s at which p's residue is due.
 
         Raises unless s <= d, every smaller prime has its z_s and every larger
         one z_{s-1}.
@@ -125,69 +106,71 @@ class ConstructionState:
                 raise SequencingError(
                     f"prime {p} at dimension {s} of {self.params.d}; prime {q} at {state.s}"
                 )
-        partners = []
-        for q in self.pool.primes:
-            if q >= p:
-                break
-            pair = self.pairs.get((q, p))
-            if pair is None:
-                zq, zp = self.single[q].z_prefix, self.single[p].z_prefix
-                pair = PairState(q, p, self.params, zip(zq[: s - 1], zp[: s - 1]))
-                if self.keep_tables:
-                    self.pairs[(q, p)] = pair
-            partners.append((q, pair))
-        return partners
+        return s
+
+    def _pair(self, q: int, p: int) -> PairState:
+        """Pair (q, p), q < p, over the prefix s-1 of p's dimension s; stored if keep_tables."""
+        pair = self.pairs.get((q, p))
+        if pair is None:
+            s = self.single[p].s
+            zq, zp = self.single[q].z_prefix, self.single[p].z_prefix
+            pair = PairState(q, p, self.params, zip(zq[: s - 1], zp[: s - 1]))
+            if self.keep_tables:
+                self.pairs[(q, p)] = pair
+        return pair
 
     # -- criteria ------------------------------------------------------------
 
     def theta_all(self, p: int) -> np.ndarray:
         return theta_all(self.single[p])
 
-    def t_hat_all(
-        self,
-        p: int,
-        theta: np.ndarray | None = None,
-        partners: list[tuple[int, PairState]] | None = None,
-    ) -> np.ndarray:
+    def t_hat_all(self, p: int, theta: np.ndarray | None = None) -> np.ndarray:
         """T-hat for every candidate residue z in Z_p at the current dimension.
 
         Adds to theta (computed here unless given) the cross-prime
         corrections.  Each smaller prime q contributes one batched Rader
-        sweep over the residue classes of q, summed in the frequency domain;
-        all larger primes share one sweep over p's folded weights.
+        sweep over the residue classes of q, summed in the frequency domain.
+        Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
+        all larger primes share one sweep over their permuted row sums.
         """
-        s = self.single[p].s
+        s = self._turn(p)
+        alpha = self.params.alpha
         gam2 = self.params.gamma[s - 1] ** 2
         if theta is None:
             theta = self.theta_all(p)
-        if partners is None:
-            partners = self._partner_tables(p)
         cross = np.zeros(p)
-        for q, pair in partners:
-            # row l: sigma((l zq/q + m/p) mod 1) for m in Z_p
-            v = pair.sigma_rows(self.single[q].z_prefix[s - 1])
-            cross += (2.0 / q) * rader_cbc_kernel(p, v, pair.P_products)
+        larger = np.zeros(p)
+        for q in self.pool.primes:
+            if q < p:
+                pair = self._pair(q, p)
+                # row l: sigma((l zq/q + m/p) mod 1) for m in Z_p
+                v = pair.sigma_rows(self.single[q].z_prefix[s - 1])
+                cross += (2.0 / q) * rader_cbc_kernel(p, v, pair.P_products)
+            elif q > p:
+                row_sums = self._pair(p, q).P_products.sum(axis=1)
+                larger += 2.0 / q ** (2 * alpha + 1) * row_sums[residue_perm(p, pow(q, -1, p))]
         if p < self.pool.primes[-1]:
-            cross += rader_cbc_kernel(p, self.single[p].sigma_table, self.folded[p])
+            cross += rader_cbc_kernel(p, self.single[p].sigma_table, larger)
         return theta + gam2 / p * cross
 
     # -- stepping ------------------------------------------------------------
 
     def choose(self, p: int) -> int:
-        """Choose p's residue, then fold it into p's partner pairs.
+        """Choose p's residue, then fold it into p's kept smaller-prime pairs.
 
         The fold is skipped at the last dimension, where nothing reads it.
         """
-        partners = self._partner_tables(p)
-        s = self.single[p].s
+        s = self._turn(p)
         theta = self.theta_all(p)
-        z = select_candidate(theta, self.t_hat_all(p, theta, partners), self.tau)
+        z = select_candidate(theta, self.t_hat_all(p, theta), self.tau)
         self.single[p].extend(z)
-        self.folded[p] = np.zeros(p)
         if s < self.params.d:
-            for q, pair in partners:
-                pair.extend(self.single[q].z_prefix[s - 1], z)
-                self._fold_row_sums(q, p, pair.P_products.sum(axis=1))
+            for q in self.pool.primes:
+                if q == p:
+                    break
+                pair = self.pairs.get((q, p))
+                if pair is not None:
+                    pair.extend(self.single[q].z_prefix[s - 1], z)
         return z
 
 

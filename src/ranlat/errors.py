@@ -109,6 +109,8 @@ def point_products(n: int, z: Sequence[int], params: KorobovSpaceParams) -> np.n
     The components are folded one by one into an n-point `CbcState`, the
     running product the CBC search keeps.
     """
+    if len(z) != params.d:
+        raise DomainError(f"vector has {len(z)} components, params.d = {params.d}")
     if n > _MAX_POINTS:
         raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
     state = CbcState(p=n, params=params)

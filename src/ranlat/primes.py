@@ -38,34 +38,6 @@ def sieve_primes(limit: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(mask)]
 
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for 64-bit inputs)."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     f = 2
@@ -78,6 +50,11 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division, the factoring `primitive_root` runs on p - 1."""
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def primitive_root(p: int) -> int:

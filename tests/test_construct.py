@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_choose_out_of_turn_raises_and_leaves_state_intact():
 
 
 def test_t_hat_fast_matches_naive_n30_pool():
-    # four primes (17, 19, 23, 29): the folded larger-prime sweep and the
+    # four primes (17, 19, 23, 29): the shared larger-prime sweep and the
     # frequency-domain sums over several smaller primes
     pool = build_prime_pool(30)
     params = _params(3)
@@ -216,7 +217,8 @@ def test_streaming_and_cached_identical(monkeypatch):
 
 def test_estimate_over_probe_selects_rebuild(monkeypatch):
     # the tables are kept up to half of the probed memory; one byte more
-    # rebuilds them at each of the d - 1 = 2 chosen dimensions
+    # rebuilds each of the 6 pairs at both of its primes' turns in each of
+    # the d - 1 = 2 chosen dimensions
     params = _params(3)
     est = estimate_cached_bytes(build_prime_pool(30))
     counts = _count_pair_builds(monkeypatch)
@@ -225,20 +227,42 @@ def test_estimate_over_probe_selects_rebuild(monkeypatch):
     assert counts["builds"] == 6
     _probe_reports(monkeypatch, 2 * est - 1)
     rebuilt = construct_fixed_vector(30, 3, params)
-    assert counts["builds"] == 6 + 12
+    assert counts["builds"] == 6 + 24
     assert rebuilt.residues == kept.residues
 
 
-@pytest.mark.parametrize("memory_bytes, builds", [(1 << 62, 6), (0, 12)])
-def test_pair_table_builds_per_policy(monkeypatch, memory_bytes, builds):
-    # n=30: primes 17, 19, 23, 29 make 6 pairs.  Kept pairs are built once
-    # over z_1 and extended by z_2; rebuilt ones are built at s = 2 over z_1
-    # and extended by z_2, then built again at s = 3 over z_1, z_2.  Nothing
-    # is extended by z_3, the last component.
+@pytest.mark.parametrize(
+    "memory_bytes, builds, extends", [(1 << 62, 6, 12), (0, 24, 36)], ids=["kept", "rebuilt"]
+)
+def test_pair_table_builds_per_policy(monkeypatch, memory_bytes, builds, extends):
+    # n=30: primes 17, 19, 23, 29 make 6 pairs.  Kept pairs are built once,
+    # at the smaller prime's turn at s = 2, over z_1 and extended by z_2.
+    # Rebuilt ones are built at both primes' turns, over z_1 at s = 2 and
+    # over z_1, z_2 at s = 3, and never extended after.  Nothing is extended
+    # by z_3, the last component.
     counts = _count_pair_builds(monkeypatch)
     _probe_reports(monkeypatch, memory_bytes)
     construct_fixed_vector(30, 3, _params(3))
-    assert counts == {"builds": builds, "extends": 2 * builds}
+    assert counts == {"builds": builds, "extends": extends}
+
+
+def test_rebuild_holds_at_most_two_pairs(monkeypatch):
+    # n=101: 11 primes, so a prime has 10 partner pairs; a rebuilt pair is
+    # dropped once read, so the one being built meets at most one other
+    alive = {}
+    peak = 0
+    post_init = PairState.__post_init__
+
+    def tracked_post_init(self, prefix):
+        nonlocal peak
+        alive[id(self)] = weakref.ref(self, lambda _, key=id(self): alive.pop(key))
+        peak = max(peak, len(alive))
+        post_init(self, prefix)
+
+    monkeypatch.setattr(PairState, "__post_init__", tracked_post_init)
+    _probe_reports(monkeypatch, 0)
+    construct_fixed_vector(101, 4, _params(4))
+    assert peak == 2
 
 
 def test_eran_builds_one_pair_state_per_pair(monkeypatch):

@@ -186,6 +186,23 @@ def test_point_products_overflow_guard(monkeypatch):
         worst_case_error_sq(2 ** 40, (1,), params)
 
 
+@pytest.mark.parametrize("z", [(1,), (1, 5, 7)], ids=["d-1", "d+1"])
+def test_wce_rejects_vector_of_wrong_dimension(z):
+    # a surplus component must not be ignored, nor a missing one read past the end
+    params = KorobovSpaceParams(d=2, alpha=1, gamma=(1.0, 0.5))
+    with pytest.raises(DomainError):
+        worst_case_error_sq(31, z, params)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_eran_rejects_vector_of_wrong_dimension(d):
+    params = KorobovSpaceParams(d=2, alpha=1, gamma=(1.0, 0.5))
+    pool = build_prime_pool(12)  # primes 7, 11
+    v = ResidueVector(pool=pool, residues=((1, 2, 3)[:d], (1, 5, 7)[:d]), d=d)
+    with pytest.raises(DomainError):
+        randomized_error_sq_fixed(v, params)
+
+
 def _point_products_sigma_formula(n, z, params):
     """The per-dimension sigma evaluation point_products made before it
     folded the components through CbcState; kept here as the reference."""

@@ -5,7 +5,8 @@ Any change to the T-hat evaluation or the e_ran evaluation must leave every
 residue unchanged and e_ran^2 equal to 1e-12 relative, under both pair-table
 policies.  A policy is forced through the memory probe: "cached" reports
 ample memory, so the pair tables are kept between dimensions; "streaming"
-reports none, so they are rebuilt from the chosen prefix at every dimension.
+reports none, so each one is rebuilt from the chosen prefix every time it is
+read.
 """
 
 import json

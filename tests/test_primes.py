@@ -23,7 +23,7 @@ def test_sieve_matches_trial_division():
         assert (m in primes) == trial
 
 
-def test_miller_rabin_agrees_with_sieve():
+def test_is_prime_agrees_with_sieve():
     primes = set(sieve_primes(2000))
     for m in range(2, 2000):
         assert is_prime(m) == (m in primes)
