@@ -1,7 +1,8 @@
-"""Deterministic component-by-component construction for a prime modulus.
+"""Point products of rank-1 lattice rules and the component-by-component search.
 
-Maintains the running per-point products P(k) = prod_{j<s} (1 + gamma_j^2
-sigma_alpha(k z_j / p)) so that the squared-error increment theta of every
+`CbcState` keeps the running per-point products P(k) = prod_{j<s} (1 + gamma_j^2
+sigma_alpha(k z_j / m)) of the rule modulo m, for one prime modulus or, by
+the CRT, a pair of them, so that the squared-error increment theta of every
 candidate residue comes out of a single Rader convolution sweep.  A naive
 O(p^2) path is kept as an oracle.
 """
@@ -9,7 +10,9 @@ O(p^2) path is kept as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import reduce
+from typing import Iterable
 
 import numpy as np
 
@@ -26,36 +29,47 @@ TIE_RTOL = 1e-9
 
 @dataclass
 class CbcState:
-    """Search state after choosing components z_1..z_{s-1} modulo p.
+    """Running point products of the rank-1 rule modulo m = prod(moduli).
 
-    P_products holds the point products of the p-point rule over z_1..z_{s-1}.
-    Any modulus p >= 1 works for `extend`; `theta_all` needs p prime.
+    The moduli are pairwise coprime: one modulus (p,), or a prime pair (q, p).
+    The CRT maps Z_m onto Z_{m_1} x ..., so the products live on that grid:
+    P_products[k_1, ...] = prod_j (1 + gamma_j^2 sigma_alpha(sum_i k_i z_ij / m_i))
+    over the dims components folded in so far, `prefix` first.  grid is
+    sigma_alpha there in CRT order, grid[a_1, ...] = sigma_alpha((sum_i a_i m / m_i
+    mod m) / m), so the point of index k sits at grid[k_1 z_1 mod m_1, ...]:
+    every lookup is one permutation (`residue_perm`) per axis.  Any moduli
+    work for `extend`; `theta_all` needs one prime.
     """
 
-    p: int
+    moduli: tuple[int, ...]
     params: KorobovSpaceParams
-    z_prefix: list[int] = field(init=False)
+    prefix: InitVar[Iterable[tuple[int, ...]]]
+    dims: int = field(init=False)
+    grid: np.ndarray = field(init=False)
     P_products: np.ndarray = field(init=False)
-    sigma_table: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.z_prefix = []
-        self.P_products = np.ones(self.p)
-        self.sigma_table = sigma_alpha(np.arange(self.p) / self.p, self.params.alpha)
-
-    @property
-    def s(self) -> int:
-        """Dimension index currently being chosen (1-based)."""
-        return len(self.z_prefix) + 1
-
-    def extend(self, z_s: int) -> None:
-        """Fix component s and fold it into the running products."""
-        z_s = int(z_s) % self.p
-        gam2 = self.params.gamma[self.s - 1] ** 2
-        self.P_products = self.P_products * (
-            1.0 + gam2 * self.sigma_table[residue_perm(self.p, z_s)]
+    def __post_init__(self, prefix: Iterable[tuple[int, ...]]) -> None:
+        m = math.prod(self.moduli)
+        self.grid = sigma_alpha(  # inline: freed before the fold, or peak RSS grows
+            reduce(np.add.outer, (np.arange(0, m, m // k) for k in self.moduli)) % m / m,
+            self.params.alpha,
         )
-        self.z_prefix.append(z_s)
+        self.dims = 0
+        self.P_products = np.ones(self.moduli)
+        for z in prefix:
+            self.extend(*z)
+
+    def sigma_rows(self, *z: int) -> np.ndarray:
+        """grid with its leading axes permuted: [k_1, ...] holds grid[k_1 z_1 mod m_1, ...]."""
+        rows = self.grid
+        for axis, (k, z_k) in enumerate(zip(self.moduli, z)):
+            rows = rows.take(residue_perm(k, z_k), axis=axis)
+        return rows
+
+    def extend(self, *z: int) -> None:
+        """Fold the next component, one residue per modulus, into the products."""
+        self.P_products *= 1.0 + self.params.gamma[self.dims] ** 2 * self.sigma_rows(*z)
+        self.dims += 1
 
 
 def theta_all(state: CbcState) -> np.ndarray:
@@ -64,16 +78,16 @@ def theta_all(state: CbcState) -> np.ndarray:
     theta_s(z) = (gamma_s^2 / p) sum_k sigma_alpha(k z / p) P(k), evaluated
     for all z at once through the Rader convolution sweep.
     """
-    gam2 = state.params.gamma[state.s - 1] ** 2
-    S = rader_cbc_kernel(state.p, state.sigma_table, state.P_products)
-    return gam2 / state.p * S
+    (p,) = state.moduli
+    gam2 = state.params.gamma[state.dims] ** 2
+    return gam2 / p * rader_cbc_kernel(p, state.grid, state.P_products)
 
 
 def theta_all_naive(state: CbcState) -> np.ndarray:
     """O(p^2) double-loop reference for theta_all."""
-    gam2 = state.params.gamma[state.s - 1] ** 2
-    S = rader_cbc_kernel_naive(state.p, state.sigma_table, state.P_products)
-    return gam2 / state.p * S
+    (p,) = state.moduli
+    gam2 = state.params.gamma[state.dims] ** 2
+    return gam2 / p * rader_cbc_kernel_naive(p, state.grid, state.P_products)
 
 
 def argmin_first(values: np.ndarray) -> int:
@@ -110,17 +124,19 @@ def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
 
     Ties in the theta sweep are broken by the smallest candidate residue.
     """
-    state = CbcState(p=p, params=params)
-    state.extend(1)
+    z = [1]
+    state = CbcState((p,), params, zip(z))
     for _ in range(2, params.d + 1):
-        state.extend(argmin_first(theta_all(state)))
-    return tuple(state.z_prefix)
+        z.append(argmin_first(theta_all(state)))
+        state.extend(z[-1])
+    return tuple(z)
 
 
 def cbc_construct_naive(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
     """Oracle CBC: exhaustive per-component argmin via the naive theta sweep."""
-    state = CbcState(p=p, params=params)
-    state.extend(1)
+    z = [1]
+    state = CbcState((p,), params, zip(z))
     for _ in range(2, params.d + 1):
-        state.extend(argmin_first(theta_all_naive(state)))
-    return tuple(state.z_prefix)
+        z.append(argmin_first(theta_all_naive(state)))
+        state.extend(z[-1])
+    return tuple(z)

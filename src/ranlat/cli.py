@@ -281,7 +281,6 @@ def _verify_fft_oracle() -> list[str]:
 
 def _verify_eran_oracle() -> list[str]:
     failures = []
-    pool = build_prime_pool(20)
     params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 2.0))
     v = construct_fixed_vector(20, 2, params, tau=0.5)
     exact = randomized_error_sq_fixed(v, params).squared_error

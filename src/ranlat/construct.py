@@ -4,26 +4,28 @@ Implements the component-by-component, prime-by-prime search that minimises
 the cross-prime criterion T-hat over the ceil(tau p) candidates with the
 smallest theta, for each prime of the budget pool in ascending order.
 
-T-hat of prime p reads one `PairState` per partner prime q: the pair
-(q, p) of a smaller q is swept against its sigma rows, and the row sums of
-the pair (p, q) of a larger q feed one shared sweep.  The `PairState`, the
-record e_ran builds too, is the only reader of a pair's CRT-ordered sigma
-grid.  The pairs are kept (Theta(sum_{q<p} q p) floats) if they fit in half
-of physical memory, and each is folded by the larger prime's residue right
-after that is chosen; else each pair is rebuilt from the chosen prefix
-whenever it is read, so at most two are alive at once.  Both give
-bit-identical vectors.
+Every prime and every prime pair has one record, a `CbcState` over its
+moduli: the sigma grid of the rule modulo p or pq in CRT order and the
+running point products, the record e_ran builds too.  T-hat of prime p reads
+the pair record of each partner prime q: the pair (q, p) of a smaller q is
+swept against its sigma rows, and the row sums of the pair (p, q) of a
+larger q feed one shared sweep.  The pairs are kept (Theta(sum_{q<p} q p)
+floats) if they fit in half of the memory the process may use, and each is
+folded by the larger prime's residue right after that is chosen; else each
+pair is rebuilt from the chosen prefix whenever it is read, so at most two
+are alive at once.  Both give bit-identical vectors.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cbc import CbcState, argmin_first, candidate_set, theta_all
-from .errors import DomainError, PairState
+from .errors import DomainError
 from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams, sigma_alpha
 from .primes import PrimePool, ResidueVector, build_prime_pool, residue_perm
@@ -45,7 +47,7 @@ def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:
-    """Bytes for the sigma grids and point products of every `PairState`."""
+    """Bytes for the sigma grids and point products of every prime pair's `CbcState`."""
     total = 0
     primes = pool.primes
     for i, p in enumerate(primes):
@@ -54,20 +56,29 @@ def estimate_cached_bytes(pool: PrimePool) -> int:
     return total
 
 
+# cgroup v2 memory limit of the process's container: a byte count, or "max".
+CGROUP_MEMORY_MAX = pathlib.Path("/sys/fs/cgroup/memory.max")
+
+
 def physical_memory_bytes() -> int:
-    """Installed physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Memory the process may use: installed RAM, or a smaller cgroup v2 limit."""
+    installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        limit = CGROUP_MEMORY_MAX.read_text().strip()
+    except OSError:
+        return installed
+    return min(installed, int(limit)) if limit.isdigit() else installed
 
 
 @dataclass
 class ConstructionState:
     """All records needed by the per-(dimension, prime) search step.
 
-    single[p] is prime p's CBC state and the only record of where p stands:
-    its chosen residues, hence its next dimension, and its running point products.
-    pairs[(q, p)] is the `PairState` of q < p, kept if keep_tables (set from
-    physical memory); else each pair is rebuilt from the chosen prefix
-    whenever it is read.
+    residues[p] holds prime p's chosen residues, hence its next dimension;
+    single[p] is the `CbcState` of p over them.  pairs[(q, p)] is the
+    `CbcState` of q < p over moduli (q, p), kept if keep_tables (set from the
+    memory probe); else each pair is rebuilt from the chosen prefix whenever
+    it is read.
     """
 
     pool: PrimePool
@@ -75,24 +86,19 @@ class ConstructionState:
     tau: float
 
     keep_tables: bool = field(init=False)
+    residues: dict[int, list[int]] = field(init=False)
     single: dict[int, CbcState] = field(init=False)
-    pairs: dict[tuple[int, int], PairState] = field(init=False)
+    pairs: dict[tuple[int, int], CbcState] = field(init=False)
 
     def __post_init__(self) -> None:
-        # Keep the pairs only if they fit in half of physical memory: the
+        # Keep the pairs only if they fit in half of the probed memory: the
         # other half holds what runs beside them, that is, one pair at a time
         # with its permuted sigma rows and FFT spectra during a choice, the
         # e_ran evaluation that usually follows, and other processes.
         self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
-        self.single = {p: CbcState(p=p, params=self.params) for p in self.pool.primes}
-        for state in self.single.values():
-            state.extend(1)
+        self.residues = {p: [1] for p in self.pool.primes}
+        self.single = {p: CbcState((p,), self.params, zip(z)) for p, z in self.residues.items()}
         self.pairs = {}
-
-    @property
-    def residues(self) -> dict[int, list[int]]:
-        """Chosen residues per prime; a prime chosen at dimension s holds z_s."""
-        return {p: state.z_prefix for p, state in self.single.items()}
 
     def _turn(self, p: int) -> int:
         """The dimension s at which p's residue is due.
@@ -100,21 +106,19 @@ class ConstructionState:
         Raises unless s <= d, every smaller prime has its z_s and every larger
         one z_{s-1}.
         """
-        s = self.single[p].s
-        for q, state in self.single.items():
-            if s > self.params.d or state.s != (s + 1 if q < p else s):
+        s = len(self.residues[p]) + 1
+        for q, res in self.residues.items():
+            if s > self.params.d or len(res) != (s if q < p else s - 1):
                 raise SequencingError(
-                    f"prime {p} at dimension {s} of {self.params.d}; prime {q} at {state.s}"
+                    f"prime {p} at dimension {s} of {self.params.d}; prime {q} at {len(res) + 1}"
                 )
         return s
 
-    def _pair(self, q: int, p: int) -> PairState:
-        """Pair (q, p), q < p, over the prefix s-1 of p's dimension s; stored if keep_tables."""
+    def _pair(self, q: int, p: int) -> CbcState:
+        """Pair (q, p), q < p, over the residues both have chosen; stored if keep_tables."""
         pair = self.pairs.get((q, p))
         if pair is None:
-            s = self.single[p].s
-            zq, zp = self.single[q].z_prefix, self.single[p].z_prefix
-            pair = PairState(q, p, self.params, zip(zq[: s - 1], zp[: s - 1]))
+            pair = CbcState((q, p), self.params, zip(self.residues[q], self.residues[p]))
             if self.keep_tables:
                 self.pairs[(q, p)] = pair
         return pair
@@ -144,13 +148,13 @@ class ConstructionState:
             if q < p:
                 pair = self._pair(q, p)
                 # row l: sigma((l zq/q + m/p) mod 1) for m in Z_p
-                v = pair.sigma_rows(self.single[q].z_prefix[s - 1])
+                v = pair.sigma_rows(self.residues[q][s - 1])
                 cross += (2.0 / q) * rader_cbc_kernel(p, v, pair.P_products)
             elif q > p:
                 row_sums = self._pair(p, q).P_products.sum(axis=1)
                 larger += 2.0 / q ** (2 * alpha + 1) * row_sums[residue_perm(p, pow(q, -1, p))]
         if p < self.pool.primes[-1]:
-            cross += rader_cbc_kernel(p, self.single[p].sigma_table, larger)
+            cross += rader_cbc_kernel(p, self.single[p].grid, larger)
         return theta + gam2 / p * cross
 
     # -- stepping ------------------------------------------------------------
@@ -164,13 +168,14 @@ class ConstructionState:
         theta = self.theta_all(p)
         z = select_candidate(theta, self.t_hat_all(p, theta), self.tau)
         self.single[p].extend(z)
+        self.residues[p].append(z)
         if s < self.params.d:
             for q in self.pool.primes:
                 if q == p:
                     break
                 pair = self.pairs.get((q, p))
                 if pair is not None:
-                    pair.extend(self.single[q].z_prefix[s - 1], z)
+                    pair.extend(self.residues[q][s - 1], z)
         return z
 
 

@@ -2,9 +2,9 @@
 
 Contains the point formula for the squared worst-case error, the exact
 CRT prime-pair decomposition of the squared randomised error of the
-random-prime fixed-vector algorithm, `PairState` (one prime pair's
-CRT-ordered sigma grid and running point products, which the construction
-shares), truncated dual-lattice oracles used for cross-validation, the
+random-prime fixed-vector algorithm (both read the point products of
+`cbc.CbcState`, the record the construction keeps for every prime and prime
+pair), truncated dual-lattice oracles used for cross-validation, the
 good-set thresholds, and the explicit theoretical error bound of the
 constructive theorem.
 """
@@ -12,15 +12,15 @@ constructive theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .cbc import CbcState
-from .kernels import DomainError, KorobovSpaceParams, mu_quantity, sigma_alpha, zeta
-from .primes import C_PRIME, ResidueVector, residue_perm
+from .kernels import DomainError, KorobovSpaceParams, mu_quantity, zeta
+from .primes import C_PRIME, ResidueVector
 
 _CLAMP_FLOOR = -1e-12
 
@@ -106,17 +106,14 @@ def _error_sq(products: np.ndarray) -> tuple[float, bool]:
 def point_products(n: int, z: Sequence[int], params: KorobovSpaceParams) -> np.ndarray:
     """prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)) for k = 0..n-1.
 
-    The components are folded one by one into an n-point `CbcState`, the
+    The components are folded one by one into a `CbcState` modulo n, the
     running product the CBC search keeps.
     """
     if len(z) != params.d:
         raise DomainError(f"vector has {len(z)} components, params.d = {params.d}")
     if n > _MAX_POINTS:
         raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
-    state = CbcState(p=n, params=params)
-    for j in range(params.d):
-        state.extend(z[j])
-    return state.P_products
+    return CbcState((n,), params, zip(z)).P_products
 
 
 def worst_case_error_sq(
@@ -132,49 +129,6 @@ def worst_case_error_sq(
     return _error_sq(point_products(n, z, params))[0]
 
 
-@dataclass
-class PairState:
-    """Running point products of the pq-point rule, p != q primes, on Z_p x Z_q.
-
-    The pair's counterpart of `CbcState`.  grid is sigma_alpha on Z_pq in CRT
-    order, grid[a, b] = sigma_alpha(((a q + b p) mod pq) / pq), so the point
-    (k zp / p + l zq / q) mod 1 sits at grid[k zp mod p, l zq mod q]: every
-    lookup is a row and a column permutation (`residue_perm`).
-    P_products[k, l] = prod_j (1 + gamma_j^2 sigma_alpha(k z_j^p / p + l z_j^q / q))
-    over the dims components folded in so far, `prefix` first.  By the CRT
-    these are the point products of the pq-point rule whose vector is
-    z_j^p mod p and z_j^q mod q, in a permuted order.
-    """
-
-    p: int
-    q: int
-    params: KorobovSpaceParams
-    prefix: InitVar[Iterable[tuple[int, int]]]
-    dims: int = field(init=False)
-    grid: np.ndarray = field(init=False)
-    P_products: np.ndarray = field(init=False)
-
-    def __post_init__(self, prefix: Iterable[tuple[int, int]]) -> None:
-        p, q, n = self.p, self.q, self.p * self.q
-        self.grid = sigma_alpha(  # inline: freed before the fold, or peak RSS grows
-            (np.arange(p)[:, None] * q + np.arange(q) * p) % n / n, self.params.alpha
-        )
-        self.dims = 0
-        self.P_products = np.ones((p, q))
-        for zp, zq in prefix:
-            self.extend(zp, zq)
-
-    def sigma_rows(self, zp: int) -> np.ndarray:
-        """Row k holds sigma_alpha((k zp / p + b / q) mod 1) for b in Z_q."""
-        return self.grid[residue_perm(self.p, zp)]
-
-    def extend(self, zp: int, zq: int) -> None:
-        """Fold the next component, zp mod p and zq mod q, into the products."""
-        gam2 = self.params.gamma[self.dims] ** 2
-        self.P_products *= 1.0 + gam2 * self.sigma_rows(zp)[:, residue_perm(self.q, zq)]
-        self.dims += 1
-
-
 def randomized_error_sq_fixed(
     v: ResidueVector, params: KorobovSpaceParams
 ) -> ErrorReport:
@@ -187,9 +141,10 @@ def randomized_error_sq_fixed(
         [e_ran]^2 = (1/L^2) [ sum_p E(p) + 2 sum_{p<q} E(p q) ]
 
     with E(m) the squared worst-case error of the m-point rule.  E(p q) is
-    summed over the separable Z_p x Z_q grid of a `PairState`, which the CRT
-    maps onto the points of the pq-point rule.  Terms are accumulated in
-    sorted prime(-pair) order for bit-reproducibility; clamped ones are counted.
+    summed over the separable Z_p x Z_q grid of a `CbcState` with moduli
+    (p, q), which the CRT maps onto the points of the pq-point rule.  Terms
+    are accumulated in sorted prime(-pair) order for bit-reproducibility;
+    clamped ones are counted.
     """
     primes = v.pool.primes
     if not primes:
@@ -203,7 +158,7 @@ def randomized_error_sq_fixed(
         terms[f"p={p}"] = scale * e_p
         clamped += flag
     for (p, res_p), (q, res_q) in combinations(zip(primes, v.residues), 2):
-        e_pq, flag = _error_sq(PairState(p, q, params, zip(res_p, res_q, strict=True)).P_products)
+        e_pq, flag = _error_sq(CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products)
         terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
         clamped += flag
     return ErrorReport(math.fsum(terms.values()), terms, clamped)

@@ -201,16 +201,17 @@ def run_rp_cbc(
     for i in range(cfg.repetitions):
         rng = SplitMix64(stream_seed(cfg.seed, i))
         p = pool.primes[rng.next_below(len(pool.primes))]
-        state = cbc.CbcState(p=p, params=params)
-        state.extend(1)
+        z = [1]
+        state = cbc.CbcState((p,), params, zip(z))
         for _ in range(2, params.d + 1):
-            key = (p, tuple(state.z_prefix))
+            key = (p, tuple(z))
             good = good_cache.get(key)
             if good is None:
                 good = cbc.candidate_set(cbc.theta_all(state), tau)
                 good_cache[key] = good
-            state.extend(int(good[rng.next_below(len(good))]))
-        out[i] = lattice_rule(f, p, state.z_prefix)
+            z.append(int(good[rng.next_below(len(good))]))
+            state.extend(z[-1])
+        out[i] = lattice_rule(f, p, z)
     return out
 
 

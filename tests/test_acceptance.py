@@ -86,7 +86,7 @@ def test_criterion_3_fast_path_equivalence():
     for p in [q for q in sieve_primes(101) if q >= 3]:
         d = 3
         params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 2.0))
-        state = CbcState(p=p, params=params)
+        state = CbcState((p,), params, ())
         for _ in range(d):
             fast = theta_all(state)
             slow = theta_all_naive(state)
@@ -173,7 +173,7 @@ def test_criterion_5_lemma_suite():
     # per-component good-set cardinality with a fixed prefix
     comp_ok = True
     for p in [q for q in sieve_primes(31) if q >= 3]:
-        state = CbcState(p=p, params=params)
+        state = CbcState((p,), params, ())
         state.extend(1)
         theta = theta_all(state)
         thr = component_threshold(p, 2, params, bounds)

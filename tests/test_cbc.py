@@ -30,7 +30,7 @@ def test_theta_first_dimension_branches():
     # and gamma^2 2 zeta(2 alpha) at z=0
     p = 13
     params = _params(1, alpha=2)
-    th = theta_all(CbcState(p=p, params=params))
+    th = theta_all(CbcState((p,), params, ()))
     assert th[0] == pytest.approx(2 * zeta(4.0), rel=1e-10)
     assert np.allclose(th[1:], 2 * zeta(4.0) / p ** 4, rtol=1e-9)
 
@@ -38,7 +38,7 @@ def test_theta_first_dimension_branches():
 def test_theta_fast_matches_naive_all_small_primes():
     params = _params(3)
     for p in [q for q in sieve_primes(101) if q >= 3]:
-        state = CbcState(p=p, params=params)
+        state = CbcState((p,), params, ())
         for z in (1, min(5, p - 1)):
             fast = theta_all(state)
             slow = theta_all_naive(state)
@@ -52,7 +52,7 @@ def test_theta_telescopes_to_worst_case_error():
     # e^2(z_1..z_d) = sum_s theta_s(z_s): extending one dimension at a time
     p = 17
     params = _params(3)
-    state = CbcState(p=p, params=params)
+    state = CbcState((p,), params, ())
     z = (1, 5, 9)
     total = 0.0
     for zs in z:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from ranlat.construct import (
     select_candidate,
     t_hat_all_naive,
 )
-from ranlat.errors import PairState, randomized_error_sq_fixed
+from ranlat.errors import randomized_error_sq_fixed
 from ranlat.kernels import KorobovSpaceParams, poly_weights
 from ranlat.primes import ResidueVector, build_prime_pool
 
@@ -186,21 +187,21 @@ def _probe_reports(monkeypatch, memory_bytes):
 
 
 def _count_pair_builds(monkeypatch):
-    # builds: PairState.__post_init__ calls; extends: PairState.extend calls,
-    # the prefix a build folds in included
+    # builds: CbcState.__post_init__ calls with two moduli (the pair records);
+    # extends: their extend calls, the prefix a build folds in included
     counts = {"builds": 0, "extends": 0}
-    post_init, extend = PairState.__post_init__, PairState.extend
+    post_init, extend = CbcState.__post_init__, CbcState.extend
 
     def counted_post_init(self, prefix):
-        counts["builds"] += 1
+        counts["builds"] += len(self.moduli) == 2
         post_init(self, prefix)
 
-    def counted_extend(self, zp, zq):
-        counts["extends"] += 1
-        extend(self, zp, zq)
+    def counted_extend(self, *z):
+        counts["extends"] += len(self.moduli) == 2
+        extend(self, *z)
 
-    monkeypatch.setattr(PairState, "__post_init__", counted_post_init)
-    monkeypatch.setattr(PairState, "extend", counted_extend)
+    monkeypatch.setattr(CbcState, "__post_init__", counted_post_init)
+    monkeypatch.setattr(CbcState, "extend", counted_extend)
     return counts
 
 
@@ -231,6 +232,23 @@ def test_estimate_over_probe_selects_rebuild(monkeypatch):
     assert rebuilt.residues == kept.residues
 
 
+def test_probe_takes_cgroup_limit_below_installed_memory(monkeypatch, tmp_path):
+    # a container limit under twice the kept tables selects the rebuild
+    # policy on any host; a missing file or "max" leaves installed memory
+    limit = tmp_path / "memory.max"
+    monkeypatch.setattr(construct, "CGROUP_MEMORY_MAX", limit)
+    installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert construct.physical_memory_bytes() == installed
+    limit.write_text("max\n")
+    assert construct.physical_memory_bytes() == installed
+    est = estimate_cached_bytes(build_prime_pool(30))
+    limit.write_text(f"{2 * est - 1}\n")
+    assert construct.physical_memory_bytes() == 2 * est - 1
+    counts = _count_pair_builds(monkeypatch)
+    construct_fixed_vector(30, 3, _params(3))
+    assert counts["builds"] == 24
+
+
 @pytest.mark.parametrize(
     "memory_bytes, builds, extends", [(1 << 62, 6, 12), (0, 24, 36)], ids=["kept", "rebuilt"]
 )
@@ -251,15 +269,16 @@ def test_rebuild_holds_at_most_two_pairs(monkeypatch):
     # dropped once read, so the one being built meets at most one other
     alive = {}
     peak = 0
-    post_init = PairState.__post_init__
+    post_init = CbcState.__post_init__
 
     def tracked_post_init(self, prefix):
         nonlocal peak
-        alive[id(self)] = weakref.ref(self, lambda _, key=id(self): alive.pop(key))
-        peak = max(peak, len(alive))
+        if len(self.moduli) == 2:
+            alive[id(self)] = weakref.ref(self, lambda _, key=id(self): alive.pop(key))
+            peak = max(peak, len(alive))
         post_init(self, prefix)
 
-    monkeypatch.setattr(PairState, "__post_init__", tracked_post_init)
+    monkeypatch.setattr(CbcState, "__post_init__", tracked_post_init)
     _probe_reports(monkeypatch, 0)
     construct_fixed_vector(101, 4, _params(4))
     assert peak == 2
@@ -279,7 +298,7 @@ def test_candidate_set_boundary_mirror_tie():
     # The tie fills the set in index order, whichever member round-off makes
     # smallest; a stable argsort took 9 instead of 5.
     p = 11
-    state = CbcState(p=p, params=_params(2))
+    state = CbcState((p,), _params(2), ())
     state.extend(1)
     theta = theta_all(state)
     tied = [2, 5, 6, 9]

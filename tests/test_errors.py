@@ -7,10 +7,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import ranlat.cbc as cbc_module
 import ranlat.errors as errors_module
+from ranlat.cbc import CbcState
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import (
     BoundParams,
-    PairState,
     point_products,
     default_lambda_grid,
     dual_tail_bound,
@@ -148,7 +148,7 @@ def test_pair_state_bit_identical_to_flat_formula(p, q, alpha, data):
     res_p = [r % p for r in data[:m]]
     res_q = [r % q for r in data[m : 2 * m]]
     params = KorobovSpaceParams(d=max(m, 1), alpha=alpha, gamma=poly_weights(max(m, 1), 1.5))
-    fast = PairState(p, q, params, zip(res_p, res_q, strict=True)).P_products
+    fast = CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products
     flat = _pair_products_flat_formula(p, q, res_p, res_q, params)
     assert fast.tobytes() == flat.tobytes()
 
@@ -157,17 +157,23 @@ def test_eran_counts_clamped_terms(monkeypatch):
     # n=131, alpha=3: round-off puts one pair term (109 x 127) below 0
     params = KorobovSpaceParams(d=5, alpha=3, gamma=poly_weights(5, 3.0))
     v = construct_fixed_vector(131, 5, params)
-    assert randomized_error_sq_fixed(v, params).clamped == 1
-    # products of 1 - 1e-14 put every pair term at -1e-14, above the floor
-    class ProductsBelowOne:
-        def __init__(self, p, q, params, prefix):
-            self.P_products = np.full((p, q), 1.0 - 1e-14)
+    real = randomized_error_sq_fixed(v, params)
+    assert real.clamped == 1
+    # pair products of 1 - 1e-14 put every pair term at -1e-14, above the
+    # floor; the single-prime records stay real
+    class PairProductsBelowOne(CbcState):
+        def __post_init__(self, prefix):
+            super().__post_init__(prefix)
+            if len(self.moduli) == 2:
+                self.P_products = np.full(self.moduli, 1.0 - 1e-14)
 
-    monkeypatch.setattr(errors_module, "PairState", ProductsBelowOne)
+    monkeypatch.setattr(errors_module, "CbcState", PairProductsBelowOne)
     rep = randomized_error_sq_fixed(v, params)
     pair_terms = [t for key, t in rep.decomposition.items() if key.startswith("pq=")]
     assert len(pair_terms) == 91  # 14 primes in (65, 131]
     assert rep.clamped == 91 and set(pair_terms) == {0.0}
+    singles = [f"p={p}" for p in v.pool.primes]
+    assert [rep.decomposition[k] for k in singles] == [real.decomposition[k] for k in singles]
     assert rep.squared_error == math.fsum(rep.decomposition.values())
 
 
@@ -205,7 +211,7 @@ def test_eran_rejects_vector_of_wrong_dimension(d):
 
 def _point_products_sigma_formula(n, z, params):
     """The per-dimension sigma evaluation point_products made before it
-    folded the components through CbcState; kept here as the reference."""
+    folded the components through a CbcState; kept here as the reference."""
     k = np.arange(n, dtype=np.int64)
     prod = np.ones(n)
     for j in range(params.d):

@@ -148,7 +148,7 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
     pool = build_prime_pool(12)
     prime_means = []
     for p in pool.primes:
-        state = CbcState(p=p, params=params)
+        state = CbcState((p,), params, ())
         state.extend(1)
         good = candidate_set(theta_all(state), 0.5)
         prime_means.append(
@@ -180,7 +180,7 @@ def test_run_rp_cbc_matches_prefix_replay(n, d, reps):
                 key = (p, tuple(z))
                 good = good_cache.get(key)
                 if good is None:
-                    state = CbcState(p=p, params=params)
+                    state = CbcState((p,), params, ())
                     for zj in z:
                         state.extend(zj)
                     good = candidate_set(theta_all(state), 0.5)
@@ -197,13 +197,13 @@ def test_run_rp_cbc_builds_one_state_per_draw(monkeypatch):
     counts = {"states": 0, "extends": 0}
     post_init, extend = CbcState.__post_init__, CbcState.extend
 
-    def counted_post_init(self):
+    def counted_post_init(self, prefix):
         counts["states"] += 1
-        post_init(self)
+        post_init(self, prefix)
 
-    def counted_extend(self, z_s):
+    def counted_extend(self, *z):
         counts["extends"] += 1
-        extend(self, z_s)
+        extend(self, *z)
 
     monkeypatch.setattr(CbcState, "__post_init__", counted_post_init)
     monkeypatch.setattr(CbcState, "extend", counted_extend)
