@@ -3,15 +3,16 @@
 `CbcState` keeps the running per-point products P(k) = prod_{j<s} (1 + gamma_j^2
 sigma_alpha(k z_j / m)) of the rule modulo m, for one prime modulus or, by
 the CRT, a pair of them, so that the squared-error increment theta of every
-candidate residue comes out of a single Rader convolution sweep.  A naive
-O(p^2) path is kept as an oracle.
+candidate residue comes out of a single Rader convolution sweep.  As sigma_alpha
+is even, so is P: a record stores the rows k_1 <= m_1/2 of its first axis, and
+sigma is evaluated once per class +-c.  A naive O(p^2) path is kept as an oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -21,10 +22,26 @@ from .kernels import DomainError, KorobovSpaceParams, sigma_alpha
 from .primes import residue_perm
 
 # Relative tolerance under which two criterion values count as tied.  Exact
-# mathematical ties (z and p - z give the same theta and T-hat at the
-# smallest pool prime) differ only by round-off, and round-off must not
-# decide the residue: tied values resolve to the smaller index.
+# mathematical ties other than theta's z, p - z (bit-equal by construction)
+# differ only by round-off, and round-off must not decide the residue: tied
+# values resolve to the smaller index.
 TIE_RTOL = 1e-9
+
+
+def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
+    """Read-only grid[a_1, ...] = sigma_alpha(min(c, m - c) / m), c = sum_i a_i m / m_i
+    mod m, on the stored rows a_1 <= m_1/2 of the CRT grid of m = prod(moduli)."""
+    m = math.prod(moduli)
+    axes = [np.arange(0, m, m // k) for k in moduli]
+    axes[0] = axes[0][: moduli[0] // 2 + 1]
+    c = functools.reduce(np.add.outer, axes) % m
+    grid = sigma_alpha(np.minimum(c, m - c, out=c) / m, alpha)
+    grid.flags.writeable = False
+    return grid
+
+
+# Pair grids are not cached: the rebuild policy exists to avoid holding them.
+single_sigma_grid = functools.lru_cache(maxsize=1024)(sigma_grid)
 
 
 @dataclass
@@ -34,11 +51,12 @@ class CbcState:
     The moduli are pairwise coprime: one modulus (p,), or a prime pair (q, p).
     The CRT maps Z_m onto Z_{m_1} x ..., so the products live on that grid:
     P_products[k_1, ...] = prod_j (1 + gamma_j^2 sigma_alpha(sum_i k_i z_ij / m_i))
-    over the dims components folded in so far, `prefix` first.  grid is
-    sigma_alpha there in CRT order, grid[a_1, ...] = sigma_alpha((sum_i a_i m / m_i
-    mod m) / m), so the point of index k sits at grid[k_1 z_1 mod m_1, ...]:
-    every lookup is one permutation (`residue_perm`) per axis.  Any moduli
-    work for `extend`; `theta_all` needs one prime.
+    over the dims components folded in so far, `prefix` first.  Only the rows
+    k_1 <= m_1/2 are stored; row m_1 - k_1 is row k_1 at the negated residues of
+    the other axis.  grid is `sigma_grid`, so the point of index k sits at
+    grid[k_1 z_1 mod m_1, ...], folded alike: every lookup is one permutation
+    (`residue_perm`) per axis.  Any moduli work for `extend`; `theta_all`
+    needs one prime.
     """
 
     moduli: tuple[int, ...]
@@ -49,21 +67,23 @@ class CbcState:
     P_products: np.ndarray = field(init=False)
 
     def __post_init__(self, prefix: Iterable[tuple[int, ...]]) -> None:
-        m = math.prod(self.moduli)
-        self.grid = sigma_alpha(  # inline: freed before the fold, or peak RSS grows
-            reduce(np.add.outer, (np.arange(0, m, m // k) for k in self.moduli)) % m / m,
-            self.params.alpha,
-        )
+        grids = single_sigma_grid if len(self.moduli) == 1 else sigma_grid
+        self.grid = grids(self.moduli, self.params.alpha)
         self.dims = 0
-        self.P_products = np.ones(self.moduli)
+        self.P_products = np.ones(self.grid.shape)
         for z in prefix:
             self.extend(*z)
 
     def sigma_rows(self, *z: int) -> np.ndarray:
-        """grid with its leading axes permuted: [k_1, ...] holds grid[k_1 z_1 mod m_1, ...]."""
-        rows = self.grid
-        for axis, (k, z_k) in enumerate(zip(self.moduli, z)):
-            rows = rows.take(residue_perm(k, z_k), axis=axis)
+        """grid at the stored points: [k_1, ...] holds grid[k_1 z_1 mod m_1, ...], a row
+        a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1."""
+        m, *others = self.moduli
+        r = np.arange(len(self.grid)) * (z[0] % m) % m
+        rows = self.grid.take(np.minimum(r, m - r), axis=0)
+        for n in others:
+            rows = rows.take(residue_perm(n, z[1]), axis=1) if len(z) > 1 else rows
+            fold = np.flatnonzero(r > m // 2)
+            rows[fold, 1:] = rows[fold, :0:-1]
         return rows
 
     def extend(self, *z: int) -> None:
@@ -87,7 +107,8 @@ def theta_all_naive(state: CbcState) -> np.ndarray:
     """O(p^2) double-loop reference for theta_all."""
     (p,) = state.moduli
     gam2 = state.params.gamma[state.dims] ** 2
-    return gam2 / p * rader_cbc_kernel_naive(p, state.grid, state.P_products)
+    full = np.minimum(np.arange(p), p - np.arange(p))  # P(p - k) = P(k)
+    return gam2 / p * rader_cbc_kernel_naive(p, state.grid[full], state.P_products[full])
 
 
 def argmin_first(values: np.ndarray) -> int:

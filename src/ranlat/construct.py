@@ -6,10 +6,11 @@ smallest theta, for each prime of the budget pool in ascending order.
 
 Every prime and every prime pair has one record, a `CbcState` over its
 moduli: the sigma grid of the rule modulo p or pq in CRT order and the
-running point products, the record e_ran builds too.  T-hat of prime p reads
-the pair record of each partner prime q: the pair (q, p) of a smaller q is
-swept against its sigma rows, and the row sums of the pair (p, q) of a
-larger q feed one shared sweep.  The pairs are kept (Theta(sum_{q<p} q p)
+running point products, the record e_ran builds too; both are even, and only
+the rows k <= q/2 of the first prime q are stored and swept.  T-hat of prime p
+reads the pair record of each partner prime q: the pair (q, p) of a smaller q
+is swept against its sigma rows, and the row sums of the pair (p, q) of a
+larger q feed one shared sweep.  The pairs are kept (sum_{q<p} (q + 1) p
 floats) if they fit in half of the memory the process may use, and each is
 folded by the larger prime's residue right after that is chosen; else each
 pair is rebuilt from the chosen prefix whenever it is read, so at most two
@@ -18,6 +19,7 @@ are alive at once.  Both give bit-identical vectors.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ from .cbc import CbcState, argmin_first, candidate_set, theta_all
 from .errors import DomainError
 from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams, sigma_alpha
-from .primes import PrimePool, ResidueVector, build_prime_pool, residue_perm
+from .primes import PrimePool, ResidueVector, build_prime_pool
 
 
 class SequencingError(RuntimeError):
@@ -47,13 +49,8 @@ def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:
-    """Bytes for the sigma grids and point products of every prime pair's `CbcState`."""
-    total = 0
-    primes = pool.primes
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            total += 2 * 8 * p * q
-    return total
+    """Bytes for the sigma grids and point products, q // 2 + 1 rows of p each, of every pair (q, p)."""
+    return sum(2 * 8 * (q // 2 + 1) * p for q, p in itertools.combinations(pool.primes, 2))
 
 
 # cgroup v2 memory limit of the process's container: a byte count, or "max".
@@ -133,8 +130,9 @@ class ConstructionState:
 
         Adds to theta (computed here unless given) the cross-prime
         corrections.  Each smaller prime q contributes one batched Rader
-        sweep over the residue classes of q, summed in the frequency domain.
-        Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
+        sweep over the stored classes l <= q/2 of q (l > 0 weighted by 2, for
+        l and q - l), summed in the frequency domain.  Since
+        sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
         all larger primes share one sweep over their permuted row sums.
         """
         s = self._turn(p)
@@ -143,16 +141,18 @@ class ConstructionState:
         if theta is None:
             theta = self.theta_all(p)
         cross = np.zeros(p)
-        larger = np.zeros(p)
+        larger = np.zeros(p // 2 + 1)
         for q in self.pool.primes:
             if q < p:
                 pair = self._pair(q, p)
                 # row l: sigma((l zq/q + m/p) mod 1) for m in Z_p
                 v = pair.sigma_rows(self.residues[q][s - 1])
+                v[1:] *= 2.0
                 cross += (2.0 / q) * rader_cbc_kernel(p, v, pair.P_products)
             elif q > p:
                 row_sums = self._pair(p, q).P_products.sum(axis=1)
-                larger += 2.0 / q ** (2 * alpha + 1) * row_sums[residue_perm(p, pow(q, -1, p))]
+                r = np.arange(p // 2 + 1) * pow(q, -1, p) % p
+                larger += 2.0 / q ** (2 * alpha + 1) * row_sums[np.minimum(r, p - r)]
         if p < self.pool.primes[-1]:
             cross += rader_cbc_kernel(p, self.single[p].grid, larger)
         return theta + gam2 / p * cross

@@ -3,10 +3,10 @@
 Contains the point formula for the squared worst-case error, the exact
 CRT prime-pair decomposition of the squared randomised error of the
 random-prime fixed-vector algorithm (both read the point products of
-`cbc.CbcState`, the record the construction keeps for every prime and prime
-pair), truncated dual-lattice oracles used for cross-validation, the
-good-set thresholds, and the explicit theoretical error bound of the
-constructive theorem.
+`cbc.CbcState`, the half of an even record that the construction keeps for
+every prime and prime pair), truncated dual-lattice oracles used for
+cross-validation, the good-set thresholds, and the explicit theoretical
+error bound of the constructive theorem.
 """
 
 from __future__ import annotations
@@ -91,9 +91,14 @@ def _grid_infimum(fun: Callable[[float], float], grid: Sequence[float]) -> float
     return min(best, f1, f2)
 
 
-def _error_sq(products: np.ndarray) -> tuple[float, bool]:
-    """E(m) = fsum(products) / m - 1, and whether round-off below 0 was clamped to 0."""
-    value = math.fsum(products.ravel()) / products.size - 1.0
+def _error_sq(products: np.ndarray, m0: int) -> tuple[float, bool]:
+    """E(m) = fsum(P) / m - 1 for the even record P stored as products (rows 0..m0 // 2;
+    the others stand for k and m0 - k, and doubling them is exact, so this is fsum
+    over the full P bit for bit), and whether round-off below 0 was clamped to 0."""
+    weighted = 2.0 * products
+    own = [0, -1] if m0 % 2 == 0 else [0]  # the rows that are their own mirror
+    weighted[own] = products[own]
+    value = math.fsum(weighted.ravel()) / (m0 * products[0].size) - 1.0
     if value < 0.0:
         if value < _CLAMP_FLOOR:
             raise ArithmeticError(
@@ -104,7 +109,7 @@ def _error_sq(products: np.ndarray) -> tuple[float, bool]:
 
 
 def point_products(n: int, z: Sequence[int], params: KorobovSpaceParams) -> np.ndarray:
-    """prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)) for k = 0..n-1.
+    """prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)) for k = 0..n // 2; P(n - k) = P(k).
 
     The components are folded one by one into a `CbcState` modulo n, the
     running product the CBC search keeps.
@@ -126,7 +131,7 @@ def worst_case_error_sq(
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _error_sq(point_products(n, z, params))[0]
+    return _error_sq(point_products(n, z, params), n)[0]
 
 
 def randomized_error_sq_fixed(
@@ -154,11 +159,11 @@ def randomized_error_sq_fixed(
     terms: dict[str, float] = {}
     clamped = 0
     for p, res in zip(primes, v.residues):
-        e_p, flag = _error_sq(point_products(p, res, params))
+        e_p, flag = _error_sq(point_products(p, res, params), p)
         terms[f"p={p}"] = scale * e_p
         clamped += flag
     for (p, res_p), (q, res_q) in combinations(zip(primes, v.residues), 2):
-        e_pq, flag = _error_sq(CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products)
+        e_pq, flag = _error_sq(CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products, p)
         terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
         clamped += flag
     return ErrorReport(math.fsum(terms.values()), terms, clamped)

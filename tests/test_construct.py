@@ -206,14 +206,14 @@ def _count_pair_builds(monkeypatch):
 
 
 def test_streaming_and_cached_identical(monkeypatch):
-    # cached: the pair tables are kept between dimensions; streaming: they
-    # are rebuilt from the chosen prefix at every dimension
+    # kept: the pair records are kept between dimensions; rebuilt: they are
+    # rebuilt from the chosen prefix whenever they are read
     params = _params(4)
     _probe_reports(monkeypatch, 1 << 62)
-    vc = construct_fixed_vector(30, 4, params)
+    kept = construct_fixed_vector(30, 4, params)
     _probe_reports(monkeypatch, 0)
-    vs = construct_fixed_vector(30, 4, params)
-    assert vc.residues == vs.residues
+    rebuilt = construct_fixed_vector(30, 4, params)
+    assert kept.residues == rebuilt.residues
 
 
 def test_estimate_over_probe_selects_rebuild(monkeypatch):
@@ -312,9 +312,17 @@ def test_candidate_set_boundary_mirror_tie():
             assert sorted(candidate_set(th2, 0.5).tolist()) == expect
 
 
-def test_estimate_cached_bytes():
-    pool = build_prime_pool(12)  # primes 7, 11
-    assert estimate_cached_bytes(pool) == 2 * 8 * 7 * 11
+def test_estimate_cached_bytes(monkeypatch):
+    # the estimate is the bytes the kept policy really holds: the sigma grid
+    # and point products of every pair record, each q // 2 + 1 rows of p
+    _probe_reports(monkeypatch, 1 << 62)
+    state = ConstructionState(pool=build_prime_pool(30), params=_params(3), tau=0.5)
+    for _ in range(2, 4):
+        for p in state.pool.primes:
+            state.choose(p)
+    assert len(state.pairs) == 6
+    held = sum(pair.grid.nbytes + pair.P_products.nbytes for pair in state.pairs.values())
+    assert estimate_cached_bytes(state.pool) == held
 
 
 def test_first_component_all_ones():

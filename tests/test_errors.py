@@ -68,6 +68,16 @@ def test_wce_point_formula_vs_truncated_oracle():
     assert abs(exact - approx) <= 1e-6 * exact + tail
 
 
+@pytest.mark.parametrize("n, z", [(12, (1, 5, 7)), (30, (1, 7, 11)), (64, (1, 19, 27))])
+def test_wce_composite_and_even_n_vs_truncated_oracle(n, z):
+    # half records at composite and even n: row n/2 stands for itself
+    params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 2.0))
+    exact = worst_case_error_sq(n, z, params)
+    approx = worst_case_error_sq_truncated(n, z, params, 60)
+    tail = dual_tail_bound(params, 60)
+    assert abs(exact - approx) <= 1e-6 * exact + tail
+
+
 def test_dual_tail_bound_decreasing():
     params = KorobovSpaceParams(d=2, alpha=2, gamma=(1.0, 0.5))
     tails = [dual_tail_bound(params, h) for h in (10, 20, 40, 80)]
@@ -117,9 +127,11 @@ def test_eran_pair_terms_equal_crt_point_formula():
 
 def _pair_products_flat_formula(p, q, res_p, res_q, params):
     """The flat Z_pq sigma grid and index matrix the pair products were read
-    through before the grid was stored in CRT order; kept here as the reference."""
+    through before the grid was stored in CRT order, with sigma evaluated at
+    min(c, pq - c) / pq as the records do; kept here as the reference."""
     n = p * q
-    sigma_flat = sigma_alpha(np.arange(n) / n, params.alpha)
+    c = np.arange(n)
+    sigma_flat = sigma_alpha(np.minimum(c, n - c) / n, params.alpha)
     table = np.ones((p, q))
     for j, (zp, zq) in enumerate(zip(res_p, res_q, strict=True)):
         k = np.arange(p, dtype=np.int64) * (zp % p) % p
@@ -150,7 +162,7 @@ def test_pair_state_bit_identical_to_flat_formula(p, q, alpha, data):
     params = KorobovSpaceParams(d=max(m, 1), alpha=alpha, gamma=poly_weights(max(m, 1), 1.5))
     fast = CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products
     flat = _pair_products_flat_formula(p, q, res_p, res_q, params)
-    assert fast.tobytes() == flat.tobytes()
+    assert fast.tobytes() == flat[: p // 2 + 1].tobytes()
 
 
 def test_eran_counts_clamped_terms(monkeypatch):
@@ -165,7 +177,7 @@ def test_eran_counts_clamped_terms(monkeypatch):
         def __post_init__(self, prefix):
             super().__post_init__(prefix)
             if len(self.moduli) == 2:
-                self.P_products = np.full(self.moduli, 1.0 - 1e-14)
+                self.P_products = np.full(self.P_products.shape, 1.0 - 1e-14)
 
     monkeypatch.setattr(errors_module, "CbcState", PairProductsBelowOne)
     rep = randomized_error_sq_fixed(v, params)
@@ -211,12 +223,14 @@ def test_eran_rejects_vector_of_wrong_dimension(d):
 
 def _point_products_sigma_formula(n, z, params):
     """The per-dimension sigma evaluation point_products made before it
-    folded the components through a CbcState; kept here as the reference."""
+    folded the components through a CbcState, with sigma evaluated at
+    min(r, n - r) / n as the records do; kept here as the reference."""
     k = np.arange(n, dtype=np.int64)
     prod = np.ones(n)
     for j in range(params.d):
         zj = int(z[j]) % n
-        x = (k * zj % n) / n
+        r = k * zj % n
+        x = np.minimum(r, n - r) / n
         prod *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(x, params.alpha)
     return prod
 
@@ -234,7 +248,7 @@ def test_point_products_bit_identical_to_sigma_formula(n, alpha, z, gamma):
     # prime (307) and composite (3599 = 59 * 61) budgets as fixed examples
     params = KorobovSpaceParams(d=len(z), alpha=alpha, gamma=tuple(gamma[: len(z)]))
     fast = point_products(n, z, params)
-    assert fast.tobytes() == _point_products_sigma_formula(n, z, params).tobytes()
+    assert fast.tobytes() == _point_products_sigma_formula(n, z, params)[: n // 2 + 1].tobytes()
 
 
 def test_eran_matches_truncated_brute_force():

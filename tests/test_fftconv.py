@@ -28,6 +28,11 @@ def test_rader_kernel_p3_by_hand():
         v[0] * w[0] + v[2] * w[1] + v[1] * w[2],
     ]
     assert np.allclose(out, expect)
+    # even on Z_3, given by entries 0 and 1: f(2) = f(1)
+    assert rader_cbc_kernel(3, v[:2], w[:2]).tolist() == [10.0 * 114.0, 1014.0, 1014.0]
+    # a last axis of p // 2 + 1 selects the even form; any other length but p fails
+    with pytest.raises(ShapeError):
+        rader_cbc_kernel(5, np.ones(4), np.ones(4))
 
 
 def test_rader_kernel_p2():
@@ -50,6 +55,13 @@ def test_rader_matches_naive(pidx, seed):
     fast = rader_cbc_kernel(p, v, w)
     slow = rader_cbc_kernel_naive(p, v, w)
     assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
+    # even inputs, given by their entries 0..p // 2, take the half-length form;
+    # z and p - z share one correlation lag class: bit-equal, not just close
+    even = np.minimum(np.arange(p), p - np.arange(p))
+    fast = rader_cbc_kernel(p, v[: p // 2 + 1], w[: p // 2 + 1])
+    slow = rader_cbc_kernel_naive(p, v[even], w[even])
+    assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
+    assert fast.tobytes() == fast[even].tobytes()
 
 
 def test_rader_plan_cached_per_prime_and_root():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import randomized_error_sq_fixed
-from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights
+from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights, sigma_alpha
 from ranlat.primes import ResidueVector, build_prime_pool
 from ranlat.runtime import (
     RunConfig,
@@ -254,3 +254,25 @@ def test_rpfv_empirical_rms_within_exact_error():
     rms = math.sqrt(np.mean(est ** 2))
     # mean absolute error <= e_ran * ||f||; RMS over two primes is comparable
     assert rms <= 2.0 * eran
+
+
+@pytest.mark.parametrize("run", [run_rp_cbc, run_rp_rv], ids=["rp_cbc", "rp_rv"])
+def test_online_runs_evaluate_sigma_once_per_prime(monkeypatch, run):
+    # the half sigma table of (p,) depends on (p, alpha) alone and is cached:
+    # one evaluation per distinct prime drawn, whatever the draws and tries
+    import ranlat.cbc as cbc_module
+
+    points = []
+
+    def counted_sigma(x, alpha):
+        points.append(np.size(x))
+        return sigma_alpha(x, alpha)
+
+    monkeypatch.setattr(cbc_module, "sigma_alpha", counted_sigma)
+    cbc_module.single_sigma_grid.cache_clear()
+    d, n = 3, 30
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    run(product_cosine(d), n, params, 0.5, RunConfig(seed=1, repetitions=200))
+    # p // 2 + 1 points per table: one size per prime of the pool 17, 19, 23, 29
+    assert sorted(points) == sorted({p // 2 + 1 for p in build_prime_pool(n).primes})
+    cbc_module.single_sigma_grid.cache_clear()
