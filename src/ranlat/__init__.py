@@ -2,7 +2,8 @@
 
 Construction of generating vectors for the random-prime fixed-vector
 algorithm, exact deterministic and randomised error evaluation, fast CBC
-search, and online randomised integration.
+search, and online randomised integration.  The reference paths that check
+them live in `ranlat.oracles`, which only `ranlat verify` imports.
 """
 
 __version__ = "0.1.0"
@@ -13,36 +14,16 @@ from .errors import (
     BoundParams,
     ErrorReport,
     default_lambda_grid,
-    good_set_threshold,
     randomized_error_sq_fixed,
-    theorem_bound_eran,
     theorem_bound_min,
     worst_case_error_sq,
 )
-from .kernels import (
-    DomainError,
-    KorobovSpaceParams,
-    UnsupportedSmoothnessError,
-    poly_weights,
-    r_alpha,
-    sigma_alpha,
-    zeta,
-)
-from .primes import (
-    PrimePool,
-    ResidueVector,
-    build_prime_pool,
-    crt_reconstruct,
-    is_prime,
-    primitive_root,
-    sieve_primes,
-)
+from .kernels import DomainError, KorobovSpaceParams, poly_weights
+from .primes import ResidueVector
 from .runtime import (
     Integrand,
     RunConfig,
-    SplitMix64,
     lattice_rule,
-    product_bernoulli,
     product_cosine,
     run_rp_cbc,
     run_rp_rv,
@@ -55,32 +36,18 @@ __all__ = [
     "ErrorReport",
     "Integrand",
     "KorobovSpaceParams",
-    "PrimePool",
     "ResidueVector",
     "RunConfig",
-    "SplitMix64",
-    "UnsupportedSmoothnessError",
-    "build_prime_pool",
     "cbc_construct",
     "construct_fixed_vector",
-    "crt_reconstruct",
     "default_lambda_grid",
-    "good_set_threshold",
-    "is_prime",
     "lattice_rule",
     "poly_weights",
-    "primitive_root",
-    "product_bernoulli",
     "product_cosine",
-    "r_alpha",
     "randomized_error_sq_fixed",
     "run_rp_cbc",
     "run_rp_rv",
     "run_rpfv",
-    "sieve_primes",
-    "sigma_alpha",
-    "theorem_bound_eran",
     "theorem_bound_min",
     "worst_case_error_sq",
-    "zeta",
 ]

@@ -5,7 +5,7 @@ sigma_alpha(k z_j / m)) of the rule modulo m, for one prime modulus or, by
 the CRT, a pair of them, so that the squared-error increment theta of every
 candidate residue comes out of a single Rader convolution sweep.  As sigma_alpha
 is even, so is P: a record stores the rows k_1 <= m_1/2 of its first axis, and
-sigma is evaluated once per class +-c.  A naive O(p^2) path is kept as an oracle.
+sigma is evaluated once per class +-c.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fftconv import rader_cbc_kernel, rader_cbc_kernel_naive
+from .fftconv import rader_cbc_kernel
 from .kernels import DomainError, KorobovSpaceParams, sigma_alpha
 from .primes import residue_perm
 
@@ -103,14 +103,6 @@ def theta_all(state: CbcState) -> np.ndarray:
     return gam2 / p * rader_cbc_kernel(p, state.grid, state.P_products)
 
 
-def theta_all_naive(state: CbcState) -> np.ndarray:
-    """O(p^2) double-loop reference for theta_all."""
-    (p,) = state.moduli
-    gam2 = state.params.gamma[state.dims] ** 2
-    full = np.minimum(np.arange(p), p - np.arange(p))  # P(p - k) = P(k)
-    return gam2 / p * rader_cbc_kernel_naive(p, state.grid[full], state.P_products[full])
-
-
 def argmin_first(values: np.ndarray) -> int:
     """Index of the minimum, ties broken by smallest index.
 
@@ -149,15 +141,5 @@ def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
     state = CbcState((p,), params, zip(z))
     for _ in range(2, params.d + 1):
         z.append(argmin_first(theta_all(state)))
-        state.extend(z[-1])
-    return tuple(z)
-
-
-def cbc_construct_naive(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
-    """Oracle CBC: exhaustive per-component argmin via the naive theta sweep."""
-    z = [1]
-    state = CbcState((p,), params, zip(z))
-    for _ in range(2, params.d + 1):
-        z.append(argmin_first(theta_all_naive(state)))
         state.extend(z[-1])
     return tuple(z)

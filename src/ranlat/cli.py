@@ -23,13 +23,11 @@ from .errors import (
     BoundParams,
     ErrorReport,
     default_lambda_grid,
-    dual_tail_bound,
     randomized_error_sq_fixed,
-    randomized_error_sq_truncated,
     theorem_bound_min,
     worst_case_error_sq,
 )
-from .fftconv import rader_cbc_kernel, rader_cbc_kernel_naive
+from .fftconv import rader_cbc_kernel
 from .kernels import DomainError, KorobovSpaceParams, poly_weights
 from .primes import C_PRIME, ResidueVector, build_prime_pool, sieve_primes
 from .runtime import (
@@ -76,11 +74,14 @@ def parse_k_range(spec: str) -> range:
     return range(a, b + 1)
 
 
+def nearest_prime(x: float, primes: Sequence[int]) -> int:
+    """The p in primes minimising |p - x|, ties resolved to the smaller prime."""
+    return int(min(primes, key=lambda p: (abs(p - x), p)))
+
+
 def closest_prime(x: float) -> int:
     """Prime minimising |p - x|, ties resolved to the smaller prime."""
-    limit = max(8, int(2 * x) + 100)
-    primes = sieve_primes(limit)
-    return int(min(primes, key=lambda p: (abs(p - x), p)))
+    return nearest_prime(x, sieve_primes(max(8, int(2 * x) + 100)))
 
 
 def vector_to_dict(v: ResidueVector, params: KorobovSpaceParams, tau: float,
@@ -191,9 +192,18 @@ def cmd_study(args: argparse.Namespace) -> int:
     gamma = parse_gamma_spec(args.gamma_spec, args.d)
     params = KorobovSpaceParams(d=args.d, alpha=args.alpha, gamma=gamma)
     ks = parse_k_range(args.k_range)
+    # Bertrand's postulate puts a prime in (x, 2x] for x >= 1, so the prime
+    # closest to x = 1.2^k is at most 4 max_n when x <= 2 max_n, and above the
+    # cap when x > 2 max_n: one sieve serves every row.
+    primes = sieve_primes(4 * args.max_n + 100)
     ns: list[int] = []
     for k in ks:
-        n = closest_prime(1.2 ** k)
+        x = 1.2 ** k
+        if x > 2 * args.max_n:
+            print(f"warning: skipping k={k}: the prime closest to 1.2^{k} exceeds cap "
+                  f"{args.max_n} (raise --max-n to override)", file=sys.stderr)
+            continue
+        n = nearest_prime(x, primes)
         if n not in ns:
             ns.append(n)
     ns.sort()
@@ -264,6 +274,8 @@ def _verify_lemma_averaging() -> list[str]:
 
 
 def _verify_fft_oracle() -> list[str]:
+    from .oracles import rader_cbc_kernel_naive
+
     failures = []
     rng = SplitMix64(2024)
     primes = [p for p in sieve_primes(200) if p >= 3]
@@ -284,6 +296,8 @@ def _verify_fft_oracle() -> list[str]:
 
 
 def _verify_eran_oracle() -> list[str]:
+    from .oracles import dual_tail_bound, randomized_error_sq_truncated
+
     failures = []
     params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 2.0))
     v = construct_fixed_vector(20, 2, params, tau=0.5)

@@ -29,7 +29,7 @@ import numpy as np
 from .cbc import CbcState, argmin_first, candidate_set, theta_all
 from .errors import DomainError
 from .fftconv import rader_cbc_kernel
-from .kernels import KorobovSpaceParams, sigma_alpha
+from .kernels import KorobovSpaceParams
 from .primes import PrimePool, ResidueVector, build_prime_pool
 
 
@@ -204,64 +204,3 @@ def construct_fixed_vector(
         residues=tuple(tuple(state.residues[p]) for p in pool.primes),
         d=d,
     )
-
-
-# ---------------------------------------------------------------------------
-# Naive reference (oracle) evaluation of T-hat
-# ---------------------------------------------------------------------------
-
-def t_hat_all_naive(
-    pool: PrimePool,
-    params: KorobovSpaceParams,
-    p: int,
-    residues: dict[int, list[int]],
-) -> np.ndarray:
-    """Direct triple-loop evaluation of T-hat over (q, l, k); no FFT, no grids.
-
-    residues[p] holds p's s-1 prefix components, which set the dimension s;
-    residues[q] holds at least those s-1 for every pool prime, and also z_s
-    for q < p.
-    """
-    s = len(residues[p]) + 1
-    alpha = params.alpha
-    gam2 = params.gamma[s - 1] ** 2
-    out = np.zeros(p)
-
-    def prefix_prod(k: int, q: int | None, l: int | None) -> float:
-        prod = 1.0
-        for j in range(s - 1):
-            x = k * residues[p][j] / p
-            if q is not None:
-                x += l * residues[q][j] / q
-            prod *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(x % 1.0, alpha)
-        return prod
-
-    for z in range(p):
-        # theta term
-        acc = 0.0
-        for k in range(p):
-            acc += sigma_alpha(k * z / p % 1.0, alpha) * prefix_prod(k, None, None)
-        total = gam2 / p * acc
-        # smaller primes
-        for q in pool.primes:
-            if q >= p:
-                continue
-            zq = residues[q][s - 1]
-            acc = 0.0
-            for l in range(q):
-                for k in range(p):
-                    acc += sigma_alpha(
-                        (k * z / p + l * zq / q) % 1.0, alpha
-                    ) * prefix_prod(k, q, l)
-            total += 2.0 / q * gam2 / p * acc
-        # larger primes
-        for q in pool.primes:
-            if q <= p:
-                continue
-            acc = 0.0
-            for k in range(p):
-                bracket = sum(prefix_prod(k, q, l) for l in range(q))
-                acc += sigma_alpha(k * q * z / p % 1.0, alpha) * bracket
-            total += 2.0 * gam2 / (q ** (2 * alpha + 1) * p) * acc
-        out[z] = total
-    return out

@@ -4,9 +4,8 @@ Contains the point formula for the squared worst-case error, the exact
 CRT prime-pair decomposition of the squared randomised error of the
 random-prime fixed-vector algorithm (both read the point products of
 `cbc.CbcState`, the half of an even record that the construction keeps for
-every prime and prime pair), truncated dual-lattice oracles used for
-cross-validation, the good-set thresholds, and the explicit theoretical
-error bound of the constructive theorem.
+every prime and prime pair), the good-set thresholds, and the explicit
+theoretical error bound of the constructive theorem.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cbc import CbcState
-from .kernels import DomainError, KorobovSpaceParams, mu_quantity, zeta
+from .kernels import DomainError, KorobovSpaceParams, mu_quantity
 from .primes import C_PRIME, ResidueVector
 
 _CLAMP_FLOOR = -1e-12
@@ -169,99 +168,6 @@ def randomized_error_sq_fixed(
     return ErrorReport(math.fsum(terms.values()), terms, clamped)
 
 
-def omega_weight(h: Sequence[int], v: ResidueVector) -> float:
-    """Fraction of pool primes p with h . z^(p) = 0 (mod p)."""
-    hits = 0
-    for p, res in zip(v.pool.primes, v.residues):
-        if sum(hj * zj for hj, zj in zip(h, res, strict=True)) % p == 0:
-            hits += 1
-    return hits / len(v.pool.primes)
-
-
-# ---------------------------------------------------------------------------
-# Truncated dual-lattice oracles (cross-validation only)
-# ---------------------------------------------------------------------------
-
-def _residue_weight_table(
-    n: int, zj: int, gamma: float, alpha: int, hmax: int
-) -> np.ndarray:
-    """a[m] = sum over |h| <= hmax with h zj = m (mod n) of r_alpha factor."""
-    h = np.arange(-hmax, hmax + 1, dtype=np.int64)
-    vals = np.empty(len(h))
-    nz = h != 0
-    vals[~nz] = 1.0
-    vals[nz] = gamma ** 2 / np.abs(h[nz]).astype(float) ** (2 * alpha)
-    table = np.zeros(n)
-    np.add.at(table, (h * (zj % n)) % n, vals)
-    return table
-
-
-def worst_case_error_sq_truncated(
-    n: int, z: Sequence[int], params: KorobovSpaceParams, hmax: int
-) -> float:
-    """Dual-lattice sum over the box |h_j| <= hmax with h . z = 0 (mod n).
-
-    Exact enumeration of the truncated sum via residue-class accumulation;
-    independent of the Bernoulli-kernel point formula.
-    """
-    acc = _residue_weight_table(n, int(z[0]), params.gamma[0], params.alpha, hmax)
-    for j in range(1, params.d):
-        nxt = _residue_weight_table(n, int(z[j]), params.gamma[j], params.alpha, hmax)
-        combined = np.zeros(n)
-        idx = np.arange(n)
-        for m in range(n):
-            combined[(m + idx) % n] += acc[m] * nxt
-        acc = combined
-    return float(acc[0]) - 1.0  # remove the h = 0 term
-
-
-def dual_tail_bound(params: KorobovSpaceParams, hmax: int) -> float:
-    """Upper bound on the dual sum over frequencies outside the |h_j| <= hmax box.
-
-    Drops the congruence condition: sum over all h with some |h_j| > hmax of
-    r_alpha^{-2}(h) = full product minus in-box product.
-    """
-    s = 2 * params.alpha
-    full = 1.0
-    inbox = 1.0
-    head = math.fsum(k ** (-float(s)) for k in range(1, hmax + 1))
-    for g in params.gamma:
-        full *= 1.0 + g * g * 2.0 * zeta(float(s))
-        inbox *= 1.0 + g * g * 2.0 * head
-    return full - inbox
-
-
-def randomized_error_sq_truncated(
-    v: ResidueVector, params: KorobovSpaceParams, hmax: int
-) -> float:
-    """Brute-force truncated sum of omega_n^2(h) r_alpha^{-2}(h) over the box.
-
-    Intended for small d only (cost (2 hmax + 1)^d).
-    """
-    d = params.d
-    primes = v.pool.primes
-    L = len(primes)
-    h1 = np.arange(-hmax, hmax + 1, dtype=np.int64)
-    grids = np.meshgrid(*([h1] * d), indexing="ij")
-    H = np.stack([g.ravel() for g in grids], axis=1)  # (m, d)
-    rinv2 = np.ones(len(H))
-    for j in range(d):
-        hj = np.abs(H[:, j]).astype(float)
-        factor = np.ones(len(H))
-        nz = hj != 0
-        factor[nz] = params.gamma[j] ** 2 / hj[nz] ** (2 * params.alpha)
-        rinv2 *= factor
-    omega = np.zeros(len(H))
-    for p, res in zip(primes, v.residues):
-        dot = np.zeros(len(H), dtype=np.int64)
-        for j in range(d):
-            dot += H[:, j] * res[j]
-        omega += (dot % p == 0).astype(float)
-    omega /= L
-    mask = np.any(H != 0, axis=1)
-    return float(np.sum(omega[mask] ** 2 * rinv2[mask]))
-
-
 # ---------------------------------------------------------------------------
 # Good-set thresholds and theoretical bounds
 # ---------------------------------------------------------------------------
@@ -276,34 +182,6 @@ def good_set_threshold(
     """
     def fun(lam: float) -> float:
         return (2.0 * mu_quantity(params, lam) / ((1.0 - bounds.tau) * p)) ** lam
-
-    return _grid_infimum(fun, bounds.lambda_grid)
-
-
-def sum_hs_nonzero(params: KorobovSpaceParams, s: int, lam: float) -> float:
-    """sum over h in Z^s with h_s != 0 of r_alpha^{-1/lambda}(h), product weights."""
-    z2 = 2.0 * zeta(params.alpha / lam)
-    out = params.gamma[s - 1] ** (1.0 / lam) * z2
-    for j in range(s - 1):
-        out *= 1.0 + params.gamma[j] ** (1.0 / lam) * z2
-    return out
-
-
-def component_threshold(
-    p: int, s: int, params: KorobovSpaceParams, bounds: BoundParams
-) -> float:
-    """Theta threshold defining the good set of s-th components.
-
-    inf over lambda of (2 S_s(lambda) / ((1 - tau) p))^(2 lambda) with
-    S_s the sum of r_alpha^{-1/lambda} over frequencies with h_s != 0.
-    """
-    if not 1 <= s <= params.d:
-        raise DomainError(f"component index must be in [1, {params.d}], got {s}")
-
-    def fun(lam: float) -> float:
-        return (
-            2.0 * sum_hs_nonzero(params, s, lam) / ((1.0 - bounds.tau) * p)
-        ) ** (2.0 * lam)
 
     return _grid_infimum(fun, bounds.lambda_grid)
 

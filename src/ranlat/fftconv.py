@@ -87,18 +87,3 @@ def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndar
     S[0] = fold * (v0 @ w.sum(axis=1)) - (fold - 1) * c0
     S[plan.z_index] = np.concatenate((c0 + fold * c,) * fold)
     return S
-
-
-def rader_cbc_kernel_naive(
-    p: int, values: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """O(p^2) reference evaluation of the candidate sweep."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != (p,) or w.shape != (p,):
-        raise ShapeError(f"naive kernel expects 1-D inputs of length p={p}")
-    k = np.arange(p)
-    out = np.empty(p)
-    for z in range(p):
-        out[z] = float(v[(k * z) % p] @ w)
-    return out

@@ -1,9 +1,10 @@
 """Scalar numeric kernels for weighted Korobov-space computations.
 
 Provides the periodic Bernoulli kernel sigma_alpha, Riemann zeta values
-for real arguments > 1, the frequency weight r_alpha and the mu-quantity
-(the weighted sum of r_alpha^{-1/lambda} over all nonzero frequencies,
-which has a closed-form product for product weights).
+for real arguments > 1 and the mu-quantity (the weighted sum of
+r_alpha^{-1/lambda} over all nonzero frequencies h, with r_alpha(h) =
+prod_{j in supp(h)} |h_j|^alpha / gamma_j, which has a closed-form product
+for product weights).
 
 All functions are pure and safe to call concurrently.
 """
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 SUPPORTED_ALPHA = (1, 2, 3)
@@ -133,15 +132,6 @@ def zeta(s: float) -> float:
         tail += b / math.factorial(2 * i) * rising * n ** (-s - 2 * i + 1)
         rising *= (s + 2 * i - 1) * (s + 2 * i)
     return head + tail
-
-
-def r_alpha(params: KorobovSpaceParams, h: Sequence[int]) -> float:
-    """Frequency weight prod_{j in supp(h)} |h_j|^alpha / gamma_j; 1 for h = 0."""
-    out = 1.0
-    for j, hj in enumerate(h):
-        if hj != 0:
-            out *= abs(hj) ** params.alpha / params.gamma[j]
-    return out
 
 
 def mu_quantity(params: KorobovSpaceParams, lam: float) -> float:

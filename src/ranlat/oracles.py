@@ -1,0 +1,292 @@
+"""Reference paths: slow, independent evaluations that check the product.
+
+Nothing in the package calls these except `ranlat verify`; the tests read
+them as oracles.  Each one computes what a product path computes fast, by a
+route that shares as little with it as possible: the candidate sweep and
+theta by direct O(p^2) sums, CBC by exhaustive argmin, T-hat by a triple
+loop over (q, l, k), the errors by truncated dual-lattice sums, and a
+unit-norm truncated worst-case integrand.  This module imports the product;
+the product never imports it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from .cbc import CbcState, argmin_first
+from .errors import BoundParams, _grid_infimum
+from .fftconv import ShapeError
+from .kernels import DomainError, KorobovSpaceParams, sigma_alpha, zeta
+from .primes import PrimePool, ResidueVector
+from .runtime import Integrand
+
+
+# ---------------------------------------------------------------------------
+# Candidate sweep, theta and CBC
+# ---------------------------------------------------------------------------
+
+def rader_cbc_kernel_naive(
+    p: int, values: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """O(p^2) reference evaluation of the candidate sweep."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if v.shape != (p,) or w.shape != (p,):
+        raise ShapeError(f"naive kernel expects 1-D inputs of length p={p}")
+    k = np.arange(p)
+    out = np.empty(p)
+    for z in range(p):
+        out[z] = float(v[(k * z) % p] @ w)
+    return out
+
+
+def theta_all_naive(state: CbcState) -> np.ndarray:
+    """O(p^2) double-loop reference for theta_all."""
+    (p,) = state.moduli
+    gam2 = state.params.gamma[state.dims] ** 2
+    full = np.minimum(np.arange(p), p - np.arange(p))  # P(p - k) = P(k)
+    return gam2 / p * rader_cbc_kernel_naive(p, state.grid[full], state.P_products[full])
+
+
+def cbc_construct_naive(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
+    """Oracle CBC: exhaustive per-component argmin via the naive theta sweep."""
+    z = [1]
+    state = CbcState((p,), params, zip(z))
+    for _ in range(2, params.d + 1):
+        z.append(argmin_first(theta_all_naive(state)))
+        state.extend(z[-1])
+    return tuple(z)
+
+
+# ---------------------------------------------------------------------------
+# T-hat
+# ---------------------------------------------------------------------------
+
+def t_hat_all_naive(
+    pool: PrimePool,
+    params: KorobovSpaceParams,
+    p: int,
+    residues: dict[int, list[int]],
+) -> np.ndarray:
+    """Direct triple-loop evaluation of T-hat over (q, l, k); no FFT, no grids.
+
+    residues[p] holds p's s-1 prefix components, which set the dimension s;
+    residues[q] holds at least those s-1 for every pool prime, and also z_s
+    for q < p.
+    """
+    s = len(residues[p]) + 1
+    alpha = params.alpha
+    gam2 = params.gamma[s - 1] ** 2
+    out = np.zeros(p)
+
+    def prefix_prod(k: int, q: int | None, l: int | None) -> float:
+        prod = 1.0
+        for j in range(s - 1):
+            x = k * residues[p][j] / p
+            if q is not None:
+                x += l * residues[q][j] / q
+            prod *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(x % 1.0, alpha)
+        return prod
+
+    for z in range(p):
+        # theta term
+        acc = 0.0
+        for k in range(p):
+            acc += sigma_alpha(k * z / p % 1.0, alpha) * prefix_prod(k, None, None)
+        total = gam2 / p * acc
+        # smaller primes
+        for q in pool.primes:
+            if q >= p:
+                continue
+            zq = residues[q][s - 1]
+            acc = 0.0
+            for l in range(q):
+                for k in range(p):
+                    acc += sigma_alpha(
+                        (k * z / p + l * zq / q) % 1.0, alpha
+                    ) * prefix_prod(k, q, l)
+            total += 2.0 / q * gam2 / p * acc
+        # larger primes
+        for q in pool.primes:
+            if q <= p:
+                continue
+            acc = 0.0
+            for k in range(p):
+                bracket = sum(prefix_prod(k, q, l) for l in range(q))
+                acc += sigma_alpha(k * q * z / p % 1.0, alpha) * bracket
+            total += 2.0 * gam2 / (q ** (2 * alpha + 1) * p) * acc
+        out[z] = total
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Errors: the CRT point formula and truncated dual-lattice sums
+# ---------------------------------------------------------------------------
+
+def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
+    """Unique x in [0, m1 m2) with x = r1 (mod m1) and x = r2 (mod m2)."""
+    inv = pow(m2, -1, m1)
+    return (r2 + m2 * ((r1 - r2) * inv % m1)) % (m1 * m2)
+
+
+def r_alpha(params: KorobovSpaceParams, h: Sequence[int]) -> float:
+    """Frequency weight prod_{j in supp(h)} |h_j|^alpha / gamma_j; 1 for h = 0."""
+    out = 1.0
+    for j, hj in enumerate(h):
+        if hj != 0:
+            out *= abs(hj) ** params.alpha / params.gamma[j]
+    return out
+
+
+def omega_weight(h: Sequence[int], v: ResidueVector) -> float:
+    """Fraction of pool primes p with h . z^(p) = 0 (mod p)."""
+    hits = 0
+    for p, res in zip(v.pool.primes, v.residues):
+        if sum(hj * zj for hj, zj in zip(h, res, strict=True)) % p == 0:
+            hits += 1
+    return hits / len(v.pool.primes)
+
+
+def _residue_weight_table(
+    n: int, zj: int, gamma: float, alpha: int, hmax: int
+) -> np.ndarray:
+    """a[m] = sum over |h| <= hmax with h zj = m (mod n) of r_alpha factor."""
+    h = np.arange(-hmax, hmax + 1, dtype=np.int64)
+    vals = np.empty(len(h))
+    nz = h != 0
+    vals[~nz] = 1.0
+    vals[nz] = gamma ** 2 / np.abs(h[nz]).astype(float) ** (2 * alpha)
+    table = np.zeros(n)
+    np.add.at(table, (h * (zj % n)) % n, vals)
+    return table
+
+
+def worst_case_error_sq_truncated(
+    n: int, z: Sequence[int], params: KorobovSpaceParams, hmax: int
+) -> float:
+    """Dual-lattice sum over the box |h_j| <= hmax with h . z = 0 (mod n).
+
+    Exact enumeration of the truncated sum via residue-class accumulation;
+    independent of the Bernoulli-kernel point formula.
+    """
+    acc = _residue_weight_table(n, int(z[0]), params.gamma[0], params.alpha, hmax)
+    for j in range(1, params.d):
+        nxt = _residue_weight_table(n, int(z[j]), params.gamma[j], params.alpha, hmax)
+        combined = np.zeros(n)
+        idx = np.arange(n)
+        for m in range(n):
+            combined[(m + idx) % n] += acc[m] * nxt
+        acc = combined
+    return float(acc[0]) - 1.0  # remove the h = 0 term
+
+
+def dual_tail_bound(params: KorobovSpaceParams, hmax: int) -> float:
+    """Upper bound on the dual sum over frequencies outside the |h_j| <= hmax box.
+
+    Drops the congruence condition: sum over all h with some |h_j| > hmax of
+    r_alpha^{-2}(h) = full product minus in-box product.
+    """
+    s = 2 * params.alpha
+    full = 1.0
+    inbox = 1.0
+    head = math.fsum(k ** (-float(s)) for k in range(1, hmax + 1))
+    for g in params.gamma:
+        full *= 1.0 + g * g * 2.0 * zeta(float(s))
+        inbox *= 1.0 + g * g * 2.0 * head
+    return full - inbox
+
+
+def randomized_error_sq_truncated(
+    v: ResidueVector, params: KorobovSpaceParams, hmax: int
+) -> float:
+    """Brute-force truncated sum of omega_n^2(h) r_alpha^{-2}(h) over the box.
+
+    Intended for small d only (cost (2 hmax + 1)^d).
+    """
+    d = params.d
+    primes = v.pool.primes
+    L = len(primes)
+    h1 = np.arange(-hmax, hmax + 1, dtype=np.int64)
+    grids = np.meshgrid(*([h1] * d), indexing="ij")
+    H = np.stack([g.ravel() for g in grids], axis=1)  # (m, d)
+    rinv2 = np.ones(len(H))
+    for j in range(d):
+        hj = np.abs(H[:, j]).astype(float)
+        factor = np.ones(len(H))
+        nz = hj != 0
+        factor[nz] = params.gamma[j] ** 2 / hj[nz] ** (2 * params.alpha)
+        rinv2 *= factor
+    omega = np.zeros(len(H))
+    for p, res in zip(primes, v.residues):
+        dot = np.zeros(len(H), dtype=np.int64)
+        for j in range(d):
+            dot += H[:, j] * res[j]
+        omega += (dot % p == 0).astype(float)
+    omega /= L
+    mask = np.any(H != 0, axis=1)
+    return float(np.sum(omega[mask] ** 2 * rinv2[mask]))
+
+
+def truncated_extremal(
+    v: ResidueVector, params: KorobovSpaceParams, hmax: int
+) -> Integrand:
+    """Unit-norm truncation of the worst-case fit function for the fixed-vector rule.
+
+    f(x) = (1/c) sum over the |h_j| <= hmax box, h != 0, of
+    omega_n(h) r_alpha^{-2}(h) cos(2 pi h . x), with c chosen so ||f|| = 1.
+    Integral is 0.
+    """
+    d = params.d
+    h1 = np.arange(-hmax, hmax + 1, dtype=np.int64)
+    grids = np.meshgrid(*([h1] * d), indexing="ij")
+    H = np.stack([g.ravel() for g in grids], axis=1)
+    H = H[np.any(H != 0, axis=1)]
+    coeff = np.array(
+        [omega_weight(h, v) / r_alpha(params, h) ** 2 for h in H]
+    )
+    keep = coeff > 0.0
+    H, coeff = H[keep], coeff[keep]
+    norm = math.sqrt(
+        math.fsum(c * c * r_alpha(params, h) ** 2 for c, h in zip(coeff, H))
+    )
+
+    def f(x: np.ndarray) -> np.ndarray:
+        phase = 2.0 * math.pi * (x @ H.T)
+        return (np.cos(phase) @ coeff) / norm
+
+    return Integrand(evaluate=f, d=d)
+
+
+# ---------------------------------------------------------------------------
+# Component thresholds
+# ---------------------------------------------------------------------------
+
+def sum_hs_nonzero(params: KorobovSpaceParams, s: int, lam: float) -> float:
+    """sum over h in Z^s with h_s != 0 of r_alpha^{-1/lambda}(h), product weights."""
+    z2 = 2.0 * zeta(params.alpha / lam)
+    out = params.gamma[s - 1] ** (1.0 / lam) * z2
+    for j in range(s - 1):
+        out *= 1.0 + params.gamma[j] ** (1.0 / lam) * z2
+    return out
+
+
+def component_threshold(
+    p: int, s: int, params: KorobovSpaceParams, bounds: BoundParams
+) -> float:
+    """Theta threshold defining the good set of s-th components.
+
+    inf over lambda of (2 S_s(lambda) / ((1 - tau) p))^(2 lambda) with
+    S_s the sum of r_alpha^{-1/lambda} over frequencies with h_s != 0.
+    """
+    if not 1 <= s <= params.d:
+        raise DomainError(f"component index must be in [1, {params.d}], got {s}")
+
+    def fun(lam: float) -> float:
+        return (
+            2.0 * sum_hs_nonzero(params, s, lam) / ((1.0 - bounds.tau) * p)
+        ) ** (2.0 * lam)
+
+    return _grid_infimum(fun, bounds.lambda_grid)

@@ -1,9 +1,8 @@
 """Prime pools, primitive roots and the residue representation of generating vectors.
 
 The budget-n prime pool is the set of primes in (n/2, n].  A generating
-vector modulo N = prod(p in pool) is stored as per-prime residue tuples;
-the huge integer representative is only materialised on request through
-the Chinese remainder theorem.
+vector modulo N = prod(p in pool) is stored as per-prime residue tuples,
+never as its huge integer representative.
 """
 
 from __future__ import annotations
@@ -113,36 +112,7 @@ class ResidueVector:
             if any(not (0 <= r < p) for r in res):
                 raise ValueError(f"residues for p={p} must lie in [0, {p})")
 
-    def truncated(self, d: int) -> "ResidueVector":
-        """Restriction to the first d components (usable for any d' <= d)."""
-        if not 1 <= d <= self.d:
-            raise ValueError(f"cannot truncate dimension {self.d} to {d}")
-        return ResidueVector(
-            pool=self.pool,
-            residues=tuple(res[:d] for res in self.residues),
-            d=d,
-        )
-
 
 def residue_perm(p: int, z: int) -> np.ndarray:
     """k z mod p for k = 0..p-1: the residue of the k-th point's coordinate."""
     return np.arange(p, dtype=np.int64) * (z % p) % p
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Unique x in [0, m1 m2) with x = r1 (mod m1) and x = r2 (mod m2)."""
-    inv = pow(m2, -1, m1)
-    return (r2 + m2 * ((r1 - r2) * inv % m1)) % (m1 * m2)
-
-
-def crt_reconstruct(v: ResidueVector, component: int) -> int:
-    """The unique z_j in Z_N with z_j = z_j^(p) (mod p) for every pool prime.
-
-    component is 0-based.  Exact arbitrary-precision arithmetic; intended
-    for export and display only.
-    """
-    x, m = 0, 1
-    for p, res in zip(v.pool.primes, v.residues):
-        x = crt_pair(res[component], p, x, m)
-        m *= p
-    return x

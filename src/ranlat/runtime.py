@@ -1,4 +1,4 @@
-"""Online randomised integration algorithms and built-in test integrands.
+"""Online randomised integration algorithms and the integrands of `ranlat integrate`.
 
 Randomness comes from a SplitMix64 generator specified bit-exactly below,
 so identical (seed, repetitions) configurations reproduce byte-identical
@@ -15,14 +15,8 @@ from typing import Callable
 import numpy as np
 
 from . import cbc
-from .errors import (
-    BoundParams,
-    default_lambda_grid,
-    good_set_threshold,
-    omega_weight,
-    worst_case_error_sq,
-)
-from .kernels import DomainError, KorobovSpaceParams, r_alpha, sigma_alpha
+from .errors import BoundParams, default_lambda_grid, good_set_threshold, worst_case_error_sq
+from .kernels import DomainError, KorobovSpaceParams, sigma_alpha
 from .primes import ResidueVector, build_prime_pool
 
 _MASK64 = (1 << 64) - 1
@@ -104,36 +98,6 @@ def product_bernoulli(params: KorobovSpaceParams) -> Integrand:
         return np.prod(1.0 + gam * sigma_alpha(x, params.alpha), axis=1)
 
     return Integrand(evaluate=f, d=params.d)
-
-
-def truncated_extremal(
-    v: ResidueVector, params: KorobovSpaceParams, hmax: int
-) -> Integrand:
-    """Unit-norm truncation of the worst-case fit function for the fixed-vector rule.
-
-    f(x) = (1/c) sum over the |h_j| <= hmax box, h != 0, of
-    omega_n(h) r_alpha^{-2}(h) cos(2 pi h . x), with c chosen so ||f|| = 1.
-    Integral is 0.
-    """
-    d = params.d
-    h1 = np.arange(-hmax, hmax + 1, dtype=np.int64)
-    grids = np.meshgrid(*([h1] * d), indexing="ij")
-    H = np.stack([g.ravel() for g in grids], axis=1)
-    H = H[np.any(H != 0, axis=1)]
-    coeff = np.array(
-        [omega_weight(h, v) / r_alpha(params, h) ** 2 for h in H]
-    )
-    keep = coeff > 0.0
-    H, coeff = H[keep], coeff[keep]
-    norm = math.sqrt(
-        math.fsum(c * c * r_alpha(params, h) ** 2 for c, h in zip(coeff, H))
-    )
-
-    def f(x: np.ndarray) -> np.ndarray:
-        phase = 2.0 * math.pi * (x @ H.T)
-        return (np.cos(phase) @ coeff) / norm
-
-    return Integrand(evaluate=f, d=d)
 
 
 @dataclass(frozen=True)

@@ -9,32 +9,26 @@ import time
 
 import numpy as np
 
-from ranlat.cbc import (
-    CbcState,
-    candidate_set,
-    cbc_construct,
-    cbc_construct_naive,
-    theta_all,
-    theta_all_naive,
-)
-from ranlat.construct import (
-    ConstructionState,
-    construct_fixed_vector,
-    t_hat_all_naive,
-)
+from ranlat.cbc import CbcState, candidate_set, cbc_construct, theta_all
+from ranlat.construct import ConstructionState, construct_fixed_vector
 from ranlat.errors import (
     BoundParams,
     default_lambda_grid,
-    dual_tail_bound,
     good_set_threshold,
-    component_threshold,
     randomized_error_sq_fixed,
-    randomized_error_sq_truncated,
     theorem_bound_min,
     worst_case_error_sq,
-    worst_case_error_sq_truncated,
 )
 from ranlat.kernels import KorobovSpaceParams, poly_weights
+from ranlat.oracles import (
+    cbc_construct_naive,
+    component_threshold,
+    dual_tail_bound,
+    randomized_error_sq_truncated,
+    t_hat_all_naive,
+    theta_all_naive,
+    worst_case_error_sq_truncated,
+)
 from ranlat.primes import ResidueVector, build_prime_pool, sieve_primes
 from ranlat.runtime import RunConfig, SplitMix64, product_cosine, run_rpfv
 from ranlat.cli import closest_prime

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ranlat.cbc import (
-    CbcState,
-    argmin_first,
-    cbc_construct,
-    cbc_construct_naive,
-    theta_all,
-    theta_all_naive,
-)
+from ranlat.cbc import CbcState, argmin_first, cbc_construct, theta_all
 from ranlat.errors import _error_sq, worst_case_error_sq
 from ranlat.kernels import KorobovSpaceParams, mu_quantity, poly_weights, sigma_alpha, zeta
+from ranlat.oracles import cbc_construct_naive, theta_all_naive
 from ranlat.primes import sieve_primes
 
 

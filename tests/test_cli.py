@@ -1,9 +1,9 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
+import ranlat.cli as cli
 import ranlat.primes as primes_module
 from ranlat.cli import (
     EXIT_OK,
@@ -15,7 +15,7 @@ from ranlat.cli import (
     read_vector_file,
 )
 from ranlat.kernels import DomainError, zeta
-from ranlat.primes import crt_reconstruct
+from ranlat.primes import sieve_primes
 
 
 def test_parse_gamma_spec():
@@ -51,8 +51,6 @@ def test_construct_writes_valid_vector_file(tmp_path):
     assert all(row[0] == 1 for row in data["residues"])
     # round trip is bit-exact
     assert [list(r) for r in v.residues] == data["residues"]
-    x = crt_reconstruct(v, 1)
-    assert x % 7 == v.residues[0][1] and x % 11 == v.residues[1][1]
 
 
 def test_construct_d1_closed_form(tmp_path, capsys):
@@ -207,3 +205,31 @@ def test_study_single_row_has_absent_slopes(tmp_path):
     assert rc == EXIT_OK
     text = out.read_text()
     assert "absent" in text
+
+
+def test_study_sieves_once_up_to_the_cap(monkeypatch, capsys):
+    # a sieve for the budget of each k up to 200 would reach 2 * 1.2^200 ~ 1.4e16
+    # bytes; the spy raises before any sieve above the cap's bound allocates
+    def spy(limit):
+        if limit > 4 * 40 + 100:
+            raise AssertionError(f"sieve to {limit} for --max-n 40")
+        limits.append(limit)
+        return sieve_primes(limit)
+
+    limits = []
+    monkeypatch.setattr(cli, "sieve_primes", spy)
+    args = ["study", "--alpha", "1", "--d", "3", "--max-n", "40", "--k-range"]
+    assert main(args + ["15..200"]) == EXIT_OK
+    wide = capsys.readouterr()
+    assert limits == [4 * 40 + 100]
+    assert "skipping k=25:" in wide.err and "skipping k=200:" in wide.err
+    assert main(args + ["15..23"]) == EXIT_OK
+    narrow = capsys.readouterr().out
+
+    def without_seconds(csv):
+        return [line if line.startswith("#") else line.rsplit(",", 1)[0]
+                for line in csv.splitlines()]
+
+    assert without_seconds(wide.out) == without_seconds(narrow)
+    assert [line.split(",")[0] for line in narrow.splitlines()[1:-2]] == [
+        "17", "19", "23", "29", "31", "37"]

@@ -15,10 +15,10 @@ from ranlat.construct import (
     construct_fixed_vector,
     estimate_cached_bytes,
     select_candidate,
-    t_hat_all_naive,
 )
 from ranlat.errors import randomized_error_sq_fixed
 from ranlat.kernels import KorobovSpaceParams, poly_weights
+from ranlat.oracles import t_hat_all_naive
 from ranlat.primes import ResidueVector, build_prime_pool
 
 
@@ -205,7 +205,7 @@ def _count_pair_builds(monkeypatch):
     return counts
 
 
-def test_streaming_and_cached_identical(monkeypatch):
+def test_kept_and_rebuilt_identical(monkeypatch):
     # kept: the pair records are kept between dimensions; rebuilt: they are
     # rebuilt from the chosen prefix whenever they are read
     params = _params(4)

@@ -13,20 +13,23 @@ from ranlat.errors import (
     BoundParams,
     point_products,
     default_lambda_grid,
-    dual_tail_bound,
     good_set_threshold,
-    component_threshold,
-    omega_weight,
     randomized_error_sq_fixed,
-    randomized_error_sq_truncated,
     theorem_bound_eran,
     theorem_bound_min,
     theorem_constant,
     worst_case_error_sq,
-    worst_case_error_sq_truncated,
 )
 from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights, sigma_alpha, zeta
-from ranlat.primes import ResidueVector, build_prime_pool, crt_pair
+from ranlat.oracles import (
+    component_threshold,
+    crt_pair,
+    dual_tail_bound,
+    omega_weight,
+    randomized_error_sq_truncated,
+    worst_case_error_sq_truncated,
+)
+from ranlat.primes import ResidueVector, build_prime_pool
 
 UNIT_1D = KorobovSpaceParams(d=1, alpha=1, gamma=(1.0,))
 

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranlat.fftconv import (
-    ShapeError,
-    power_permutation,
-    rader_cbc_kernel,
-    rader_cbc_kernel_naive,
-    rader_plan,
-)
+from ranlat.fftconv import ShapeError, power_permutation, rader_cbc_kernel, rader_plan
+from ranlat.oracles import rader_cbc_kernel_naive
 from ranlat.primes import NotPrimeError, primitive_root, sieve_primes
 
 

@@ -3,11 +3,11 @@
 The fixtures under tests/data were written by scripts/golden_fixtures.py.
 Any change to the T-hat evaluation or the e_ran evaluation must leave every
 residue and e_ran^2 bit-identical, under both pair-table policies.  A policy
-is forced through the memory probe.  The kept policy (id "cached") sees
-ample memory, so the pair records are kept between dimensions.  The rebuilt
-policy (id "streaming") sees none, so each pair record is rebuilt from the
-chosen prefix every time it is read.  A change that moves the numerics on
-purpose regenerates the fixtures and says so.
+is forced through the memory probe.  The kept policy sees ample memory, so
+the pair records are kept between dimensions.  The rebuilt policy sees none,
+so each pair record is rebuilt from the chosen prefix every time it is read.
+A change that moves the numerics on purpose regenerates the fixtures and
+says so.
 """
 
 import json
@@ -19,7 +19,7 @@ from ranlat import construct
 from ranlat.errors import randomized_error_sq_fixed
 from ranlat.kernels import KorobovSpaceParams
 
-PROBED_MEMORY = {"cached": 1 << 62, "streaming": 0}
+PROBED_MEMORY = {"kept": 1 << 62, "rebuilt": 0}
 FIXTURES = sorted((pathlib.Path(__file__).parent / "data").glob("golden_*.json"))
 
 
@@ -28,7 +28,7 @@ def test_fixture_grid_present():
     assert names == {f"golden_n{n}.json" for n in (12, 30, 53, 101)}
 
 
-@pytest.mark.parametrize("policy", ["cached", "streaming"])
+@pytest.mark.parametrize("policy", ["kept", "rebuilt"])
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda path: path.stem)
 def test_golden_vectors_reproduced(path, policy, monkeypatch):
     monkeypatch.setattr(

@@ -10,10 +10,10 @@ from ranlat.kernels import (
     UnsupportedSmoothnessError,
     mu_quantity,
     poly_weights,
-    r_alpha,
     sigma_alpha,
     zeta,
 )
+from ranlat.oracles import r_alpha
 
 
 def test_zeta_known_values():

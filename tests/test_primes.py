@@ -1,14 +1,10 @@
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from ranlat.oracles import crt_pair
 from ranlat.primes import (
     BudgetTooSmallError,
-    PrimePool,
     ResidueVector,
     build_prime_pool,
-    crt_pair,
-    crt_reconstruct,
     is_prime,
     primitive_root,
     sieve_primes,
@@ -67,39 +63,3 @@ def test_residue_vector_validation():
 def test_crt_pair_example():
     assert crt_pair(2, 3, 3, 5) == 8
     assert crt_pair(1, 7, 1, 11) == 1
-
-
-def test_crt_reconstruct_examples():
-    pool = build_prime_pool(20)
-    # all residues 1 -> integer 1 in every component
-    ones = ResidueVector(pool=pool, residues=tuple((1, 1) for _ in pool.primes), d=2)
-    assert crt_reconstruct(ones, 0) == 1
-    assert crt_reconstruct(ones, 1) == 1
-
-
-def test_crt_reconstruct_two_primes():
-    pool = PrimePool(n=13, primes=(11, 13))
-    v = ResidueVector(pool=pool, residues=((7,), (2,)), d=1)
-    x = crt_reconstruct(v, 0)
-    assert x % 11 == 7 and x % 13 == 2 and 0 <= x < 143
-
-
-@given(st.data())
-def test_crt_round_trip(data):
-    pool = build_prime_pool(30)
-    residues = tuple(
-        (data.draw(st.integers(min_value=0, max_value=p - 1)),)
-        for p in pool.primes
-    )
-    v = ResidueVector(pool=pool, residues=residues, d=1)
-    x = crt_reconstruct(v, 0)
-    for p, (r,) in zip(pool.primes, residues):
-        assert x % p == r
-
-
-def test_truncated_vector():
-    pool = build_prime_pool(12)
-    v = ResidueVector(pool=pool, residues=((1, 3), (1, 5)), d=2)
-    w = v.truncated(1)
-    assert w.d == 1
-    assert w.residues == ((1,), (1,))

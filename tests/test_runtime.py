@@ -20,8 +20,8 @@ from ranlat.runtime import (
     run_rp_rv,
     run_rpfv,
     stream_seed,
-    truncated_extremal,
 )
+from ranlat.oracles import truncated_extremal
 
 
 def test_splitmix_reference_sequence():
