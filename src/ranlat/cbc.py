@@ -29,12 +29,12 @@ TIE_RTOL = 1e-9
 
 
 def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
-    """Read-only grid[a_1, ...] = sigma_alpha(min(c, m - c) / m), c = sum_i a_i m / m_i
+    """Read-only grid[a_1, a_2] = sigma_alpha(min(c, m - c) / m), c = (a_1 m / m_1 + a_2 m / m_2)
     mod m, on the stored rows a_1 <= m_1/2 of the CRT grid of m = prod(moduli)."""
     m = math.prod(moduli)
-    axes = [np.arange(0, m, m // k) for k in moduli]
-    axes[0] = axes[0][: moduli[0] // 2 + 1]
-    c = functools.reduce(np.add.outer, axes) % m
+    c = np.arange(moduli[0] // 2 + 1, dtype=np.int64) * (m // moduli[0])
+    if len(moduli) == 2:
+        c = np.add.outer(c, np.arange(0, m, moduli[0], dtype=np.int64)) % m
     grid = sigma_alpha(np.minimum(c, m - c, out=c) / m, alpha)
     grid.flags.writeable = False
     return grid
@@ -48,15 +48,15 @@ single_sigma_grid = functools.lru_cache(maxsize=1024)(sigma_grid)
 class CbcState:
     """Running point products of the rank-1 rule modulo m = prod(moduli).
 
-    The moduli are pairwise coprime: one modulus (p,), or a prime pair (q, p).
-    The CRT maps Z_m onto Z_{m_1} x ..., so the products live on that grid:
-    P_products[k_1, ...] = prod_j (1 + gamma_j^2 sigma_alpha(sum_i k_i z_ij / m_i))
+    The moduli are one modulus (p,) or a coprime prime pair (q, p).  The CRT
+    maps Z_m onto Z_{m_1} x Z_{m_2}, so the products live on that grid:
+    P_products[k_1, k_2] = prod_j (1 + gamma_j^2 sigma_alpha(k_1 z_1j / m_1 + k_2 z_2j / m_2))
     over the dims components folded in so far, `prefix` first.  Only the rows
     k_1 <= m_1/2 are stored; row m_1 - k_1 is row k_1 at the negated residues of
     the other axis.  grid is `sigma_grid`, so the point of index k sits at
-    grid[k_1 z_1 mod m_1, ...], folded alike: every lookup is one permutation
-    (`residue_perm`) per axis.  Any moduli work for `extend`; `theta_all`
-    needs one prime.
+    grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike: every lookup is one
+    permutation (`residue_perm`) per axis.  Only the methods below read this
+    layout: `mean` and the sweeps of the construction's criteria.
     """
 
     moduli: tuple[int, ...]
@@ -67,6 +67,8 @@ class CbcState:
     P_products: np.ndarray = field(init=False)
 
     def __post_init__(self, prefix: Iterable[tuple[int, ...]]) -> None:
+        if len(self.moduli) not in (1, 2):
+            raise DomainError(f"a record has moduli (p,) or (q, p), got {self.moduli}")
         grids = single_sigma_grid if len(self.moduli) == 1 else sigma_grid
         self.grid = grids(self.moduli, self.params.alpha)
         self.dims = 0
@@ -75,13 +77,14 @@ class CbcState:
             self.extend(*z)
 
     def sigma_rows(self, *z: int) -> np.ndarray:
-        """grid at the stored points: [k_1, ...] holds grid[k_1 z_1 mod m_1, ...], a row
-        a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1."""
-        m, *others = self.moduli
-        r = np.arange(len(self.grid)) * (z[0] % m) % m
+        """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
+        a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1."""
+        m = self.moduli[0]
+        r = np.arange(len(self.grid), dtype=np.int64) * (z[0] % m) % m
         rows = self.grid.take(np.minimum(r, m - r), axis=0)
-        for n in others:
-            rows = rows.take(residue_perm(n, z[1]), axis=1) if len(z) > 1 else rows
+        if len(self.moduli) == 2:
+            if len(z) == 2:
+                rows = rows.take(residue_perm(self.moduli[1], z[1]), axis=1)
             fold = np.flatnonzero(r > m // 2)
             rows[fold, 1:] = rows[fold, :0:-1]
         return rows
@@ -91,6 +94,34 @@ class CbcState:
         self.P_products *= 1.0 + self.params.gamma[self.dims] ** 2 * self.sigma_rows(*z)
         self.dims += 1
 
+    def mean(self) -> float:
+        """Mean of P over all m points by one fsum: a stored row that is not its
+        own mirror stands for two, and doubling is exact, so this is bit for bit
+        the fsum over the full record."""
+        weighted = 2.0 * self.P_products
+        own = [0, -1] if self.moduli[0] % 2 == 0 else [0]  # the rows that are their own mirror
+        weighted[own] = self.P_products[own]
+        return math.fsum(weighted.ravel()) / math.prod(self.moduli)
+
+    def sweep(self, weights: np.ndarray) -> np.ndarray:
+        """S[z] = sum_{k in Z_p} sigma_alpha(k z / p) weights[k] for every z in Z_p, for
+        even weights stored on k <= p/2 (one prime)."""
+        (p,) = self.moduli
+        return rader_cbc_kernel(p, self.grid, weights)
+
+    def cross_sweep(self, zq: int) -> np.ndarray:
+        """S[z] = sum_{l in Z_q, k in Z_p} sigma_alpha(l zq / q + k z / p) P(l, k) for every
+        z in Z_p, of the pair (q, p): row l stands for l and q - l, so rows l > 0 count twice."""
+        v = self.sigma_rows(zq)
+        v[1:] *= 2.0
+        return rader_cbc_kernel(self.moduli[1], v, self.P_products)
+
+    def row_sums(self, z: int) -> np.ndarray:
+        """sum_{l in Z_q} P(k z mod p, l) for k <= p/2, of the pair (p, q)."""
+        p = self.moduli[0]
+        r = np.arange(p // 2 + 1, dtype=np.int64) * z % p
+        return self.P_products.sum(axis=1)[np.minimum(r, p - r)]
+
 
 def theta_all(state: CbcState) -> np.ndarray:
     """Squared-error increment theta_s(z) for every candidate z in Z_p.
@@ -98,9 +129,7 @@ def theta_all(state: CbcState) -> np.ndarray:
     theta_s(z) = (gamma_s^2 / p) sum_k sigma_alpha(k z / p) P(k), evaluated
     for all z at once through the Rader convolution sweep.
     """
-    (p,) = state.moduli
-    gam2 = state.params.gamma[state.dims] ** 2
-    return gam2 / p * rader_cbc_kernel(p, state.grid, state.P_products)
+    return state.params.gamma[state.dims] ** 2 / state.moduli[0] * state.sweep(state.P_products)
 
 
 def argmin_first(values: np.ndarray) -> int:

@@ -5,16 +5,14 @@ the cross-prime criterion T-hat over the ceil(tau p) candidates with the
 smallest theta, for each prime of the budget pool in ascending order.
 
 Every prime and every prime pair has one record, a `CbcState` over its
-moduli: the sigma grid of the rule modulo p or pq in CRT order and the
-running point products, the record e_ran builds too; both are even, and only
-the rows k <= q/2 of the first prime q are stored and swept.  T-hat of prime p
-reads the pair record of each partner prime q: the pair (q, p) of a smaller q
-is swept against its sigma rows, and the row sums of the pair (p, q) of a
-larger q feed one shared sweep.  The pairs are kept (sum_{q<p} (q + 1) p
-floats) if they fit in half of the memory the process may use, and each is
-folded by the larger prime's residue right after that is chosen; else each
-pair is rebuilt from the chosen prefix whenever it is read, so at most two
-are alive at once.  Both give bit-identical vectors.
+moduli, the record e_ran builds too.  T-hat of prime p reads the pair record
+of each partner prime q: the pair (q, p) of a smaller q is swept at q's
+residue, and the row sums of the pair (p, q) of a larger q feed one shared
+sweep.  The pairs are kept (sum_{q<p} (q + 1) p floats) if they fit in half
+of the memory the process may use, and each is folded by the larger prime's
+residue right after that is chosen; else each pair is rebuilt from the
+chosen prefix whenever it is read, so one is alive at a time.  Both give
+bit-identical vectors.
 """
 
 from __future__ import annotations
@@ -28,13 +26,12 @@ import numpy as np
 
 from .cbc import CbcState, argmin_first, candidate_set, theta_all
 from .errors import DomainError
-from .fftconv import rader_cbc_kernel
 from .kernels import KorobovSpaceParams
 from .primes import PrimePool, ResidueVector, build_prime_pool
 
 
 class SequencingError(RuntimeError):
-    """A residue was requested out of the dimension-by-dimension, ascending prime order."""
+    """A residue was requested after the last dimension's."""
 
 
 def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
@@ -71,11 +68,12 @@ def physical_memory_bytes() -> int:
 class ConstructionState:
     """All records needed by the per-(dimension, prime) search step.
 
-    residues[p] holds prime p's chosen residues, hence its next dimension;
-    single[p] is the `CbcState` of p over them.  pairs[(q, p)] is the
-    `CbcState` of q < p over moduli (q, p), kept if keep_tables (set from the
-    memory probe); else each pair is rebuilt from the chosen prefix whenever
-    it is read.
+    residues[p] holds prime p's chosen residues; the prime whose residue is
+    due is the first with the fewest, so the search goes dimension by
+    dimension, primes ascending.  single[p] is the `CbcState` of p over them.
+    pairs[(q, p)] is the `CbcState` of q < p over moduli (q, p), kept if
+    keep_tables (set from the memory probe); else each pair is rebuilt from
+    the chosen prefix whenever it is read.
     """
 
     pool: PrimePool
@@ -97,19 +95,14 @@ class ConstructionState:
         self.single = {p: CbcState((p,), self.params, zip(z)) for p, z in self.residues.items()}
         self.pairs = {}
 
-    def _turn(self, p: int) -> int:
-        """The dimension s at which p's residue is due.
-
-        Raises unless s <= d, every smaller prime has its z_s and every larger
-        one z_{s-1}.
-        """
+    def _due(self) -> tuple[int, int]:
+        """(p, s): the prime whose residue is due, the first with the fewest, and the
+        dimension s of that residue."""
+        p = min(self.residues, key=lambda q: len(self.residues[q]))
         s = len(self.residues[p]) + 1
-        for q, res in self.residues.items():
-            if s > self.params.d or len(res) != (s if q < p else s - 1):
-                raise SequencingError(
-                    f"prime {p} at dimension {s} of {self.params.d}; prime {q} at {len(res) + 1}"
-                )
-        return s
+        if s > self.params.d:
+            raise SequencingError(f"all {self.params.d} components are chosen")
+        return p, s
 
     def _pair(self, q: int, p: int) -> CbcState:
         """Pair (q, p), q < p, over the residues both have chosen; stored if keep_tables."""
@@ -120,62 +113,46 @@ class ConstructionState:
                 self.pairs[(q, p)] = pair
         return pair
 
-    # -- criteria ------------------------------------------------------------
-
-    def theta_all(self, p: int) -> np.ndarray:
-        return theta_all(self.single[p])
-
-    def t_hat_all(self, p: int, theta: np.ndarray | None = None) -> np.ndarray:
-        """T-hat for every candidate residue z in Z_p at the current dimension.
+    def t_hat_all(self, theta: np.ndarray | None = None) -> np.ndarray:
+        """T-hat for every candidate residue z in Z_p of the prime p that is due.
 
         Adds to theta (computed here unless given) the cross-prime
         corrections.  Each smaller prime q contributes one batched Rader
-        sweep over the stored classes l <= q/2 of q (l > 0 weighted by 2, for
-        l and q - l), summed in the frequency domain.  Since
+        sweep of its pair, summed in the frequency domain.  Since
         sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
         all larger primes share one sweep over their permuted row sums.
         """
-        s = self._turn(p)
+        p, s = self._due()
         alpha = self.params.alpha
         gam2 = self.params.gamma[s - 1] ** 2
         if theta is None:
-            theta = self.theta_all(p)
+            theta = theta_all(self.single[p])
         cross = np.zeros(p)
         larger = np.zeros(p // 2 + 1)
         for q in self.pool.primes:
             if q < p:
-                pair = self._pair(q, p)
-                # row l: sigma((l zq/q + m/p) mod 1) for m in Z_p
-                v = pair.sigma_rows(self.residues[q][s - 1])
-                v[1:] *= 2.0
-                cross += (2.0 / q) * rader_cbc_kernel(p, v, pair.P_products)
+                cross += (2.0 / q) * self._pair(q, p).cross_sweep(self.residues[q][s - 1])
             elif q > p:
-                row_sums = self._pair(p, q).P_products.sum(axis=1)
-                r = np.arange(p // 2 + 1) * pow(q, -1, p) % p
-                larger += 2.0 / q ** (2 * alpha + 1) * row_sums[np.minimum(r, p - r)]
+                larger += 2.0 / q ** (2 * alpha + 1) * self._pair(p, q).row_sums(pow(q, -1, p))
         if p < self.pool.primes[-1]:
-            cross += rader_cbc_kernel(p, self.single[p].grid, larger)
+            cross += self.single[p].sweep(larger)
         return theta + gam2 / p * cross
 
-    # -- stepping ------------------------------------------------------------
-
-    def choose(self, p: int) -> int:
-        """Choose p's residue, then fold it into p's kept smaller-prime pairs.
+    def choose(self) -> int:
+        """Choose the residue of the prime that is due, then fold it into that
+        prime's kept smaller-prime pairs.
 
         The fold is skipped at the last dimension, where nothing reads it.
         """
-        s = self._turn(p)
-        theta = self.theta_all(p)
-        z = select_candidate(theta, self.t_hat_all(p, theta), self.tau)
+        p, s = self._due()
+        theta = theta_all(self.single[p])
+        z = select_candidate(theta, self.t_hat_all(theta), self.tau)
         self.single[p].extend(z)
         self.residues[p].append(z)
         if s < self.params.d:
-            for q in self.pool.primes:
-                if q == p:
-                    break
-                pair = self.pairs.get((q, p))
-                if pair is not None:
-                    pair.extend(self.residues[q][s - 1], z)
+            for q in self.pool.primes[: self.pool.primes.index(p)]:
+                if (q, p) in self.pairs:
+                    self.pairs[(q, p)].extend(self.residues[q][s - 1], z)
         return z
 
 
@@ -196,11 +173,6 @@ def construct_fixed_vector(
         raise DomainError(f"dimension mismatch: d={d} vs params.d={params.d}")
     pool = build_prime_pool(n)
     state = ConstructionState(pool=pool, params=params, tau=tau)
-    for _ in range(2, d + 1):
-        for p in pool.primes:
-            state.choose(p)
-    return ResidueVector(
-        pool=pool,
-        residues=tuple(tuple(state.residues[p]) for p in pool.primes),
-        d=d,
-    )
+    for _ in range((d - 1) * len(pool.primes)):
+        state.choose()
+    return ResidueVector(pool, tuple(tuple(res) for res in state.residues.values()), d)

@@ -2,10 +2,10 @@
 
 Contains the point formula for the squared worst-case error, the exact
 CRT prime-pair decomposition of the squared randomised error of the
-random-prime fixed-vector algorithm (both read the point products of
-`cbc.CbcState`, the half of an even record that the construction keeps for
-every prime and prime pair), the good-set thresholds, and the explicit
-theoretical error bound of the constructive theorem.
+random-prime fixed-vector algorithm (both take the mean of a `cbc.CbcState`,
+the record that the construction keeps for every prime and prime pair), the
+good-set thresholds, and the explicit theoretical error bound of the
+constructive theorem.
 """
 
 from __future__ import annotations
@@ -90,14 +90,9 @@ def _grid_infimum(fun: Callable[[float], float], grid: Sequence[float]) -> float
     return min(best, f1, f2)
 
 
-def _error_sq(products: np.ndarray, m0: int) -> tuple[float, bool]:
-    """E(m) = fsum(P) / m - 1 for the even record P stored as products (rows 0..m0 // 2;
-    the others stand for k and m0 - k, and doubling them is exact, so this is fsum
-    over the full P bit for bit), and whether round-off below 0 was clamped to 0."""
-    weighted = 2.0 * products
-    own = [0, -1] if m0 % 2 == 0 else [0]  # the rows that are their own mirror
-    weighted[own] = products[own]
-    value = math.fsum(weighted.ravel()) / (m0 * products[0].size) - 1.0
+def _error_sq(state: CbcState) -> tuple[float, bool]:
+    """E(m) = mean of the record's products - 1, and whether round-off below 0 was clamped to 0."""
+    value = state.mean() - 1.0
     if value < 0.0:
         if value < _CLAMP_FLOOR:
             raise ArithmeticError(
@@ -107,30 +102,22 @@ def _error_sq(products: np.ndarray, m0: int) -> tuple[float, bool]:
     return value, False
 
 
-def point_products(n: int, z: Sequence[int], params: KorobovSpaceParams) -> np.ndarray:
-    """prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)) for k = 0..n // 2; P(n - k) = P(k).
-
-    The components are folded one by one into a `CbcState` modulo n, the
-    running product the CBC search keeps.
-    """
-    if len(z) != params.d:
-        raise DomainError(f"vector has {len(z)} components, params.d = {params.d}")
-    if n > _MAX_POINTS:
-        raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
-    return CbcState((n,), params, zip(z)).P_products
-
-
 def worst_case_error_sq(
     n: int, z: Sequence[int], params: KorobovSpaceParams
 ) -> float:
     """Squared worst-case error of the n-point rule with generating vector z.
 
     Point formula: -1 + (1/n) sum_k prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)),
+    the products folded one component at a time into a `CbcState` modulo n and
     summed with compensated (fsum) accumulation.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _error_sq(point_products(n, z, params), n)[0]
+    if len(z) != params.d:
+        raise DomainError(f"vector has {len(z)} components, params.d = {params.d}")
+    if n > _MAX_POINTS:
+        raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
+    return _error_sq(CbcState((n,), params, zip(z)))[0]
 
 
 def randomized_error_sq_fixed(
@@ -153,16 +140,18 @@ def randomized_error_sq_fixed(
     primes = v.pool.primes
     if not primes:
         raise DomainError("prime pool is empty")
+    if v.d != params.d:
+        raise DomainError(f"vector has {v.d} components, params.d = {params.d}")
     L = len(primes)
     scale = 1.0 / (L * L)
     terms: dict[str, float] = {}
     clamped = 0
     for p, res in zip(primes, v.residues):
-        e_p, flag = _error_sq(point_products(p, res, params), p)
+        e_p, flag = _error_sq(CbcState((p,), params, zip(res)))
         terms[f"p={p}"] = scale * e_p
         clamped += flag
     for (p, res_p), (q, res_q) in combinations(zip(primes, v.residues), 2):
-        e_pq, flag = _error_sq(CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products, p)
+        e_pq, flag = _error_sq(CbcState((p, q), params, zip(res_p, res_q)))
         terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
         clamped += flag
     return ErrorReport(math.fsum(terms.values()), terms, clamped)

@@ -2,17 +2,18 @@
 
 Nothing in the package calls these except `ranlat verify`; the tests read
 them as oracles.  Each one computes what a product path computes fast, by a
-route that shares as little with it as possible: the candidate sweep and
-theta by direct O(p^2) sums, CBC by exhaustive argmin, T-hat by a triple
-loop over (q, l, k), the errors by truncated dual-lattice sums, and a
-unit-norm truncated worst-case integrand.  This module imports the product;
-the product never imports it.
+route that shares as little with it as possible: the point-products
+records by a per-point formula, the candidate sweep and theta by direct
+O(p^2) sums, CBC by exhaustive argmin, T-hat by a triple loop over
+(q, l, k), the errors by truncated dual-lattice sums, and a unit-norm
+truncated worst-case integrand.  This module imports the product; the
+product never imports it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +23,37 @@ from .fftconv import ShapeError
 from .kernels import DomainError, KorobovSpaceParams, sigma_alpha, zeta
 from .primes import PrimePool, ResidueVector
 from .runtime import Integrand
+
+
+# ---------------------------------------------------------------------------
+# Point-products records
+# ---------------------------------------------------------------------------
+
+def direct_products(
+    moduli: tuple[int, ...], params: KorobovSpaceParams, prefix: Iterable[tuple[int, ...]]
+) -> np.ndarray:
+    """P at every point of the CRT grid of m = prod(moduli), from each point's coordinates:
+    the product over the prefix of 1 + gamma_j^2 sigma_alpha(min(c, m - c) / m)."""
+    m = math.prod(moduli)
+    axes = np.meshgrid(*(np.arange(k, dtype=np.int64) for k in moduli), indexing="ij")
+    out = np.ones(moduli)
+    for j, z in enumerate(prefix):
+        c = sum(a * (zi % k) * (m // k) for a, zi, k in zip(axes, z, moduli)) % m
+        out *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(np.minimum(c, m - c) / m, params.alpha)
+    return out
+
+
+def expanded_products(state: CbcState) -> np.ndarray:
+    """A record's full products over Z_m_1 x ...: row a > m_1/2 is the stored row
+    m_1 - a at the negated residues of the other axis."""
+    m = state.moduli[0]
+    k = np.arange(m)
+    full = state.P_products[np.minimum(k, m - k)]
+    if len(state.moduli) == 2:
+        n = state.moduli[1]
+        mirror = k > m // 2
+        full[mirror] = full[mirror][:, (-np.arange(n)) % n]
+    return full
 
 
 # ---------------------------------------------------------------------------

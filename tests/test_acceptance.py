@@ -97,10 +97,10 @@ def test_criterion_3_fast_path_equivalence():
         state = ConstructionState(pool=pool, params=params, tau=0.5)
         for _ in range(2, d + 1):
             for p in pool.primes:
-                fast = state.t_hat_all(p)
+                fast = state.t_hat_all()
                 slow = t_hat_all_naive(pool, params, p, state.residues)
                 worst_that = max(worst_that, np.max(np.abs(fast - slow) / np.abs(slow)))
-                state.choose(p)
+                state.choose()
     that_ok = worst_that <= 1e-9
 
     cbc_ok = True
@@ -123,7 +123,7 @@ def test_criterion_4_exhaustive_optimality():
     e2 = randomized_error_sq_fixed(v, params).squared_error
 
     state = ConstructionState(pool=pool, params=params, tau=tau)
-    cand = {p: candidate_set(state.theta_all(p), tau) for p in pool.primes}
+    cand = {p: candidate_set(theta_all(state.single[p]), tau) for p in pool.primes}
     vals = [
         randomized_error_sq_fixed(
             ResidueVector(pool=pool, residues=((1, int(z7)), (1, int(z11))), d=2),

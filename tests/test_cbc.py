@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ranlat.cbc import CbcState, argmin_first, cbc_construct, theta_all
 from ranlat.errors import _error_sq, worst_case_error_sq
-from ranlat.kernels import KorobovSpaceParams, mu_quantity, poly_weights, sigma_alpha, zeta
-from ranlat.oracles import cbc_construct_naive, theta_all_naive
+from ranlat.kernels import DomainError, KorobovSpaceParams, mu_quantity, poly_weights, zeta
+from ranlat.oracles import cbc_construct_naive, direct_products, expanded_products, theta_all_naive
 from ranlat.primes import sieve_primes
 
 
@@ -78,29 +78,6 @@ def test_cbc_satisfies_average_bound():
         assert e2 <= bound * (1 + 1e-12)
 
 
-def _expanded(state):
-    """The full record over Z_m_1 x ...: row a > m_1/2 is row m_1 - a at the negated residues."""
-    m = state.moduli[0]
-    k = np.arange(m)
-    full = state.P_products[np.minimum(k, m - k)]
-    if len(state.moduli) == 2:
-        n = state.moduli[1]
-        mirror = k > m // 2
-        full[mirror] = full[mirror][:, (-np.arange(n)) % n]
-    return full
-
-
-def _direct(moduli, params, prefix):
-    """P at every point of the CRT grid, from each point's coordinates."""
-    m = math.prod(moduli)
-    axes = np.meshgrid(*(np.arange(k) for k in moduli), indexing="ij")
-    out = np.ones(moduli)
-    for j, z in enumerate(prefix):
-        c = sum(a * (zi % k) * (m // k) for a, zi, k in zip(axes, z, moduli)) % m
-        out *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(np.minimum(c, m - c) / m, params.alpha)
-    return out
-
-
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
@@ -121,10 +98,10 @@ def test_records_are_exactly_even(p, q, alpha, data):
                 (p, q): list(zip(data[:s], data[s : 2 * s]))}
     for moduli, prefix in prefixes.items():
         state = CbcState(moduli, params, prefix)
-        full = _expanded(state)
+        full = expanded_products(state)
         mirror = full[np.ix_(*((-np.arange(k)) % k for k in moduli))]
         assert full.tobytes() == mirror.tobytes()
-        assert full.tobytes() == _direct(moduli, params, prefix).tobytes()
+        assert full.tobytes() == direct_products(moduli, params, prefix).tobytes()
     theta = theta_all(CbcState((p,), params, prefixes[(p,)]))
     assert theta.tobytes() == theta[(-np.arange(p)) % p].tobytes()
 
@@ -142,6 +119,21 @@ def test_error_sq_of_half_record_is_fsum_of_full(moduli, alpha, data):
     d = len(data) // 2
     params = KorobovSpaceParams(d=d, alpha=alpha, gamma=poly_weights(d, 1.0))
     state = CbcState(moduli, params, zip(*([data[:d], data[d : 2 * d]][: len(moduli)])))
-    full = _expanded(state)
+    full = expanded_products(state)
     expect = math.fsum(full.ravel()) / full.size - 1.0
-    assert _error_sq(state.P_products, moduli[0]) == (max(expect, 0.0), expect < 0.0)
+    assert _error_sq(state) == (max(expect, 0.0), expect < 0.0)
+
+
+def test_record_index_arithmetic_is_int64():
+    # k z reaches 32768 * 65536 = 2^31 on the stored rows: an int32 index
+    # would wrap and read the wrong sigma entries
+    n, z = 65_537, (1, 65_536)
+    params = KorobovSpaceParams(d=2, alpha=2, gamma=(1.0, 0.5))
+    fast = CbcState((n,), params, zip(z)).P_products
+    assert fast.tobytes() == direct_products((n,), params, zip(z))[: n // 2 + 1].tobytes()
+
+
+@pytest.mark.parametrize("moduli", [(), (2, 3, 5)])
+def test_record_takes_one_or_two_moduli(moduli):
+    with pytest.raises(DomainError):
+        CbcState(moduli, _params(1), ())

@@ -49,8 +49,8 @@ def test_select_candidate_mirror_tie_resolves_to_smaller_residue():
     params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 3.0))
     state = ConstructionState(pool=pool, params=params, tau=0.5)
     p = pool.primes[0]
-    theta = state.theta_all(p)
-    t_hat = state.t_hat_all(p, theta)
+    theta = theta_all(state.single[p])
+    t_hat = state.t_hat_all(theta)
     z = select_candidate(theta, t_hat, 0.5)
     assert 0 < z < p - z
     assert t_hat[p - z] == pytest.approx(t_hat[z], rel=1e-11)
@@ -97,28 +97,24 @@ def test_t_hat_fast_matches_naive_triple_loop():
         state = ConstructionState(pool=pool, params=params, tau=0.5)
         for _ in range(2, d + 1):
             for p in pool.primes:
-                fast = state.t_hat_all(p)
+                fast = state.t_hat_all()
                 slow = t_hat_all_naive(pool, params, p, state.residues)
                 assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
-                state.choose(p)
+                state.choose()
 
 
-def test_choose_out_of_turn_raises_and_leaves_state_intact():
-    # pool {7, 11}: each dimension takes 7 then 11, and a rejected call must
-    # not change what the full construction goes on to choose
+def test_choose_past_the_last_dimension_raises_and_leaves_state_intact():
+    # pool {7, 11}: each dimension takes 7 then 11; a choice past the last
+    # dimension is rejected, and the stepped state holds the vector that
+    # the full construction builds
     pool = build_prime_pool(12)
     params = _params(3)
     state = ConstructionState(pool=pool, params=params, tau=0.5)
-    with pytest.raises(SequencingError):
-        state.choose(11)  # out of order: 7 has no z_2 yet
-    state.choose(7)
-    with pytest.raises(SequencingError):
-        state.choose(7)  # repeated: 11 has no z_2 yet
-    for p in (11, 7, 11):
-        state.choose(p)
-    for p in (7, 11):
+    for _ in range(4):
+        state.choose()
+    for _ in range(2):
         with pytest.raises(SequencingError):
-            state.choose(p)  # past the last dimension
+            state.choose()
     v = construct_fixed_vector(12, 3, params)
     assert tuple(tuple(state.residues[p]) for p in pool.primes) == v.residues
 
@@ -131,12 +127,12 @@ def test_t_hat_fast_matches_naive_n30_pool():
     state = ConstructionState(pool=pool, params=params, tau=0.5)
     for _ in range(2, 4):
         for p in pool.primes:
-            theta = state.theta_all(p)
-            fast = state.t_hat_all(p, theta)
-            assert np.array_equal(fast, state.t_hat_all(p))
+            theta = theta_all(state.single[p])
+            fast = state.t_hat_all(theta)
+            assert np.array_equal(fast, state.t_hat_all())
             slow = t_hat_all_naive(pool, params, p, state.residues)
             assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
-            state.choose(p)
+            state.choose()
 
 
 def test_relaxed_criterion_shifts_by_candidate_independent_constant():
@@ -148,7 +144,7 @@ def test_relaxed_criterion_shifts_by_candidate_independent_constant():
     pool = build_prime_pool(12)
     params = _params(2)
     state = ConstructionState(pool=pool, params=params, tau=0.5)
-    z7 = state.choose(7)
+    z7 = state.choose()
     p, q, hmax = 11, 7, 40
     g1, g2 = params.gamma
 
@@ -264,9 +260,9 @@ def test_pair_table_builds_per_policy(monkeypatch, memory_bytes, builds, extends
     assert counts == {"builds": builds, "extends": extends}
 
 
-def test_rebuild_holds_at_most_two_pairs(monkeypatch):
+def test_rebuild_holds_at_most_one_pair(monkeypatch):
     # n=101: 11 primes, so a prime has 10 partner pairs; a rebuilt pair is
-    # dropped once read, so the one being built meets at most one other
+    # dropped once swept, before the next one is built
     alive = {}
     peak = 0
     post_init = CbcState.__post_init__
@@ -281,7 +277,7 @@ def test_rebuild_holds_at_most_two_pairs(monkeypatch):
     monkeypatch.setattr(CbcState, "__post_init__", tracked_post_init)
     _probe_reports(monkeypatch, 0)
     construct_fixed_vector(101, 4, _params(4))
-    assert peak == 2
+    assert peak == 1
 
 
 def test_eran_builds_one_pair_state_per_pair(monkeypatch):
@@ -317,9 +313,8 @@ def test_estimate_cached_bytes(monkeypatch):
     # and point products of every pair record, each q // 2 + 1 rows of p
     _probe_reports(monkeypatch, 1 << 62)
     state = ConstructionState(pool=build_prime_pool(30), params=_params(3), tau=0.5)
-    for _ in range(2, 4):
-        for p in state.pool.primes:
-            state.choose(p)
+    for _ in range(2 * len(state.pool.primes)):
+        state.choose()
     assert len(state.pairs) == 6
     held = sum(pair.grid.nbytes + pair.P_products.nbytes for pair in state.pairs.values())
     assert estimate_cached_bytes(state.pool) == held
@@ -342,7 +337,7 @@ def test_constructed_beats_exhaustive_candidate_mean():
     e2 = randomized_error_sq_fixed(v, params).squared_error
 
     state = ConstructionState(pool=pool, params=params, tau=tau)
-    cand = {p: candidate_set(state.theta_all(p), tau) for p in pool.primes}
+    cand = {p: candidate_set(theta_all(state.single[p]), tau) for p in pool.primes}
     vals = []
     for z7, z11 in itertools.product(cand[7], cand[11]):
         w = ResidueVector(pool=pool, residues=((1, int(z7)), (1, int(z11))), d=2)

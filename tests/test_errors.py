@@ -11,7 +11,6 @@ from ranlat.cbc import CbcState
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import (
     BoundParams,
-    point_products,
     default_lambda_grid,
     good_set_threshold,
     randomized_error_sq_fixed,
@@ -24,6 +23,7 @@ from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights, sigma_
 from ranlat.oracles import (
     component_threshold,
     crt_pair,
+    direct_products,
     dual_tail_bound,
     omega_weight,
     randomized_error_sq_truncated,
@@ -128,22 +128,6 @@ def test_eran_pair_terms_equal_crt_point_formula():
     assert count == 21  # pool 31, 37, 41, 43, 47, 53, 59
 
 
-def _pair_products_flat_formula(p, q, res_p, res_q, params):
-    """The flat Z_pq sigma grid and index matrix the pair products were read
-    through before the grid was stored in CRT order, with sigma evaluated at
-    min(c, pq - c) / pq as the records do; kept here as the reference."""
-    n = p * q
-    c = np.arange(n)
-    sigma_flat = sigma_alpha(np.minimum(c, n - c) / n, params.alpha)
-    table = np.ones((p, q))
-    for j, (zp, zq) in enumerate(zip(res_p, res_q, strict=True)):
-        k = np.arange(p, dtype=np.int64) * (zp % p) % p
-        l = np.arange(q, dtype=np.int64) * (zq % q) % q
-        idx = (k[:, None] * q + l[None, :] * p) % n
-        table *= 1.0 + params.gamma[j] ** 2 * sigma_flat[idx]
-    return table
-
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
@@ -164,8 +148,8 @@ def test_pair_state_bit_identical_to_flat_formula(p, q, alpha, data):
     res_q = [r % q for r in data[m : 2 * m]]
     params = KorobovSpaceParams(d=max(m, 1), alpha=alpha, gamma=poly_weights(max(m, 1), 1.5))
     fast = CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products
-    flat = _pair_products_flat_formula(p, q, res_p, res_q, params)
-    assert fast.tobytes() == flat[: p // 2 + 1].tobytes()
+    direct = direct_products((p, q), params, zip(res_p, res_q, strict=True))
+    assert fast.tobytes() == direct[: p // 2 + 1].tobytes()
 
 
 def test_eran_counts_clamped_terms(monkeypatch):
@@ -202,7 +186,7 @@ def test_point_products_overflow_guard(monkeypatch):
     monkeypatch.setattr(errors_module, "np", NoArrays())
     monkeypatch.setattr(cbc_module, "np", NoArrays())
     with pytest.raises(DomainError):
-        point_products(3_037_000_500, (1,), params)
+        worst_case_error_sq(3_037_000_500, (1,), params)
     with pytest.raises(DomainError):
         worst_case_error_sq(2 ** 40, (1,), params)
 
@@ -224,20 +208,6 @@ def test_eran_rejects_vector_of_wrong_dimension(d):
         randomized_error_sq_fixed(v, params)
 
 
-def _point_products_sigma_formula(n, z, params):
-    """The per-dimension sigma evaluation point_products made before it
-    folded the components through a CbcState, with sigma evaluated at
-    min(r, n - r) / n as the records do; kept here as the reference."""
-    k = np.arange(n, dtype=np.int64)
-    prod = np.ones(n)
-    for j in range(params.d):
-        zj = int(z[j]) % n
-        r = k * zj % n
-        x = np.minimum(r, n - r) / n
-        prod *= 1.0 + params.gamma[j] ** 2 * sigma_alpha(x, params.alpha)
-    return prod
-
-
 @settings(max_examples=60, deadline=None)
 @example(n=307, alpha=2, z=[1, 117, 45], gamma=[1.0, 0.125, 0.037])
 @example(n=3599, alpha=3, z=[1, 1024, 3598, 60], gamma=[1.0, 0.25, 0.1, 0.0625])
@@ -247,11 +217,11 @@ def _point_products_sigma_formula(n, z, params):
     z=st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), min_size=1, max_size=6),
     gamma=st.lists(st.floats(min_value=1e-3, max_value=2.0), min_size=6, max_size=6),
 )
-def test_point_products_bit_identical_to_sigma_formula(n, alpha, z, gamma):
+def test_single_record_bit_identical_to_direct_formula(n, alpha, z, gamma):
     # prime (307) and composite (3599 = 59 * 61) budgets as fixed examples
     params = KorobovSpaceParams(d=len(z), alpha=alpha, gamma=tuple(gamma[: len(z)]))
-    fast = point_products(n, z, params)
-    assert fast.tobytes() == _point_products_sigma_formula(n, z, params)[: n // 2 + 1].tobytes()
+    fast = CbcState((n,), params, zip(z)).P_products
+    assert fast.tobytes() == direct_products((n,), params, zip(z))[: n // 2 + 1].tobytes()
 
 
 def test_eran_matches_truncated_brute_force():
