@@ -40,6 +40,11 @@ def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     return grid
 
 
+def record_bytes(moduli: tuple[int, ...]) -> int:
+    """Bytes of a `CbcState`'s sigma grid and products: m_1 // 2 + 1 rows of m_2 floats each."""
+    return 2 * 8 * (moduli[0] // 2 + 1) * math.prod(moduli[1:])
+
+
 # Pair grids are not cached: the rebuild policy exists to avoid holding them.
 single_sigma_grid = functools.lru_cache(maxsize=1024)(sigma_grid)
 

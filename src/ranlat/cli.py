@@ -129,16 +129,19 @@ def read_vector_file(path: str) -> tuple[ResidueVector, KorobovSpaceParams, dict
     if not isinstance(tau, (int, float)) or not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
     gamma, rows = data["gamma"], data["residues"]
+    # abs(g) <= float max compares an int exactly, where float(g) would overflow.
     if not isinstance(gamma, list) or not all(
-            isinstance(g, (int, float)) and not isinstance(g, bool) for g in gamma):
-        raise DomainError("gamma must be a list of numbers")
+            isinstance(g, (int, float)) and not isinstance(g, bool)
+            and abs(g) <= sys.float_info.max for g in gamma):
+        raise DomainError("gamma must be a list of finite numbers")
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(map(_is_int, row)) for row in rows):
         raise DomainError("residues must be a list of lists of integers")
     n, primes = data["n"], data["primes"]
     # The pool has more than C_PRIME n / ln n primes: bound n before sieving.
+    # n stays an int, compared exactly with the float, as it may exceed every float.
     if not (isinstance(primes, list)
-            and C_PRIME * n / math.log(max(n, 2)) < len(primes)):
+            and n < len(primes) * math.log(max(n, 2)) / C_PRIME):
         raise DomainError(f"prime list in file is too short for a budget of n={n}")
     pool = build_prime_pool(n)
     if list(pool.primes) != primes:
@@ -198,7 +201,10 @@ def cmd_study(args: argparse.Namespace) -> int:
     primes = sieve_primes(4 * args.max_n + 100)
     ns: list[int] = []
     for k in ks:
-        x = 1.2 ** k
+        try:
+            x = 1.2 ** k
+        except OverflowError:  # above every float, so above the cap
+            x = math.inf
         if x > 2 * args.max_n:
             print(f"warning: skipping k={k}: the prime closest to 1.2^{k} exceeds cap "
                   f"{args.max_n} (raise --max-n to override)", file=sys.stderr)

@@ -8,11 +8,11 @@ Every prime and every prime pair has one record, a `CbcState` over its
 moduli, the record e_ran builds too.  T-hat of prime p reads the pair record
 of each partner prime q: the pair (q, p) of a smaller q is swept at q's
 residue, and the row sums of the pair (p, q) of a larger q feed one shared
-sweep.  The pairs are kept (sum_{q<p} (q + 1) p floats) if they fit in half
-of the memory the process may use, and each is folded by the larger prime's
-residue right after that is chosen; else each pair is rebuilt from the
-chosen prefix whenever it is read, so one is alive at a time.  Both give
-bit-identical vectors.
+sweep.  The chosen residues are the search's only state: a record is a cache
+over them, brought up to date when it is read.  The pairs are kept
+(sum_{q<p} (q + 1) p floats) if they fit in half of the memory the process
+may use; else each is rebuilt whenever it is read, so one is alive at a
+time.  Both give bit-identical vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbc import CbcState, argmin_first, candidate_set, theta_all
+from .cbc import CbcState, argmin_first, candidate_set, record_bytes, theta_all
 from .errors import DomainError
 from .kernels import KorobovSpaceParams
 from .primes import PrimePool, ResidueVector, build_prime_pool
@@ -46,8 +46,8 @@ def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:
-    """Bytes for the sigma grids and point products, q // 2 + 1 rows of p each, of every pair (q, p)."""
-    return sum(2 * 8 * (q // 2 + 1) * p for q, p in itertools.combinations(pool.primes, 2))
+    """Bytes the kept policy holds in the records of every pair (q, p)."""
+    return sum(record_bytes(moduli) for moduli in itertools.combinations(pool.primes, 2))
 
 
 # cgroup v2 memory limit of the process's container: a byte count, or "max".
@@ -55,8 +55,12 @@ CGROUP_MEMORY_MAX = pathlib.Path("/sys/fs/cgroup/memory.max")
 
 
 def physical_memory_bytes() -> int:
-    """Memory the process may use: installed RAM, or a smaller cgroup v2 limit."""
-    installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Memory the process may use: installed RAM, or a smaller cgroup v2 limit;
+    0 where installed RAM cannot be read (no `os.sysconf`, as on Windows)."""
+    try:
+        installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 0
     try:
         limit = CGROUP_MEMORY_MAX.read_text().strip()
     except OSError:
@@ -66,14 +70,14 @@ def physical_memory_bytes() -> int:
 
 @dataclass
 class ConstructionState:
-    """All records needed by the per-(dimension, prime) search step.
+    """The search's only state, residues[p], the residues prime p has chosen,
+    and the records cached over it.
 
-    residues[p] holds prime p's chosen residues; the prime whose residue is
-    due is the first with the fewest, so the search goes dimension by
-    dimension, primes ascending.  single[p] is the `CbcState` of p over them.
-    pairs[(q, p)] is the `CbcState` of q < p over moduli (q, p), kept if
-    keep_tables (set from the memory probe); else each pair is rebuilt from
-    the chosen prefix whenever it is read.
+    The prime whose residue is due is the first with the fewest, so the
+    search goes dimension by dimension, primes ascending.  records[(p,)] and
+    records[(q, p)], q < p, are the `CbcState`s of a prime and of a pair over
+    the chosen residues, each brought up to date when it is read.  A prime's
+    record is kept; a pair's only if keep_tables (set from the memory probe).
     """
 
     pool: PrimePool
@@ -82,8 +86,7 @@ class ConstructionState:
 
     keep_tables: bool = field(init=False)
     residues: dict[int, list[int]] = field(init=False)
-    single: dict[int, CbcState] = field(init=False)
-    pairs: dict[tuple[int, int], CbcState] = field(init=False)
+    records: dict[tuple[int, ...], CbcState] = field(init=False)
 
     def __post_init__(self) -> None:
         # Keep the pairs only if they fit in half of the probed memory: the
@@ -92,26 +95,27 @@ class ConstructionState:
         # e_ran evaluation that usually follows, and other processes.
         self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
         self.residues = {p: [1] for p in self.pool.primes}
-        self.single = {p: CbcState((p,), self.params, zip(z)) for p, z in self.residues.items()}
-        self.pairs = {}
+        self.records = {}
 
     def _due(self) -> tuple[int, int]:
-        """(p, s): the prime whose residue is due, the first with the fewest, and the
-        dimension s of that residue."""
+        """(p, dims): the prime whose residue is due, the first with the fewest, and
+        how many it has, the components every record is read at."""
         p = min(self.residues, key=lambda q: len(self.residues[q]))
-        s = len(self.residues[p]) + 1
-        if s > self.params.d:
+        dims = len(self.residues[p])
+        if dims >= self.params.d:
             raise SequencingError(f"all {self.params.d} components are chosen")
-        return p, s
+        return p, dims
 
-    def _pair(self, q: int, p: int) -> CbcState:
-        """Pair (q, p), q < p, over the residues both have chosen; stored if keep_tables."""
-        pair = self.pairs.get((q, p))
-        if pair is None:
-            pair = CbcState((q, p), self.params, zip(self.residues[q], self.residues[p]))
-            if self.keep_tables:
-                self.pairs[(q, p)] = pair
-        return pair
+    def _record(self, *moduli: int, dims: int) -> CbcState:
+        """The record over moduli (p,) or (q, p), q < p, extended by the components
+        it lacks up to dims; kept if it is a prime's or keep_tables."""
+        record = self.records.get(moduli) or CbcState(moduli, self.params, ())
+        if record.dims < dims:  # most reads find the record up to date
+            for z in zip(*(self.residues[m][record.dims:dims] for m in moduli)):
+                record.extend(*z)
+        if len(moduli) == 1 or self.keep_tables:
+            self.records[moduli] = record
+        return record
 
     def t_hat_all(self, theta: np.ndarray | None = None) -> np.ndarray:
         """T-hat for every candidate residue z in Z_p of the prime p that is due.
@@ -122,37 +126,29 @@ class ConstructionState:
         sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
         all larger primes share one sweep over their permuted row sums.
         """
-        p, s = self._due()
-        alpha = self.params.alpha
-        gam2 = self.params.gamma[s - 1] ** 2
+        p, dims = self._due()
+        power = 2 * self.params.alpha + 1
+        gam2 = self.params.gamma[dims] ** 2
         if theta is None:
-            theta = theta_all(self.single[p])
+            theta = theta_all(self._record(p, dims=dims))
         cross = np.zeros(p)
         larger = np.zeros(p // 2 + 1)
+        # Each pair is a temporary, so a rebuilt one is freed before the next is built.
         for q in self.pool.primes:
             if q < p:
-                cross += (2.0 / q) * self._pair(q, p).cross_sweep(self.residues[q][s - 1])
+                cross += 2.0 / q * self._record(q, p, dims=dims).cross_sweep(self.residues[q][dims])
             elif q > p:
-                larger += 2.0 / q ** (2 * alpha + 1) * self._pair(p, q).row_sums(pow(q, -1, p))
+                larger += 2.0 / q ** power * self._record(p, q, dims=dims).row_sums(pow(q, -1, p))
         if p < self.pool.primes[-1]:
-            cross += self.single[p].sweep(larger)
+            cross += self._record(p, dims=dims).sweep(larger)
         return theta + gam2 / p * cross
 
     def choose(self) -> int:
-        """Choose the residue of the prime that is due, then fold it into that
-        prime's kept smaller-prime pairs.
-
-        The fold is skipped at the last dimension, where nothing reads it.
-        """
-        p, s = self._due()
-        theta = theta_all(self.single[p])
+        """Choose and append the residue of the prime that is due."""
+        p, dims = self._due()
+        theta = theta_all(self._record(p, dims=dims))
         z = select_candidate(theta, self.t_hat_all(theta), self.tau)
-        self.single[p].extend(z)
         self.residues[p].append(z)
-        if s < self.params.d:
-            for q in self.pool.primes[: self.pool.primes.index(p)]:
-                if (q, p) in self.pairs:
-                    self.pairs[(q, p)].extend(self.residues[q][s - 1], z)
         return z
 
 

@@ -123,7 +123,8 @@ def test_criterion_4_exhaustive_optimality():
     e2 = randomized_error_sq_fixed(v, params).squared_error
 
     state = ConstructionState(pool=pool, params=params, tau=tau)
-    cand = {p: candidate_set(theta_all(state.single[p]), tau) for p in pool.primes}
+    cand = {p: candidate_set(theta_all(CbcState((p,), params, zip(state.residues[p]))), tau)
+            for p in pool.primes}
     vals = [
         randomized_error_sq_fixed(
             ResidueVector(pool=pool, residues=((1, int(z7)), (1, int(z11))), d=2),

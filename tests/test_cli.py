@@ -118,6 +118,9 @@ def test_read_vector_file_bounds_n_before_sieving(tmp_path, monkeypatch):
     ("n", "30"), ("n", 30.0), ("d", 3.0), ("alpha", True), ("gamma", 5),
     ("residues", 5), ("residues", [1, 17, 5]), ("z_2", 25.7), ("z_2", "25"),
     ("file", "list"), ("format_version", True),
+    # JSON integers are unbounded: one that no float holds must not overflow
+    pytest.param("n", 10 ** 400, id="n-beyond-floats"),
+    pytest.param("gamma", [10 ** 400, 1.0, 1.0], id="gamma-beyond-floats"),
 ])
 def test_integrate_rejects_invalid_vector_file(tmp_path, capsys, field, value):
     out = tmp_path / "v.json"
@@ -233,3 +236,11 @@ def test_study_sieves_once_up_to_the_cap(monkeypatch, capsys):
     assert without_seconds(wide.out) == without_seconds(narrow)
     assert [line.split(",")[0] for line in narrow.splitlines()[1:-2]] == [
         "17", "19", "23", "29", "31", "37"]
+
+
+def test_study_skips_k_whose_power_overflows(capsys):
+    # 1.2^4000 is above every float, so above any cap: skipped with a warning
+    rc = main(["study", "--alpha", "1", "--d", "3", "--max-n", "40", "--k-range", "4000..4001"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "warning: skipping k=4000:" in err and "warning: skipping k=4001:" in err

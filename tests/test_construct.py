@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import os
+import pathlib
 import weakref
 
 import numpy as np
@@ -49,7 +51,7 @@ def test_select_candidate_mirror_tie_resolves_to_smaller_residue():
     params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 3.0))
     state = ConstructionState(pool=pool, params=params, tau=0.5)
     p = pool.primes[0]
-    theta = theta_all(state.single[p])
+    theta = theta_all(CbcState((p,), state.params, zip(state.residues[p])))
     t_hat = state.t_hat_all(theta)
     z = select_candidate(theta, t_hat, 0.5)
     assert 0 < z < p - z
@@ -127,7 +129,7 @@ def test_t_hat_fast_matches_naive_n30_pool():
     state = ConstructionState(pool=pool, params=params, tau=0.5)
     for _ in range(2, 4):
         for p in pool.primes:
-            theta = theta_all(state.single[p])
+            theta = theta_all(CbcState((p,), state.params, zip(state.residues[p])))
             fast = state.t_hat_all(theta)
             assert np.array_equal(fast, state.t_hat_all())
             slow = t_hat_all_naive(pool, params, p, state.residues)
@@ -315,9 +317,44 @@ def test_estimate_cached_bytes(monkeypatch):
     state = ConstructionState(pool=build_prime_pool(30), params=_params(3), tau=0.5)
     for _ in range(2 * len(state.pool.primes)):
         state.choose()
-    assert len(state.pairs) == 6
-    held = sum(pair.grid.nbytes + pair.P_products.nbytes for pair in state.pairs.values())
+    pairs = [record for moduli, record in state.records.items() if len(moduli) == 2]
+    assert len(pairs) == 6
+    held = sum(pair.grid.nbytes + pair.P_products.nbytes for pair in pairs)
     assert estimate_cached_bytes(state.pool) == held
+
+
+@pytest.mark.parametrize("memory_bytes", [1 << 62, 0], ids=["kept", "rebuilt"])
+def test_records_are_caches_over_residues(monkeypatch, memory_bytes):
+    # after every choice, each record held is byte-equal to a record built anew
+    # from the residues over as many components; the rebuild policy holds only
+    # the records of primes
+    _probe_reports(monkeypatch, memory_bytes)
+    params = _params(4)
+    state = ConstructionState(pool=build_prime_pool(30), params=params, tau=0.5)
+    for _ in range(3 * len(state.pool.primes)):
+        state.choose()
+        assert state.records
+        for moduli, record in state.records.items():
+            prefix = zip(*(state.residues[m][:record.dims] for m in moduli))
+            fresh = CbcState(moduli, params, prefix)
+            assert record.P_products.tobytes() == fresh.P_products.tobytes(), moduli
+        pair_keys = [moduli for moduli in state.records if len(moduli) == 2]
+        assert bool(pair_keys) == (memory_bytes > 0)
+
+
+def test_probe_without_sysconf_reports_zero_and_rebuilds(monkeypatch, tmp_path):
+    # os.sysconf exists on Unix only: without it the probe reports 0, which
+    # selects the rebuild policy, and the vector is the golden one
+    monkeypatch.delattr(os, "sysconf")
+    monkeypatch.setattr(construct, "CGROUP_MEMORY_MAX", tmp_path / "missing")
+    assert construct.physical_memory_bytes() == 0
+    fix = json.loads((pathlib.Path(__file__).parent / "data" / "golden_n30.json").read_text())
+    case = next(c for c in fix["cases"] if c["d"] == 3 and c["alpha"] == 2)
+    params = KorobovSpaceParams(d=3, alpha=2, gamma=tuple(case["gamma"]))
+    counts = _count_pair_builds(monkeypatch)
+    v = construct_fixed_vector(30, 3, params, tau=fix["tau"])
+    assert [list(res) for res in v.residues] == case["residues"]
+    assert counts["builds"] == 24
 
 
 def test_first_component_all_ones():
@@ -337,7 +374,8 @@ def test_constructed_beats_exhaustive_candidate_mean():
     e2 = randomized_error_sq_fixed(v, params).squared_error
 
     state = ConstructionState(pool=pool, params=params, tau=tau)
-    cand = {p: candidate_set(theta_all(state.single[p]), tau) for p in pool.primes}
+    cand = {p: candidate_set(theta_all(CbcState((p,), params, zip(state.residues[p]))), tau)
+            for p in pool.primes}
     vals = []
     for z7, z11 in itertools.product(cand[7], cand[11]):
         w = ResidueVector(pool=pool, residues=((1, int(z7)), (1, int(z11))), d=2)
