@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .fftconv import rader_cbc_kernel
-from .kernels import DomainError, KorobovSpaceParams, sigma_alpha
+from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
 from .primes import residue_perm
 
 # Relative tolerance under which two criterion values count as tied.  Exact
@@ -100,13 +100,13 @@ class CbcState:
         self.dims += 1
 
     def mean(self) -> float:
-        """Mean of P over all m points by one fsum: a stored row that is not its
-        own mirror stands for two, and doubling is exact, so this is bit for bit
-        the fsum over the full record."""
+        """Mean of P over all m points by one `exact_sum`: a stored row that is not
+        its own mirror stands for two, and doubling is exact, so this is bit for
+        bit the fsum over the full record."""
         weighted = 2.0 * self.P_products
         own = [0, -1] if self.moduli[0] % 2 == 0 else [0]  # the rows that are their own mirror
         weighted[own] = self.P_products[own]
-        return math.fsum(weighted.ravel()) / math.prod(self.moduli)
+        return exact_sum(weighted.ravel()) / math.prod(self.moduli)
 
     def sweep(self, weights: np.ndarray) -> np.ndarray:
         """S[z] = sum_{k in Z_p} sigma_alpha(k z / p) weights[k] for every z in Z_p, for

@@ -196,10 +196,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     params = KorobovSpaceParams(d=args.d, alpha=args.alpha, gamma=gamma)
     ks = parse_k_range(args.k_range)
     # Bertrand's postulate puts a prime in (x, 2x] for x >= 1, so the prime
-    # closest to x = 1.2^k is at most 4 max_n when x <= 2 max_n, and above the
-    # cap when x > 2 max_n: one sieve serves every row.
-    primes = sieve_primes(4 * args.max_n + 100)
-    ns: list[int] = []
+    # closest to x = 1.2^k is above the cap when x > 2 max_n, and else at most
+    # 2x <= 4 min(max_n, x): one sieve up to the largest kept x serves every row.
+    xs: list[float] = []
     for k in ks:
         try:
             x = 1.2 ** k
@@ -209,10 +208,9 @@ def cmd_study(args: argparse.Namespace) -> int:
             print(f"warning: skipping k={k}: the prime closest to 1.2^{k} exceeds cap "
                   f"{args.max_n} (raise --max-n to override)", file=sys.stderr)
             continue
-        n = nearest_prime(x, primes)
-        if n not in ns:
-            ns.append(n)
-    ns.sort()
+        xs.append(x)
+    primes = sieve_primes(4 * min(args.max_n, math.ceil(max(xs, default=0.0))) + 100)
+    ns = sorted({nearest_prime(x, primes) for x in xs})
     rows = []
     for n in ns:
         if n > args.max_n:

@@ -109,7 +109,7 @@ def worst_case_error_sq(
 
     Point formula: -1 + (1/n) sum_k prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)),
     the products folded one component at a time into a `CbcState` modulo n and
-    summed with compensated (fsum) accumulation.
+    summed by `kernels.exact_sum`, bit for bit math.fsum.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

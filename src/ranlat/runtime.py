@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cbc
 from .errors import BoundParams, default_lambda_grid, good_set_threshold, worst_case_error_sq
-from .kernels import DomainError, KorobovSpaceParams, sigma_alpha
+from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
 from .primes import ResidueVector, build_prime_pool
 
 _MASK64 = (1 << 64) - 1
@@ -129,7 +129,7 @@ def lattice_rule(f: Integrand, n: int, z) -> float:
         raise DomainError(f"n must be >= 1, got {n}")
     if len(z) != f.d:
         raise DomainError(f"integrand dimension {f.d} != vector dimension {len(z)}")
-    return float(math.fsum(f(lattice_points(n, z))) / n)
+    return exact_sum(f(lattice_points(n, z))) / n
 
 
 def run_rpfv(f: Integrand, v: ResidueVector, cfg: RunConfig) -> np.ndarray:

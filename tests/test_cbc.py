@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ranlat.cbc import CbcState, argmin_first, cbc_construct, theta_all
 from ranlat.errors import _error_sq, worst_case_error_sq
-from ranlat.kernels import DomainError, KorobovSpaceParams, mu_quantity, poly_weights, zeta
+from ranlat.kernels import (
+    EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, mu_quantity, poly_weights, zeta,
+)
 from ranlat.oracles import cbc_construct_naive, direct_products, expanded_products, theta_all_naive
-from ranlat.primes import sieve_primes
+from ranlat.primes import build_prime_pool, sieve_primes
 
 
 def _params(d, alpha=2, c=2.0):
@@ -122,6 +124,38 @@ def test_error_sq_of_half_record_is_fsum_of_full(moduli, alpha, data):
     full = expanded_products(state)
     expect = math.fsum(full.ravel()) / full.size - 1.0
     assert _error_sq(state) == (max(expect, 0.0), expect < 0.0)
+
+
+def _fsum_mean(state):
+    """mean() as it was before exact_sum: one math.fsum over the weighted stored rows."""
+    weighted = 2.0 * state.P_products
+    own = [0, -1] if state.moduli[0] % 2 == 0 else [0]
+    weighted[own] = state.P_products[own]
+    return math.fsum(weighted.ravel()) / math.prod(state.moduli)
+
+
+@pytest.mark.parametrize("n", [30, 101, 307])
+def test_mean_is_fsum_of_the_full_record_bit_for_bit(n):
+    # every prime's record and, at n = 307, the pairs with the largest prime
+    # (up to 45k stored entries, several extraction blocks) below and above the
+    # exact_sum cutoff
+    primes = build_prime_pool(n).primes
+    params = _params(5, alpha=2, c=3.0)
+    rng = np.random.default_rng(n)
+    residues = {p: [1, *rng.integers(1, p, 4).tolist()] for p in primes}
+    pairs = [(q, primes[-1]) for q in primes[:-1]]
+    if n < 307:
+        pairs += [(p, q) for p in primes for q in primes if p < q]
+    sizes = []
+    for moduli in [(p,) for p in primes] + pairs:
+        state = CbcState(moduli, params, zip(*(residues[m] for m in moduli)))
+        full = expanded_products(state)
+        mean = state.mean()
+        assert mean.hex() == _fsum_mean(state).hex()
+        assert mean.hex() == (math.fsum(full.ravel()) / full.size).hex()
+        sizes.append(state.P_products.size)
+    assert min(sizes) < EXACT_SUM_CUTOFF
+    assert n == 30 or max(sizes) >= EXACT_SUM_CUTOFF
 
 
 def test_record_index_arithmetic_is_int64():

@@ -210,6 +210,24 @@ def test_study_single_row_has_absent_slopes(tmp_path):
     assert "absent" in text
 
 
+def test_study_sieve_is_bounded_by_the_largest_row(monkeypatch, capsys):
+    # --max-n alone used to size the sieve (4 * 10^9 + 100 entries for two rows);
+    # the largest kept 1.2^k, 1.2^16 ~ 18.5, bounds it at 4 * 19 + 100 = 176
+    def spy(limit):
+        if limit > 176:
+            raise AssertionError(f"sieve to {limit} for rows at n = 17 and 19")
+        limits.append(limit)
+        return sieve_primes(limit)
+
+    limits = []
+    monkeypatch.setattr(cli, "sieve_primes", spy)
+    args = ["study", "--alpha", "1", "--d", "3", "--max-n", "1000000000", "--k-range", "15..16"]
+    assert main(args) == EXIT_OK
+    assert limits == [176]
+    out = capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.splitlines()[1:-2]] == ["17", "19"]
+
+
 def test_study_sieves_once_up_to_the_cap(monkeypatch, capsys):
     # a sieve for the budget of each k up to 200 would reach 2 * 1.2^200 ~ 1.4e16
     # bytes; the spy raises before any sieve above the cap's bound allocates

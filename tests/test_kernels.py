@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ranlat import kernels
 from ranlat.kernels import (
+    EXACT_SUM_CUTOFF,
     DomainError,
     KorobovSpaceParams,
     UnsupportedSmoothnessError,
+    exact_sum,
     mu_quantity,
     poly_weights,
     sigma_alpha,
@@ -48,8 +51,8 @@ def test_sigma_symmetry_and_mean():
     for alpha in (1, 2, 3):
         s = sigma_alpha(x, alpha)
         assert np.max(np.abs(s - s[::-1])) < 1e-12
-        # trapezoid over the full period
-        assert abs(np.trapezoid(s, x)) < 1e-5
+        # trapezoid over the full period (np.trapezoid is numpy >= 2 only)
+        assert abs(np.sum((s[1:] + s[:-1]) / 2.0 * np.diff(x))) < 1e-5
 
 
 def test_sigma_fourier_partial_sum():
@@ -67,6 +70,105 @@ def test_sigma_vector_matches_scalar():
     assert out.shape == x.shape
     for xi, oi in zip(x, out):
         assert oi == sigma_alpha(float(xi), 2)
+
+
+def _sigma_by_remainder(x, alpha):
+    """Reference form of sigma_alpha: reduce by x % 1.0, then Horner with a new array per step."""
+    t = np.asarray(x, dtype=float) % 1.0
+    acc = np.full_like(t, kernels._BERNOULLI_COEFFS[alpha][0])
+    for c in kernels._BERNOULLI_COEFFS[alpha][1:]:
+        acc = acc * t + c
+    out = kernels._SIGMA_SCALE[alpha] * acc
+    return float(out) if np.ndim(x) == 0 else out
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 2.0 ** 52, -(2.0 ** 52), 2.0 ** 52 + 1.0,
+            -(2.0 ** 53) - 2.0, 1e300, -1e300, 5e-324, -5e-324, -1e-20, 1.0 - 2.0 ** -53,
+            -(2.0 ** -53), 0.5, -0.5, 1.0, -1.0]
+
+
+def test_floor_reduction_is_remainder_bit_for_bit():
+    # x - floor(x) and x % 1.0 round the same real x - floor(x) once; NaN
+    # payloads are not compared, as IEEE 754 leaves them to the platform
+    rng = np.random.default_rng(20260)
+    x = np.concatenate([
+        rng.integers(0, 2 ** 64, 1 << 20, dtype=np.uint64, endpoint=False).view(np.float64),
+        rng.uniform(-4.0, 4.0, 1 << 18),
+        rng.normal(scale=1e6, size=1 << 18),
+        np.array(_SPECIAL),
+    ])
+    with np.errstate(invalid="ignore"):
+        want, got = x % 1.0, x - np.floor(x)
+    nan = np.isnan(want)
+    assert np.array_equal(nan, np.isnan(got))
+    assert want[~nan].tobytes() == got[~nan].tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_sigma_is_the_remainder_formula_bit_for_bit(alpha):
+    rng = np.random.default_rng(alpha)
+    finite = [v for v in _SPECIAL if math.isfinite(v)]
+    arrays = [rng.uniform(0.0, 1.0, 4099), rng.uniform(-3.0, 3.0, (7, 13)),
+              np.arange(0, 307) / 307, np.array(finite), np.array([0.25])]
+    for x in arrays:
+        assert sigma_alpha(x, alpha).tobytes() == _sigma_by_remainder(x, alpha).tobytes()
+    for x in finite + [0.3, np.float64(0.7), 3, np.int64(-2)]:
+        got = sigma_alpha(x, alpha)
+        assert type(got) is float and got.hex() == _sigma_by_remainder(x, alpha).hex()
+    before = arrays[0].copy()
+    sigma_alpha(arrays[0], alpha)
+    assert arrays[0].tobytes() == before.tobytes()  # the input is not overwritten
+
+
+def _sum_or_error(fn, x):
+    try:
+        return fn(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_BLOCK = kernels._EXTRACT_BLOCK
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(0, 3),
+        st.integers(EXACT_SUM_CUTOFF - 2, EXACT_SUM_CUTOFF + 2),
+        st.integers(_BLOCK - 1, _BLOCK + 1),
+        st.integers(0, 3 * _BLOCK),
+    ),
+    low=st.integers(-1074, 1023),
+    span=st.integers(0, 2100),
+    signs=st.sampled_from(["+", "-", "mixed", "cancelling"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_exact_sum_is_fsum_bit_for_bit(n, low, span, signs, seed):
+    # magnitudes 2^low .. 2^(low + span): subnormals below 2^-1022, values near
+    # 1e308 (whose sum or sigma would pass 2^1023) at the top
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(low, min(low + span, 1023), n, endpoint=True))
+    if signs == "-":
+        x = -x
+    elif signs == "mixed":
+        x *= rng.choice([-1.0, 1.0], n)
+    elif signs == "cancelling":
+        x = rng.permutation(np.concatenate([x[: n // 2], -x[: n // 2], x[n // 2 :]]))
+    before = x.copy()
+    assert _sum_or_error(exact_sum, x) == _sum_or_error(math.fsum, x)
+    assert x.tobytes() == before.tobytes()  # the input is not overwritten
+
+
+@pytest.mark.parametrize("n", [0, 1, EXACT_SUM_CUTOFF - 1, EXACT_SUM_CUTOFF, 3 * _BLOCK])
+@pytest.mark.parametrize("special", [[np.inf], [-np.inf], [np.nan], [np.inf, -np.inf],
+                                     [np.nan, np.inf], [-0.0], [1e308, 1e308, -1e308]])
+def test_exact_sum_special_values_as_fsum(n, special):
+    # the same float or the same exception as math.fsum, wherever the values sit
+    rng = np.random.default_rng(n)
+    for fill in (rng.uniform(-1.0, 1.0, n), np.full(n, -0.0)):
+        for at in (0, n // 2, n):
+            x = np.insert(fill, at, special)
+            assert _sum_or_error(exact_sum, x) == _sum_or_error(math.fsum, x)
 
 
 def test_poly_weights():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import randomized_error_sq_fixed
-from ranlat.kernels import DomainError, KorobovSpaceParams, poly_weights, sigma_alpha
+from ranlat.kernels import EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, poly_weights, sigma_alpha
 from ranlat.primes import ResidueVector, build_prime_pool
 from ranlat.runtime import (
     RunConfig,
@@ -70,6 +70,14 @@ def test_lattice_rule_exact_for_low_frequency():
     # n=7, z=(1,3): frequencies h with |h_j| <= 1 and h_1 + 3 h_2 = 0 (mod 7)
     # do not exist apart from h=0, so the rule is exact
     assert lattice_rule(f, 7, [1, 3]) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [EXACT_SUM_CUTOFF - 1, EXACT_SUM_CUTOFF, 40_009])
+def test_lattice_rule_is_the_fsum_average_bit_for_bit(n):
+    f = product_cosine(4)
+    z = [1, 7, 4_001 % n, 15_015 % n]
+    want = math.fsum(f(lattice_points(n, z))) / n
+    assert lattice_rule(f, n, z).hex() == want.hex()
 
 
 def test_constant_integrand_zero_variance():
