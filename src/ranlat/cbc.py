@@ -34,7 +34,9 @@ def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     m = math.prod(moduli)
     c = np.arange(moduli[0] // 2 + 1, dtype=np.int64) * (m // moduli[0])
     if len(moduli) == 2:
-        c = np.add.outer(c, np.arange(0, m, moduli[0], dtype=np.int64)) % m
+        # both residues are reduced, so c < 2m and one subtraction reduces it
+        c = np.add.outer(c, np.arange(0, m, moduli[0], dtype=np.int64))
+        np.subtract(c, m, out=c, where=c >= m)
     grid = sigma_alpha(np.minimum(c, m - c, out=c) / m, alpha)
     grid.flags.writeable = False
     return grid
@@ -96,7 +98,10 @@ class CbcState:
 
     def extend(self, *z: int) -> None:
         """Fold the next component, one residue per modulus, into the products."""
-        self.P_products *= 1.0 + self.params.gamma[self.dims] ** 2 * self.sigma_rows(*z)
+        rows = self.sigma_rows(*z)  # a new array, so updated in place
+        rows *= self.params.gamma[self.dims] ** 2
+        rows += 1.0
+        self.P_products *= rows
         self.dims += 1
 
     def mean(self) -> float:

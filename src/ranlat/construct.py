@@ -5,14 +5,15 @@ the cross-prime criterion T-hat over the ceil(tau p) candidates with the
 smallest theta, for each prime of the budget pool in ascending order.
 
 Every prime and every prime pair has one record, a `CbcState` over its
-moduli, the record e_ran builds too.  T-hat of prime p reads the pair record
-of each partner prime q: the pair (q, p) of a smaller q is swept at q's
-residue, and the row sums of the pair (p, q) of a larger q feed one shared
-sweep.  The chosen residues are the search's only state: a record is a cache
+moduli.  T-hat of prime p reads the pair record of each partner prime q:
+the pair (q, p) of a smaller q is swept at q's residue, and the row sums of
+the pair (p, q) of a larger q feed one shared sweep.  The chosen residues are the search's only state: a record is a cache
 over them, brought up to date when it is read.  The pairs are kept
 (sum_{q<p} (q + 1) p floats) if they fit in half of the memory the process
 may use; else each is rebuilt whenever it is read, so one is alive at a
-time.  Both give bit-identical vectors.
+time.  Both give bit-identical vectors.  After the last choice every record
+is read once more, at all d components, for the e_ran report
+(`errors.eran_report`) that the vector carries.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbc import CbcState, argmin_first, candidate_set, record_bytes, theta_all
-from .errors import DomainError
+from .errors import DomainError, eran_report
 from .kernels import KorobovSpaceParams
 from .primes import PrimePool, ResidueVector, build_prime_pool
 
@@ -91,8 +92,8 @@ class ConstructionState:
     def __post_init__(self) -> None:
         # Keep the pairs only if they fit in half of the probed memory: the
         # other half holds what runs beside them, that is, one pair at a time
-        # with its permuted sigma rows and FFT spectra during a choice, the
-        # e_ran evaluation that usually follows, and other processes.
+        # with its permuted sigma rows and FFT spectra during a choice or
+        # the e_ran read, and other processes.
         self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
         self.residues = {p: [1] for p in self.pool.primes}
         self.records = {}
@@ -162,6 +163,8 @@ def construct_fixed_vector(
 
     z_1 = 1 for every prime; for s = 2..d and each pool prime ascending, the
     residue is the T-hat minimiser among the ceil(tau p) best-theta candidates.
+    The vector carries its e_ran report (`ResidueVector.eran`), read from the
+    search's records, which `randomized_error_sq_fixed` returns under params.
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
@@ -171,4 +174,8 @@ def construct_fixed_vector(
     state = ConstructionState(pool=pool, params=params, tau=tau)
     for _ in range((d - 1) * len(pool.primes)):
         state.choose()
-    return ResidueVector(pool, tuple(tuple(res) for res in state.residues.values()), d)
+    v = ResidueVector(pool, tuple(tuple(res) for res in state.residues.values()), d)
+    # e_ran from the records, read at all d components: one extend each if kept
+    report = eran_report(pool.primes, lambda *moduli: state._record(*moduli, dims=d))
+    object.__setattr__(v, "eran", (params, report))  # frozen, and set here only
+    return v

@@ -6,6 +6,11 @@ random-prime fixed-vector algorithm (both take the mean of a `cbc.CbcState`,
 the record that the construction keeps for every prime and prime pair), the
 good-set thresholds, and the explicit theoretical error bound of the
 constructive theorem.
+
+`eran_report` is the one term loop of e_ran.  `construct_fixed_vector` runs
+it over its own records, read at all d components, and the vector carries
+that report; `randomized_error_sq_fixed` returns it under the same params
+and otherwise runs the loop over records built anew from the residues.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,12 +37,20 @@ _MAX_POINTS = 3_037_000_499
 class ErrorReport:
     """Squared error value with the decomposition terms that produced it.
 
+    decomposition is read-only, as a report may be returned more than once;
     clamped counts the terms that round-off put below 0 and that were set to 0.
     """
 
     squared_error: float
-    decomposition: dict[str, float]
+    decomposition: Mapping[str, float]
     clamped: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "decomposition", MappingProxyType(dict(self.decomposition)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle or copy; its items do
+        return ErrorReport, (self.squared_error, dict(self.decomposition), self.clamped)
 
     @property
     def error(self) -> float:
@@ -120,6 +134,31 @@ def worst_case_error_sq(
     return _error_sq(CbcState((n,), params, zip(z)))[0]
 
 
+def eran_report(
+    primes: Sequence[int], record: Callable[..., CbcState]
+) -> ErrorReport:
+    """[e_ran]^2 from record(p) of every prime and record(p, q) of every pair p < q,
+    `CbcState`s over all d components (see `randomized_error_sq_fixed`)."""
+    L = len(primes)
+    scale = 1.0 / (L * L)
+    terms: dict[str, float] = {}
+    clamped = 0
+    for p in primes:
+        e_p, flag = _error_sq(record(p))
+        terms[f"p={p}"] = scale * e_p
+        clamped += flag
+    for p, q in combinations(primes, 2):
+        e_pq, flag = _error_sq(record(p, q))
+        terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
+        clamped += flag
+    return ErrorReport(math.fsum(terms.values()), terms, clamped)
+
+
+def _space(params: KorobovSpaceParams) -> tuple:
+    """params by value; its gamma may be any sequence, a numpy array too."""
+    return params.d, params.alpha, tuple(params.gamma)
+
+
 def randomized_error_sq_fixed(
     v: ResidueVector, params: KorobovSpaceParams
 ) -> ErrorReport:
@@ -135,26 +174,21 @@ def randomized_error_sq_fixed(
     summed over the separable Z_p x Z_q grid of a `CbcState` with moduli
     (p, q), which the CRT maps onto the points of the pq-point rule.  Terms
     are accumulated in sorted prime(-pair) order for bit-reproducibility;
-    clamped ones are counted.
+    clamped ones are counted.  A vector from `construct_fixed_vector` carries
+    the report read from the construction's own records; under the same
+    params it is returned as is, and it is bit for bit the one built here.
     """
     primes = v.pool.primes
     if not primes:
         raise DomainError("prime pool is empty")
     if v.d != params.d:
         raise DomainError(f"vector has {v.d} components, params.d = {params.d}")
-    L = len(primes)
-    scale = 1.0 / (L * L)
-    terms: dict[str, float] = {}
-    clamped = 0
-    for p, res in zip(primes, v.residues):
-        e_p, flag = _error_sq(CbcState((p,), params, zip(res)))
-        terms[f"p={p}"] = scale * e_p
-        clamped += flag
-    for (p, res_p), (q, res_q) in combinations(zip(primes, v.residues), 2):
-        e_pq, flag = _error_sq(CbcState((p, q), params, zip(res_p, res_q)))
-        terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
-        clamped += flag
-    return ErrorReport(math.fsum(terms.values()), terms, clamped)
+    if v.eran is not None and _space(v.eran[0]) == _space(params):
+        return v.eran[1]
+    residues = dict(zip(primes, v.residues))
+    return eran_report(
+        primes, lambda *moduli: CbcState(moduli, params, zip(*(residues[m] for m in moduli)))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,9 @@ def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndar
     v = v.reshape(-1, n)
     w = w.reshape(-1, n)
     # c[b] = sum_rows sum_a v[g^(a-b)] w[g^a], a over one period
-    spec = np.conjugate(np.fft.rfft(v[:, order])) * np.fft.rfft(w[:, order])
+    spec = np.fft.rfft(v[:, order])
+    np.conjugate(spec, out=spec)
+    spec *= np.fft.rfft(w[:, order])
     c = np.fft.irfft(spec.sum(axis=0), len(order))
     v0 = v[:, 0]
     c0 = v0 @ w[:, 0]

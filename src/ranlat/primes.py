@@ -8,9 +8,14 @@ never as its huge integer representative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .errors import ErrorReport
+    from .kernels import KorobovSpaceParams
 
 
 # Lower-bound constant of the pool size: |P_n| > C_PRIME n / ln n.
@@ -96,12 +101,16 @@ class ResidueVector:
 
     residues[i] holds (z_1, ..., z_d) modulo pool.primes[i].  Constructed
     vectors always have z_1 = 1 for every prime; synthetic vectors used in
-    tests may violate that, so it is not enforced here.
+    tests may violate that, so it is not enforced here.  eran is the
+    (params, `errors.ErrorReport`) that `construct_fixed_vector` read from its
+    own records, and None on every vector built otherwise.
     """
 
     pool: PrimePool
     residues: tuple[tuple[int, ...], ...]
     d: int
+    eran: tuple[KorobovSpaceParams, ErrorReport] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.residues) != len(self.pool.primes):

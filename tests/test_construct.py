@@ -217,7 +217,7 @@ def test_kept_and_rebuilt_identical(monkeypatch):
 def test_estimate_over_probe_selects_rebuild(monkeypatch):
     # the tables are kept up to half of the probed memory; one byte more
     # rebuilds each of the 6 pairs at both of its primes' turns in each of
-    # the d - 1 = 2 chosen dimensions
+    # the d - 1 = 2 chosen dimensions, and once more for the e_ran report
     params = _params(3)
     est = estimate_cached_bytes(build_prime_pool(30))
     counts = _count_pair_builds(monkeypatch)
@@ -226,7 +226,7 @@ def test_estimate_over_probe_selects_rebuild(monkeypatch):
     assert counts["builds"] == 6
     _probe_reports(monkeypatch, 2 * est - 1)
     rebuilt = construct_fixed_vector(30, 3, params)
-    assert counts["builds"] == 6 + 24
+    assert counts["builds"] == 6 + 30
     assert rebuilt.residues == kept.residues
 
 
@@ -244,18 +244,18 @@ def test_probe_takes_cgroup_limit_below_installed_memory(monkeypatch, tmp_path):
     assert construct.physical_memory_bytes() == 2 * est - 1
     counts = _count_pair_builds(monkeypatch)
     construct_fixed_vector(30, 3, _params(3))
-    assert counts["builds"] == 24
+    assert counts["builds"] == 30
 
 
 @pytest.mark.parametrize(
-    "memory_bytes, builds, extends", [(1 << 62, 6, 12), (0, 24, 36)], ids=["kept", "rebuilt"]
+    "memory_bytes, builds, extends", [(1 << 62, 6, 18), (0, 30, 54)], ids=["kept", "rebuilt"]
 )
 def test_pair_table_builds_per_policy(monkeypatch, memory_bytes, builds, extends):
     # n=30: primes 17, 19, 23, 29 make 6 pairs.  Kept pairs are built once,
-    # at the smaller prime's turn at s = 2, over z_1 and extended by z_2.
-    # Rebuilt ones are built at both primes' turns, over z_1 at s = 2 and
-    # over z_1, z_2 at s = 3, and never extended after.  Nothing is extended
-    # by z_3, the last component.
+    # at the smaller prime's turn at s = 2, over z_1, and extended by z_2 and,
+    # for the e_ran report, by z_3.  Rebuilt ones are built at both primes'
+    # turns, over z_1 at s = 2 and over z_1, z_2 at s = 3, and once more over
+    # z_1, z_2, z_3 for the report, and never extended after.
     counts = _count_pair_builds(monkeypatch)
     _probe_reports(monkeypatch, memory_bytes)
     construct_fixed_vector(30, 3, _params(3))
@@ -284,10 +284,28 @@ def test_rebuild_holds_at_most_one_pair(monkeypatch):
 
 def test_eran_builds_one_pair_state_per_pair(monkeypatch):
     # n=30, d=3: each of the 6 pairs is built once over all 3 components
+    # (a vector built anew from the residues, so not the constructed one's report)
     v = construct_fixed_vector(30, 3, _params(3))
     counts = _count_pair_builds(monkeypatch)
-    randomized_error_sq_fixed(v, _params(3))
+    randomized_error_sq_fixed(ResidueVector(v.pool, v.residues, v.d), _params(3))
     assert counts == {"builds": 6, "extends": 18}
+
+
+def test_report_extends_each_kept_pair_once(monkeypatch):
+    # under the kept policy construct's e_ran report builds no pair: it reads
+    # each of the 6 pairs, held at z_1, z_2, extended by z_3
+    _probe_reports(monkeypatch, 1 << 62)
+    counts = _count_pair_builds(monkeypatch)
+    before = {}
+    report = construct.eran_report
+
+    def counted_report(primes, record):
+        before.update(counts)
+        return report(primes, record)
+
+    monkeypatch.setattr(construct, "eran_report", counted_report)
+    construct_fixed_vector(30, 3, _params(3))
+    assert counts == {"builds": before["builds"], "extends": before["extends"] + 6}
 
 
 def test_candidate_set_boundary_mirror_tie():
@@ -354,7 +372,7 @@ def test_probe_without_sysconf_reports_zero_and_rebuilds(monkeypatch, tmp_path):
     counts = _count_pair_builds(monkeypatch)
     v = construct_fixed_vector(30, 3, params, tau=fix["tau"])
     assert [list(res) for res in v.residues] == case["residues"]
-    assert counts["builds"] == 24
+    assert counts["builds"] == 30  # 24 in the search, one per pair for the e_ran report
 
 
 def test_first_component_all_ones():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ranlat.cbc as cbc_module
+import ranlat.construct as construct_module
 import ranlat.errors as errors_module
 from ranlat.cbc import CbcState
 from ranlat.construct import construct_fixed_vector
@@ -167,13 +170,66 @@ def test_eran_counts_clamped_terms(monkeypatch):
                 self.P_products = np.full(self.P_products.shape, 1.0 - 1e-14)
 
     monkeypatch.setattr(errors_module, "CbcState", PairProductsBelowOne)
-    rep = randomized_error_sq_fixed(v, params)
+    rep = randomized_error_sq_fixed(ResidueVector(v.pool, v.residues, v.d), params)
     pair_terms = [t for key, t in rep.decomposition.items() if key.startswith("pq=")]
     assert len(pair_terms) == 91  # 14 primes in (65, 131]
     assert rep.clamped == 91 and set(pair_terms) == {0.0}
     singles = [f"p={p}" for p in v.pool.primes]
     assert [rep.decomposition[k] for k in singles] == [real.decomposition[k] for k in singles]
     assert rep.squared_error == math.fsum(rep.decomposition.values())
+
+
+def _report_hex(rep):
+    return (rep.squared_error.hex(), {k: t.hex() for k, t in rep.decomposition.items()},
+            rep.clamped)
+
+
+@pytest.mark.parametrize("memory_bytes", [1 << 62, 0], ids=["kept", "rebuilt"])
+@pytest.mark.parametrize("n, alpha", [(30, 2), (101, 2), (131, 3)])
+def test_carried_report_equals_fresh_bit_for_bit(monkeypatch, memory_bytes, n, alpha):
+    # the report construct reads from its records is the one built anew from
+    # the residues, term for term; n=131, alpha=3 has one clamped term
+    monkeypatch.setattr(construct_module, "physical_memory_bytes", lambda: memory_bytes)
+    params = KorobovSpaceParams(d=5, alpha=alpha, gamma=poly_weights(5, 3.0))
+    v = construct_fixed_vector(n, 5, params)
+    carried = randomized_error_sq_fixed(v, params)
+    assert carried is v.eran[1]
+    fresh = randomized_error_sq_fixed(ResidueVector(v.pool, v.residues, v.d), params)
+    assert _report_hex(carried) == _report_hex(fresh)
+    assert carried.clamped == (n == 131)
+
+
+def test_other_params_take_the_fresh_path():
+    # the carried report answers only the params it was computed under, by
+    # value; an equal vector built by hand carries none, and equality ignores
+    # the report
+    params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 3.0))
+    other = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 2.0))
+    v = construct_fixed_vector(30, 3, params)
+    same = KorobovSpaceParams(d=3, alpha=2, gamma=np.array(poly_weights(3, 3.0)))
+    assert randomized_error_sq_fixed(v, same) is v.eran[1]
+    plain = ResidueVector(v.pool, v.residues, v.d)
+    assert plain == v and hash(plain) == hash(v) and plain.eran is None
+    assert v.eran[0] == params
+    rep = randomized_error_sq_fixed(v, other)
+    assert _report_hex(rep) == _report_hex(randomized_error_sq_fixed(plain, other))
+    assert rep.squared_error != v.eran[1].squared_error
+
+
+def test_report_decomposition_is_read_only():
+    # a carried report is returned on every call, so no caller may edit it;
+    # a vector that carries one still pickles and copies, report and all
+    params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 3.0))
+    v = construct_fixed_vector(20, 2, params)
+    rep = randomized_error_sq_fixed(v, params)
+    with pytest.raises(TypeError):
+        rep.decomposition["p=11"] = 0.0
+    assert randomized_error_sq_fixed(v, params).decomposition == rep.decomposition
+    for w in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert w == v and w.eran[0] == params
+        assert _report_hex(w.eran[1]) == _report_hex(rep)
+        with pytest.raises(TypeError):
+            w.eran[1].decomposition["p=11"] = 0.0
 
 
 def test_point_products_overflow_guard(monkeypatch):
