@@ -15,7 +15,11 @@ Two SHA-256 digests:
 
 The digests depend on floating-point round-off: the n = 113, alpha = 3 choice
 is a tie decided by it, so another numpy or platform may print other values.
-Exits 1 if a digest differs from the recorded one.
+Each construct case also evaluates e_ran afresh, from a plain copy of the
+vector (the path of vector files and hand-built vectors), and requires its
+e_ran^2, clamped count and every term to be hex-equal to the carried report.
+Exits 1 if a digest differs from the recorded one or a fresh report from the
+carried one.
 
     PYTHONPATH=src python3 scripts/bit_identity.py
 """
@@ -38,7 +42,7 @@ from ranlat import (
     worst_case_error_sq,
 )
 from ranlat.cli import nearest_prime
-from ranlat.primes import sieve_primes
+from ranlat.primes import ResidueVector, sieve_primes
 
 CONSTRUCT_SHA256 = "606fbcbf6bcfec8be67408f9168d240fd7a073556b6dd6e7461e74bdb7ed4089"
 ONLINE_SHA256 = "cdc42e2ea785613d4e7e37df326948a2c4a457753bade3dc41b4646cae0fb592"
@@ -57,18 +61,27 @@ def cases() -> list[tuple[int, int, int]]:
     return [(n, 10, alpha) for alpha in (1, 2, 3) for n in ns] + [(307, 5, 2)]
 
 
-def construct_digest(memory_bytes: int) -> str:
+def report_hex(r) -> tuple:
+    return r.squared_error.hex(), r.clamped, [(k, t.hex()) for k, t in r.decomposition.items()]
+
+
+def construct_digest(memory_bytes: int) -> tuple[str, list[tuple[int, int]]]:
+    """The construct digest, and the (n, alpha) whose fresh report differs from the carried one."""
     construct.physical_memory_bytes = lambda: memory_bytes
     h = hashlib.sha256()
+    differs = []
     for n, d, alpha in cases():
         p = params(d, alpha)
         v = construct_fixed_vector(n, d, p, tau=TAU)
         r = randomized_error_sq_fixed(v, p)
+        fresh = randomized_error_sq_fixed(ResidueVector(v.pool, v.residues, v.d), p)
+        if report_hex(fresh) != report_hex(r):
+            differs.append((n, alpha))
         z = cbc_construct(n, p)
         h.update(repr((n, alpha, v.residues, r.squared_error.hex(), r.clamped,
                        [t.hex() for t in r.decomposition.values()],
                        z, worst_case_error_sq(n, z, p).hex())).encode())
-    return h.hexdigest()
+    return h.hexdigest(), differs
 
 
 def online_digest() -> str:
@@ -87,13 +100,19 @@ def online_digest() -> str:
 
 def main() -> int:
     probe = construct.physical_memory_bytes
+    digests = []
+    ok = True
     try:
-        digests = [(f"construct ({policy})", construct_digest(memory), CONSTRUCT_SHA256)
-                   for policy, memory in PROBED_MEMORY.items()]
+        for policy, memory in PROBED_MEMORY.items():
+            got, differs = construct_digest(memory)
+            digests.append((f"construct ({policy})", got, CONSTRUCT_SHA256))
+            ok &= not differs
+            print(f"fresh e_ran ({policy}): "
+                  + (f"DIFFERS from the carried report at (n, alpha) {differs}" if differs
+                     else "hex-equal to the carried report in every case"))
     finally:
         construct.physical_memory_bytes = probe
     digests.append(("online", online_digest(), ONLINE_SHA256))
-    ok = True
     for label, got, want in digests:
         same = got == want
         ok &= same

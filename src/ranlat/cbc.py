@@ -19,7 +19,6 @@ import numpy as np
 
 from .fftconv import rader_cbc_kernel
 from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
-from .primes import residue_perm
 
 # Relative tolerance under which two criterion values count as tied.  Exact
 # mathematical ties other than theta's z, p - z (bit-equal by construction)
@@ -40,6 +39,11 @@ def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     grid = sigma_alpha(np.minimum(c, m - c, out=c) / m, alpha)
     grid.flags.writeable = False
     return grid
+
+
+def residue_perm(m: int, z: int, points: int) -> np.ndarray:
+    """k z mod m for k = 0..points-1: the residue of the k-th point's coordinate."""
+    return np.arange(points, dtype=np.int64) * (z % m) % m
 
 
 def record_bytes(moduli: tuple[int, ...]) -> int:
@@ -87,11 +91,11 @@ class CbcState:
         """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
         a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1."""
         m = self.moduli[0]
-        r = np.arange(len(self.grid), dtype=np.int64) * (z[0] % m) % m
+        r = residue_perm(m, z[0], len(self.grid))
         rows = self.grid.take(np.minimum(r, m - r), axis=0)
         if len(self.moduli) == 2:
             if len(z) == 2:
-                rows = rows.take(residue_perm(self.moduli[1], z[1]), axis=1)
+                rows = rows.take(residue_perm(self.moduli[1], z[1], rows.shape[1]), axis=1)
             fold = np.flatnonzero(r > m // 2)
             rows[fold, 1:] = rows[fold, :0:-1]
         return rows
@@ -129,7 +133,7 @@ class CbcState:
     def row_sums(self, z: int) -> np.ndarray:
         """sum_{l in Z_q} P(k z mod p, l) for k <= p/2, of the pair (p, q)."""
         p = self.moduli[0]
-        r = np.arange(p // 2 + 1, dtype=np.int64) * z % p
+        r = residue_perm(p, z, len(self.P_products))
         return self.P_products.sum(axis=1)[np.minimum(r, p - r)]
 
 

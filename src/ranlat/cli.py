@@ -91,10 +91,10 @@ def vector_to_dict(v: ResidueVector, params: KorobovSpaceParams, tau: float,
         "n": v.pool.n,
         "d": v.d,
         "alpha": params.alpha,
-        "gamma": [float(g) for g in params.gamma],
+        "gamma": list(params.gamma),
         "tau": tau,
-        "primes": [int(p) for p in v.pool.primes],
-        "residues": [[int(r) for r in row] for row in v.residues],
+        "primes": list(v.pool.primes),
+        "residues": list(map(list, v.residues)),
         "metadata": metadata,
     }
 
@@ -146,12 +146,9 @@ def read_vector_file(path: str) -> tuple[ResidueVector, KorobovSpaceParams, dict
     pool = build_prime_pool(n)
     if list(pool.primes) != primes:
         raise DomainError("prime list in file does not match the budget pool")
-    params = KorobovSpaceParams(
-        d=data["d"], alpha=data["alpha"], gamma=tuple(float(g) for g in gamma),
-    )
-    residues = tuple(tuple(row) for row in rows)
-    v = ResidueVector(pool=pool, residues=residues, d=params.d)
-    if any(row[0] != 1 for row in residues):
+    params = KorobovSpaceParams(d=data["d"], alpha=data["alpha"], gamma=gamma)
+    v = ResidueVector(pool=pool, residues=rows, d=params.d)
+    if any(row[0] != 1 for row in v.residues):
         raise DomainError("the first component must be 1 for every prime")
     return v, params, data
 

@@ -118,10 +118,10 @@ class ConstructionState:
             self.records[moduli] = record
         return record
 
-    def t_hat_all(self, theta: np.ndarray | None = None) -> np.ndarray:
+    def t_hat_all(self, theta: np.ndarray) -> np.ndarray:
         """T-hat for every candidate residue z in Z_p of the prime p that is due.
 
-        Adds to theta (computed here unless given) the cross-prime
+        Adds to theta, the due prime's `theta_all`, the cross-prime
         corrections.  Each smaller prime q contributes one batched Rader
         sweep of its pair, summed in the frequency domain.  Since
         sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
@@ -130,8 +130,6 @@ class ConstructionState:
         p, dims = self._due()
         power = 2 * self.params.alpha + 1
         gam2 = self.params.gamma[dims] ** 2
-        if theta is None:
-            theta = theta_all(self._record(p, dims=dims))
         cross = np.zeros(p)
         larger = np.zeros(p // 2 + 1)
         # Each pair is a temporary, so a rebuilt one is freed before the next is built.
@@ -174,7 +172,7 @@ def construct_fixed_vector(
     state = ConstructionState(pool=pool, params=params, tau=tau)
     for _ in range((d - 1) * len(pool.primes)):
         state.choose()
-    v = ResidueVector(pool, tuple(tuple(res) for res in state.residues.values()), d)
+    v = ResidueVector(pool, state.residues.values(), d)
     # e_ran from the records, read at all d components: one extend each if kept
     report = eran_report(pool.primes, lambda *moduli: state._record(*moduli, dims=d))
     object.__setattr__(v, "eran", (params, report))  # frozen, and set here only

@@ -16,6 +16,7 @@ and otherwise runs the loop over records built anew from the residues.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
@@ -119,7 +120,7 @@ def _error_sq(state: CbcState) -> tuple[float, bool]:
 def worst_case_error_sq(
     n: int, z: Sequence[int], params: KorobovSpaceParams
 ) -> float:
-    """Squared worst-case error of the n-point rule with generating vector z.
+    """Squared worst-case error of the n-point rule with integer generating vector z.
 
     Point formula: -1 + (1/n) sum_k prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)),
     the products folded one component at a time into a `CbcState` modulo n and
@@ -131,7 +132,7 @@ def worst_case_error_sq(
         raise DomainError(f"vector has {len(z)} components, params.d = {params.d}")
     if n > _MAX_POINTS:
         raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
-    return _error_sq(CbcState((n,), params, zip(z)))[0]
+    return _error_sq(CbcState((n,), params, zip(map(operator.index, z))))[0]
 
 
 def eran_report(
@@ -152,11 +153,6 @@ def eran_report(
         terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
         clamped += flag
     return ErrorReport(math.fsum(terms.values()), terms, clamped)
-
-
-def _space(params: KorobovSpaceParams) -> tuple:
-    """params by value; its gamma may be any sequence, a numpy array too."""
-    return params.d, params.alpha, tuple(params.gamma)
 
 
 def randomized_error_sq_fixed(
@@ -183,7 +179,7 @@ def randomized_error_sq_fixed(
         raise DomainError("prime pool is empty")
     if v.d != params.d:
         raise DomainError(f"vector has {v.d} components, params.d = {params.d}")
-    if v.eran is not None and _space(v.eran[0]) == _space(params):
+    if v.eran is not None and v.eran[0] == params:
         return v.eran[1]
     residues = dict(zip(primes, v.residues))
     return eran_report(

@@ -39,7 +39,7 @@ class KorobovSpaceParams:
     alpha : int
         Integer smoothness, one of {1, 2, 3}.
     gamma : tuple of float
-        Positive product weights gamma_1..gamma_d.
+        Positive product weights gamma_1..gamma_d, stored as a tuple of floats.
     """
 
     d: int
@@ -60,6 +60,7 @@ class KorobovSpaceParams:
         for g in self.gamma:
             if not (g > 0.0 and math.isfinite(g)):
                 raise DomainError(f"weights must be positive and finite, got {g}")
+        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
 
 
 def poly_weights(d: int, c: float) -> tuple[float, ...]:

@@ -8,6 +8,7 @@ never as its huge integer representative.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -99,11 +100,12 @@ def build_prime_pool(n: int) -> PrimePool:
 class ResidueVector:
     """Generating vector stored as per-prime residue tuples.
 
-    residues[i] holds (z_1, ..., z_d) modulo pool.primes[i].  Constructed
-    vectors always have z_1 = 1 for every prime; synthetic vectors used in
-    tests may violate that, so it is not enforced here.  eran is the
-    (params, `errors.ErrorReport`) that `construct_fixed_vector` read from its
-    own records, and None on every vector built otherwise.
+    residues[i] holds (z_1, ..., z_d) modulo pool.primes[i], any integers
+    stored as a tuple of ints.  Constructed vectors always have z_1 = 1 for
+    every prime; synthetic vectors used in tests may violate that, so it is
+    not enforced here.  eran is the (params, `errors.ErrorReport`) that
+    `construct_fixed_vector` read from its own records, and None on every
+    vector built otherwise.
     """
 
     pool: PrimePool
@@ -113,6 +115,8 @@ class ResidueVector:
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "residues",
+                           tuple(tuple(map(operator.index, res)) for res in self.residues))
         if len(self.residues) != len(self.pool.primes):
             raise ValueError("one residue tuple per pool prime required")
         for p, res in zip(self.pool.primes, self.residues):
@@ -120,8 +124,3 @@ class ResidueVector:
                 raise ValueError(f"residue tuple for p={p} has wrong dimension")
             if any(not (0 <= r < p) for r in res):
                 raise ValueError(f"residues for p={p} must lie in [0, {p})")
-
-
-def residue_perm(p: int, z: int) -> np.ndarray:
-    """k z mod p for k = 0..p-1: the residue of the k-th point's coordinate."""
-    return np.arange(p, dtype=np.int64) * (z % p) % p

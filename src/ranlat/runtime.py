@@ -9,6 +9,7 @@ from (seed, repetition index), making parallel and serial runs agree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,12 +114,12 @@ class RunConfig:
 
 
 def lattice_points(n: int, z) -> np.ndarray:
-    """Points {k z mod n}/n for k = 0..n-1; z is reduced mod n first.
+    """Points {k z mod n}/n for k = 0..n-1; the integers z are reduced mod n first.
 
     Reducing z before forming k * z keeps every product below n^2, so no
     integer overflow can occur at supported scales.
     """
-    zmod = np.asarray(z, dtype=np.int64) % n
+    zmod = np.array([operator.index(c) % n for c in z], dtype=np.int64)
     k = np.arange(n, dtype=np.int64)
     return (k[:, None] * zmod[None, :] % n) / n
 

@@ -99,7 +99,7 @@ def test_t_hat_fast_matches_naive_triple_loop():
         state = ConstructionState(pool=pool, params=params, tau=0.5)
         for _ in range(2, d + 1):
             for p in pool.primes:
-                fast = state.t_hat_all()
+                fast = state.t_hat_all(theta_all(CbcState((p,), params, zip(state.residues[p]))))
                 slow = t_hat_all_naive(pool, params, p, state.residues)
                 assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
                 state.choose()
@@ -131,7 +131,6 @@ def test_t_hat_fast_matches_naive_n30_pool():
         for p in pool.primes:
             theta = theta_all(CbcState((p,), state.params, zip(state.residues[p])))
             fast = state.t_hat_all(theta)
-            assert np.array_equal(fast, state.t_hat_all())
             slow = t_hat_all_naive(pool, params, p, state.residues)
             assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
             state.choose()

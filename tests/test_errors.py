@@ -55,6 +55,13 @@ def test_wce_1d_closed_form():
         )
 
 
+def test_wce_rejects_non_integer_vector():
+    # rejected as a residue, not by a numpy cast deep inside the sum
+    params = KorobovSpaceParams(d=2, alpha=1, gamma=(1.0, 1.0))
+    with pytest.raises(TypeError, match="integer"):
+        worst_case_error_sq(7, (1, 3.5), params)
+
+
 def test_character_sum_identity():
     # (1/p) sum_k sigma_alpha(k z / p) = 2 zeta(2 alpha) / p^{2 alpha} for gcd(z,p)=1
     for p in (3, 5, 7, 11):

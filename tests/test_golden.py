@@ -2,7 +2,8 @@
 
 The fixtures under tests/data were written by scripts/golden_fixtures.py.
 Any change to the T-hat evaluation or the e_ran evaluation must leave every
-residue and e_ran^2 bit-identical, under both pair-table policies.  A policy
+residue and e_ran^2 bit-identical, under both pair-table policies, both as
+the report a constructed vector carries and as evaluated afresh.  A policy
 is forced through the memory probe.  The kept policy sees ample memory, so
 the pair records are kept between dimensions.  The rebuilt policy sees none,
 so each pair record is rebuilt from the chosen prefix every time it is read.
@@ -18,6 +19,7 @@ import pytest
 from ranlat import construct
 from ranlat.errors import randomized_error_sq_fixed
 from ranlat.kernels import KorobovSpaceParams
+from ranlat.primes import ResidueVector
 
 PROBED_MEMORY = {"kept": 1 << 62, "rebuilt": 0}
 FIXTURES = sorted((pathlib.Path(__file__).parent / "data").glob("golden_*.json"))
@@ -45,3 +47,6 @@ def test_golden_vectors_reproduced(path, policy, monkeypatch):
         assert [list(res) for res in v.residues] == case["residues"], label
         e2 = randomized_error_sq_fixed(v, params).squared_error
         assert e2 == case["eran_sq"], label
+        # a vector without the carried report: the evaluator of vector files
+        fresh = randomized_error_sq_fixed(ResidueVector(v.pool, v.residues, v.d), params)
+        assert fresh.squared_error == case["eran_sq"], label

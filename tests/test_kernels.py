@@ -184,6 +184,15 @@ def test_params_validation():
         KorobovSpaceParams(d=1, alpha=1, gamma=(0.0,))
 
 
+def test_params_compare_and_hash_by_value():
+    # any sequence of weights is stored as a tuple of floats
+    want = KorobovSpaceParams(d=3, alpha=2, gamma=(1.0, 0.25, 0.5))
+    for gamma in ([1.0, 0.25, 0.5], np.array([1.0, 0.25, 0.5]), (1, 0.25, 0.5)):
+        params = KorobovSpaceParams(d=3, alpha=2, gamma=gamma)
+        assert params == want and hash(params) == hash(want)
+        assert all(type(g) is float for g in params.gamma)
+
+
 def test_r_alpha_examples():
     p = KorobovSpaceParams(d=3, alpha=1, gamma=(1.0, 0.5, 0.25))
     assert r_alpha(p, (0, 0, 0)) == 1.0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ranlat.oracles import crt_pair
@@ -58,6 +59,19 @@ def test_residue_vector_validation():
     pool = build_prime_pool(12)
     with pytest.raises(ValueError):
         ResidueVector(pool=pool, residues=((1, 9), (1, 3)), d=2)  # 9 >= 7
+    for bad in (3.5, 3.0):
+        with pytest.raises(TypeError):
+            ResidueVector(pool=pool, residues=((1, bad), (1, 3)), d=2)
+
+
+def test_residue_vector_normalises_rows_to_int_tuples():
+    pool = build_prime_pool(12)
+    want = ResidueVector(pool=pool, residues=((1, 3), (1, 5)), d=2)
+    for rows in ([[1, 3], [1, 5]], np.array([[1, 3], [1, 5]]),
+                 ((np.int64(1), np.int32(3)), (1, np.uint8(5)))):
+        v = ResidueVector(pool=pool, residues=rows, d=2)
+        assert v == want and hash(v) == hash(want)
+        assert all(type(r) is int for row in v.residues for r in row)
 
 
 def test_crt_pair_example():

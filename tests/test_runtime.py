@@ -72,6 +72,12 @@ def test_lattice_rule_exact_for_low_frequency():
     assert lattice_rule(f, 7, [1, 3]) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_lattice_rule_rejects_non_integer_vector():
+    # 3.5 must not be truncated to 3
+    with pytest.raises(TypeError, match="integer"):
+        lattice_rule(product_cosine(2), 7, (1, 3.5))
+
+
 @pytest.mark.parametrize("n", [EXACT_SUM_CUTOFF - 1, EXACT_SUM_CUTOFF, 40_009])
 def test_lattice_rule_is_the_fsum_average_bit_for_bit(n):
     f = product_cosine(4)
