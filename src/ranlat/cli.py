@@ -129,11 +129,9 @@ def read_vector_file(path: str) -> tuple[ResidueVector, KorobovSpaceParams, dict
     if not isinstance(tau, (int, float)) or not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
     gamma, rows = data["gamma"], data["residues"]
-    # abs(g) <= float max compares an int exactly, where float(g) would overflow.
     if not isinstance(gamma, list) or not all(
-            isinstance(g, (int, float)) and not isinstance(g, bool)
-            and abs(g) <= sys.float_info.max for g in gamma):
-        raise DomainError("gamma must be a list of finite numbers")
+            isinstance(g, (int, float)) and not isinstance(g, bool) for g in gamma):
+        raise DomainError("gamma must be a list of numbers")
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(map(_is_int, row)) for row in rows):
         raise DomainError("residues must be a list of lists of integers")

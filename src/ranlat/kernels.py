@@ -12,6 +12,8 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -35,9 +37,9 @@ class KorobovSpaceParams:
     Attributes
     ----------
     d : int
-        Dimension, >= 1.
+        Dimension, >= 1; any integer type, stored as an int.
     alpha : int
-        Integer smoothness, one of {1, 2, 3}.
+        Integer smoothness, one of {1, 2, 3}; stored as an int.
     gamma : tuple of float
         Positive product weights gamma_1..gamma_d, stored as a tuple of floats.
     """
@@ -47,6 +49,8 @@ class KorobovSpaceParams:
     gamma: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", operator.index(self.d))
+        object.__setattr__(self, "alpha", operator.index(self.alpha))
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
         if self.alpha not in SUPPORTED_ALPHA:
@@ -58,7 +62,8 @@ class KorobovSpaceParams:
                 f"need {self.d} weights, got {len(self.gamma)}"
             )
         for g in self.gamma:
-            if not (g > 0.0 and math.isfinite(g)):
+            # compares an int exactly, where float(g) would overflow
+            if not 0.0 < g <= sys.float_info.max:
                 raise DomainError(f"weights must be positive and finite, got {g}")
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
 

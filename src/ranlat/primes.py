@@ -115,6 +115,7 @@ class ResidueVector:
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", operator.index(self.d))
         object.__setattr__(self, "residues",
                            tuple(tuple(map(operator.index, res)) for res in self.residues))
         if len(self.residues) != len(self.pool.primes):

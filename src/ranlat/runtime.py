@@ -4,6 +4,9 @@ Randomness comes from a SplitMix64 generator specified bit-exactly below,
 so identical (seed, repetitions) configurations reproduce byte-identical
 estimate streams on any platform.  Each repetition derives its own stream
 from (seed, repetition index), making parallel and serial runs agree.
+The scalar `SplitMix64` and `stream_seed` are the specification;
+`first_draws_below` evaluates every repetition's first bounded draw as one
+uint64 array and replays only the rare rejected draw through them.
 """
 
 from __future__ import annotations
@@ -44,18 +47,68 @@ class SplitMix64:
 
     def next_below(self, m: int) -> int:
         """Uniform draw from {0, ..., m-1} by rejection (no modulo bias)."""
-        if m <= 0:
-            raise DomainError(f"modulus must be positive, got {m}")
-        limit = (1 << 64) - ((1 << 64) % m)
+        limit = _rejection_limit(m)
         while True:
             r = self.next_u64()
             if r < limit:
                 return r % m
 
 
+def _rejection_limit(m: int) -> int:
+    """Outputs below this are kept, so output % m is uniform on {0, ..., m-1}.
+
+    Above 2**64 the limit would be 0 and every output rejected.
+    """
+    if not 0 < m <= 1 << 64:
+        raise DomainError(f"modulus must lie in [1, 2**64], got {m}")
+    return (1 << 64) - ((1 << 64) % m)
+
+
 def stream_seed(seed: int, index: int) -> int:
     """Per-repetition stream seed: mix64(seed) XOR mix64(index + 1)."""
     return _mix64(seed & _MASK64) ^ _mix64((index + 1) & _MASK64)
+
+
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """`_mix64` of every entry of the uint64 array x, in place; tmp is scratch.
+
+    uint64 array arithmetic wraps modulo 2**64, as the scalar `& _MASK64`
+    does, and every operand is a uint64 so no promotion rule can widen it.
+    """
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
+
+
+def first_draws_below(seed: int, reps: int, m: int) -> np.ndarray:
+    """SplitMix64(stream_seed(seed, i)).next_below(m) for every i < reps, as uint64.
+
+    The first output of stream i is mix64(stream_seed(seed, i) + GOLDEN), so
+    all of them are one array pass.  An output at or above the rejection
+    limit (probability below m / 2**64) is replaced by replaying its stream
+    through the scalar generator.
+    """
+    limit = _rejection_limit(m)
+    x = np.arange(1, reps + 1, dtype=np.uint64)
+    tmp = np.empty_like(x)
+    _mix64_inplace(x, tmp)
+    x ^= np.uint64(_mix64(seed))
+    x += np.uint64(_GOLDEN)
+    _mix64_inplace(x, tmp)
+    del tmp
+    # limit and m may be 2**64, which is no uint64: x >= limit is
+    # x > limit - 1, and x % 2**64 is x
+    rejected = np.flatnonzero(x > np.uint64(limit - 1))
+    if m < 1 << 64:
+        np.remainder(x, np.uint64(m), out=x)
+    for i in rejected:
+        x[i] = SplitMix64(stream_seed(seed, int(i))).next_below(m)
+    return x
 
 
 MAX_TRIES = 10_000  # rejection-sampling tries per `run_rp_rv` repetition
@@ -103,12 +156,14 @@ def product_bernoulli(params: KorobovSpaceParams) -> Integrand:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed and repetition count for the online runs."""
+    """Seed and repetition count for the online runs, stored as ints."""
 
     seed: int
     repetitions: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "repetitions", operator.index(self.repetitions))
         if self.repetitions < 1:
             raise DomainError("repetitions must be >= 1")
 
@@ -137,17 +192,15 @@ def run_rpfv(f: Integrand, v: ResidueVector, cfg: RunConfig) -> np.ndarray:
     """Random-prime fixed-vector algorithm: draw p uniformly, use z* mod p.
 
     Since each repetition's estimate depends only on the drawn prime, the
-    per-prime rule values are computed once and indexed by the draws.
+    per-prime rule values are computed once and indexed by the draws.  A
+    repetition's only draw is the first of its stream, so `first_draws_below`
+    draws them all at once, the same values as a loop over `SplitMix64`.
     """
     primes = v.pool.primes
     per_prime = np.array(
         [lattice_rule(f, p, res) for p, res in zip(primes, v.residues)]
     )
-    out = np.empty(cfg.repetitions)
-    for i in range(cfg.repetitions):
-        rng = SplitMix64(stream_seed(cfg.seed, i))
-        out[i] = per_prime[rng.next_below(len(primes))]
-    return out
+    return per_prime[first_draws_below(cfg.seed, cfg.repetitions, len(primes))]
 
 
 def run_rp_cbc(

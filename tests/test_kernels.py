@@ -184,6 +184,26 @@ def test_params_validation():
         KorobovSpaceParams(d=1, alpha=1, gamma=(0.0,))
 
 
+@pytest.mark.parametrize("gamma", [(10 ** 400,), (float("inf"),), (float("nan"),), (-1.0,)])
+def test_params_reject_weights_beyond_every_float(gamma):
+    # an int no float holds is a DomainError, not an OverflowError from float()
+    with pytest.raises(DomainError):
+        KorobovSpaceParams(d=1, alpha=1, gamma=gamma)
+
+
+@pytest.mark.parametrize("field, value", [("d", 2.0), ("d", 2.5), ("alpha", 2.0), ("alpha", 2.5)])
+def test_params_reject_non_integer_dimension_and_smoothness(field, value):
+    kwargs = {"d": 2, "alpha": 2, "gamma": (1.0, 1.0), field: value}
+    with pytest.raises(TypeError, match="integer"):
+        KorobovSpaceParams(**kwargs)
+
+
+def test_params_store_integer_dimension_and_smoothness_as_int():
+    params = KorobovSpaceParams(d=np.int64(2), alpha=np.int32(2), gamma=(1.0, 1.0))
+    assert type(params.d) is int and type(params.alpha) is int
+    assert params == KorobovSpaceParams(d=2, alpha=2, gamma=(1.0, 1.0))
+
+
 def test_params_compare_and_hash_by_value():
     # any sequence of weights is stored as a tuple of floats
     want = KorobovSpaceParams(d=3, alpha=2, gamma=(1.0, 0.25, 0.5))

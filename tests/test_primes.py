@@ -62,6 +62,8 @@ def test_residue_vector_validation():
     for bad in (3.5, 3.0):
         with pytest.raises(TypeError):
             ResidueVector(pool=pool, residues=((1, bad), (1, 3)), d=2)
+        with pytest.raises(TypeError, match="integer"):
+            ResidueVector(pool=pool, residues=((1, 3), (1, 3)), d=bad - 1.0)
 
 
 def test_residue_vector_normalises_rows_to_int_tuples():
@@ -72,6 +74,7 @@ def test_residue_vector_normalises_rows_to_int_tuples():
         v = ResidueVector(pool=pool, residues=rows, d=2)
         assert v == want and hash(v) == hash(want)
         assert all(type(r) is int for row in v.residues for r in row)
+    assert type(ResidueVector(pool=pool, residues=((1, 3), (1, 5)), d=np.int64(2)).d) is int
 
 
 def test_crt_pair_example():

@@ -12,6 +12,7 @@ from ranlat.runtime import (
     RunConfig,
     SplitMix64,
     constant_integrand,
+    first_draws_below,
     lattice_points,
     lattice_rule,
     product_bernoulli,
@@ -45,6 +46,35 @@ def test_next_below_range(m):
     g = SplitMix64(m)
     x = g.next_below(m)
     assert 0 <= x < m
+
+
+def test_next_below_modulus_bounds():
+    # above 2**64 the rejection limit is 0, so no draw could ever be accepted
+    assert 0 <= SplitMix64(5).next_below(2 ** 64) < 2 ** 64
+    for m in (2 ** 64 + 1, 2 ** 65, 0, -3):
+        with pytest.raises(DomainError):
+            SplitMix64(5).next_below(m)
+        with pytest.raises(DomainError):
+            first_draws_below(5, 3, m)
+
+
+# 2**63 + 1 and 3 * 2**62 reject about 1/2 and 1/4 of first outputs, so the
+# scalar replay of rejected draws runs; 2**64 and 2**62 reject none.
+@pytest.mark.parametrize("m", [1, 13, 2 ** 63 + 1, 3 * 2 ** 62, 2 ** 62, 2 ** 64])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 64 - 1, -1])
+def test_first_draws_below_matches_scalar_streams(seed, m):
+    got = first_draws_below(seed, 2_000, m)
+    assert got.dtype == np.uint64
+    want = [SplitMix64(stream_seed(seed, i)).next_below(m) for i in range(2_000)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("m, share", [(2 ** 63 + 1, 1 / 2), (3 * 2 ** 62, 1 / 4)])
+def test_first_draws_below_moduli_reach_the_replay(m, share):
+    # the premise of the test above: these moduli reject first outputs often
+    limit = (1 << 64) - ((1 << 64) % m)
+    firsts = [SplitMix64(stream_seed(0, i)).next_u64() for i in range(2_000)]
+    assert abs(sum(r >= limit for r in firsts) / 2_000 - share) < 0.05
 
 
 def test_next_below_unbiased_small():
@@ -99,6 +129,26 @@ def test_run_rpfv_reproducible():
     cfg = RunConfig(seed=11, repetitions=64)
     f = product_cosine(2)
     assert np.array_equal(run_rpfv(f, v, cfg), run_rpfv(f, v, cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 11, -1])
+def test_run_rpfv_matches_scalar_replay(seed):
+    # the block draws give the bytes of one scalar stream per repetition
+    pool = build_prime_pool(30)
+    residues = tuple((1, 2 + i % (p - 2)) for i, p in enumerate(pool.primes))
+    v = ResidueVector(pool=pool, residues=residues, d=2)
+    f = product_cosine(2)
+    per_prime = [lattice_rule(f, p, res) for p, res in zip(pool.primes, residues)]
+    want = np.array([per_prime[SplitMix64(stream_seed(seed, i)).next_below(len(pool.primes))]
+                     for i in range(2_000)])
+    assert run_rpfv(f, v, RunConfig(seed=seed, repetitions=2_000)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed, reps", [(1, 2.5), (1, 2.0), (1.5, 2)])
+def test_run_config_rejects_non_integers(seed, reps):
+    # a float count must not become ceil(reps) draws of one uint64 pass
+    with pytest.raises(TypeError, match="integer"):
+        RunConfig(seed=seed, repetitions=reps)
 
 
 def test_run_rpfv_dimension_mismatch():
