@@ -5,19 +5,23 @@ sigma_alpha(k z_j / m)) of the rule modulo m, for one prime modulus or, by
 the CRT, a pair of them, so that the squared-error increment theta of every
 candidate residue comes out of a single Rader convolution sweep.  As sigma_alpha
 is even, so is P: a record stores the rows k_1 <= m_1/2 of its first axis, and
-sigma is evaluated once per class +-c.
+sigma is evaluated once per class +-c.  A state of one modulus may also hold
+many vectors at once, one row of products each: the online algorithms fold,
+sweep and sum all the vectors of one prime together.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
+import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .fftconv import rader_cbc_kernel
+from .fftconv import rader_cbc_kernel, rader_sweeps
 from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
 
 # Relative tolerance under which two criterion values count as tied.  Exact
@@ -41,9 +45,15 @@ def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     return grid
 
 
-def residue_perm(m: int, z: int, points: int) -> np.ndarray:
-    """k z mod m for k = 0..points-1: the residue of the k-th point's coordinate."""
+def residue_perm(m: int, z, points: int) -> np.ndarray:
+    """k z mod m for k = 0..points-1: the residue of the k-th point's coordinate;
+    for an int64 column z of shape (R, 1), one row per entry."""
     return np.arange(points, dtype=np.int64) * (z % m) % m
+
+
+def residue_row(n: int, z) -> np.ndarray:
+    """The integers z reduced mod n, as the one row of an int64 array."""
+    return np.array([[operator.index(c) % n for c in z]], dtype=np.int64)
 
 
 def record_bytes(moduli: tuple[int, ...]) -> int:
@@ -68,6 +78,11 @@ class CbcState:
     grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike: every lookup is one
     permutation (`residue_perm`) per axis.  Only the methods below read this
     layout: `mean` and the sweeps of the construction's criteria.
+
+    A state of one modulus holds R vectors at once if each component of the
+    prefix is an int64 column of R residues, shape (R, 1): P_products then has a leading axis,
+    P_products[r, k], and every method works row by row, each row bit for bit
+    the state of that one vector.
     """
 
     moduli: tuple[int, ...]
@@ -83,13 +98,24 @@ class CbcState:
         grids = single_sigma_grid if len(self.moduli) == 1 else sigma_grid
         self.grid = grids(self.moduli, self.params.alpha)
         self.dims = 0
-        self.P_products = np.ones(self.grid.shape)
+        prefix = list(prefix)
+        rows = np.shape(prefix[0][0])[:-1] if prefix else ()
+        if rows and len(self.moduli) == 2:
+            raise DomainError("a pair record holds one vector")
+        self.P_products = np.ones(rows + self.grid.shape)
         for z in prefix:
             self.extend(*z)
 
+    def select(self, rows) -> CbcState:
+        """The state of the vectors at rows, of a state of one modulus over many."""
+        state = copy.copy(self)
+        state.P_products = self.P_products[rows]
+        return state
+
     def sigma_rows(self, *z: int) -> np.ndarray:
         """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
-        a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1."""
+        a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1.
+        One modulus and a column z_1 give one row per entry."""
         m = self.moduli[0]
         r = residue_perm(m, z[0], len(self.grid))
         rows = self.grid.take(np.minimum(r, m - r), axis=0)
@@ -108,20 +134,26 @@ class CbcState:
         self.P_products *= rows
         self.dims += 1
 
-    def mean(self) -> float:
+    def mean(self) -> float | np.ndarray:
         """Mean of P over all m points by one `exact_sum`: a stored row that is not
         its own mirror stands for two, and doubling is exact, so this is bit for
-        bit the fsum over the full record."""
+        bit the fsum over the full record.  An array of one mean per vector if the
+        state holds many."""
         weighted = 2.0 * self.P_products
+        rows = weighted.shape[: weighted.ndim - len(self.moduli)]
         own = [0, -1] if self.moduli[0] % 2 == 0 else [0]  # the rows that are their own mirror
+        own = (slice(None),) * len(rows) + (own,)
         weighted[own] = self.P_products[own]
-        return exact_sum(weighted.ravel()) / math.prod(self.moduli)
+        m = math.prod(self.moduli)
+        if not rows:
+            return exact_sum(weighted.ravel()) / m
+        return np.array([exact_sum(w) / m for w in weighted.reshape(rows + (-1,))])
 
     def sweep(self, weights: np.ndarray) -> np.ndarray:
-        """S[z] = sum_{k in Z_p} sigma_alpha(k z / p) weights[k] for every z in Z_p, for
-        even weights stored on k <= p/2 (one prime)."""
+        """S[..., z] = sum_{k in Z_p} sigma_alpha(k z / p) weights[..., k] for every z in Z_p,
+        for even weights stored on k <= p/2 (one prime): one sweep per row of weights."""
         (p,) = self.moduli
-        return rader_cbc_kernel(p, self.grid, weights)
+        return rader_sweeps(p, self.grid, weights)
 
     def cross_sweep(self, zq: int) -> np.ndarray:
         """S[z] = sum_{l in Z_q, k in Z_p} sigma_alpha(l zq / q + k z / p) P(l, k) for every
@@ -141,7 +173,8 @@ def theta_all(state: CbcState) -> np.ndarray:
     """Squared-error increment theta_s(z) for every candidate z in Z_p.
 
     theta_s(z) = (gamma_s^2 / p) sum_k sigma_alpha(k z / p) P(k), evaluated
-    for all z at once through the Rader convolution sweep.
+    for all z at once through the Rader convolution sweep; one row per vector
+    of a state over many.
     """
     return state.params.gamma[state.dims] ** 2 / state.moduli[0] * state.sweep(state.P_products)
 
@@ -158,21 +191,28 @@ def argmin_first(values: np.ndarray) -> int:
     return int(np.flatnonzero(v <= best + TIE_RTOL * abs(best))[0])
 
 
-def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
-    """Indices of the ceil(tau p) candidates with the smallest theta.
-
-    Values within relative TIE_RTOL of the ceil(tau p)-th smallest count as
-    tied with it and fill the set in index order, so round-off cannot choose
-    between the members of a tie.
-    """
+def candidate_count(p: int, tau: float) -> int:
+    """ceil(tau p), the size of every `candidate_set` of a prime p."""
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
-    m = math.ceil(tau * len(theta))
-    edge = np.sort(theta)[m - 1]
-    tol = TIE_RTOL * abs(edge)
-    below = np.flatnonzero(theta < edge - tol)
-    tied = np.flatnonzero(np.abs(theta - edge) <= tol)
-    return np.concatenate([below, tied[: m - len(below)]])
+    return math.ceil(tau * p)
+
+
+def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
+    """Indices of the ceil(tau p) candidates with the smallest theta, per row of theta[..., z].
+
+    Values within relative TIE_RTOL of the ceil(tau p)-th smallest count as
+    tied with it and fill the set in index order, after those below it, so
+    round-off cannot choose between the members of a tie.
+    """
+    m = candidate_count(theta.shape[-1], tau)
+    edge = np.sort(theta, axis=-1)[..., m - 1 : m]
+    tol = TIE_RTOL * np.abs(edge)
+    # 0 below the tie, 1 tied, 2 above: a stable sort lists each class in index order
+    rank = (np.abs(theta - edge) > tol).view(np.int8) + np.int8(1)
+    rank[theta < edge - tol] = 0
+    # a copy, so that a row kept in a cache does not keep the whole argsort
+    return np.argsort(rank, axis=-1, kind="stable")[..., :m].copy()
 
 
 def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:

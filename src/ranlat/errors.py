@@ -16,7 +16,6 @@ and otherwise runs the loop over records built anew from the residues.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
@@ -24,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cbc import CbcState
+from .cbc import CbcState, residue_row
 from .kernels import DomainError, KorobovSpaceParams, mu_quantity
 from .primes import C_PRIME, ResidueVector
 
@@ -105,16 +104,37 @@ def _grid_infimum(fun: Callable[[float], float], grid: Sequence[float]) -> float
     return min(best, f1, f2)
 
 
-def _error_sq(state: CbcState) -> tuple[float, bool]:
-    """E(m) = mean of the record's products - 1, and whether round-off below 0 was clamped to 0."""
+def _error_sq(state: CbcState):
+    """E(m) = mean of the record's products - 1, and whether round-off below 0 was
+    clamped to 0; arrays of both, one entry per vector, if the state holds many."""
     value = state.mean() - 1.0
-    if value < 0.0:
-        if value < _CLAMP_FLOOR:
-            raise ArithmeticError(
-                f"squared error {value} below the roundoff clamp floor"
-            )
-        return 0.0, True
-    return value, False
+    if np.any(value < _CLAMP_FLOOR):
+        raise ArithmeticError(
+            f"squared error {np.min(value)} below the roundoff clamp floor"
+        )
+    clamped = value < 0.0
+    if np.ndim(value):
+        return np.where(clamped, 0.0, value), clamped
+    return (0.0, True) if clamped else (value, False)
+
+
+def _check_points(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if n > _MAX_POINTS:
+        raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
+
+
+def worst_case_errors_sq(
+    n: int, z: np.ndarray, params: KorobovSpaceParams
+) -> np.ndarray:
+    """Squared worst-case error of the n-point rule with each row of the int64
+    array z[r, j] as its generating vector, the rows folded together into one
+    `CbcState` modulo n (see `worst_case_error_sq`)."""
+    _check_points(n)
+    if z.shape[-1] != params.d:
+        raise DomainError(f"vector has {z.shape[-1]} components, params.d = {params.d}")
+    return _error_sq(CbcState((n,), params, zip(z.T[:, :, None])))[0]
 
 
 def worst_case_error_sq(
@@ -124,15 +144,11 @@ def worst_case_error_sq(
 
     Point formula: -1 + (1/n) sum_k prod_j (1 + gamma_j^2 sigma_alpha(k z_j / n)),
     the products folded one component at a time into a `CbcState` modulo n and
-    summed by `kernels.exact_sum`, bit for bit math.fsum.
+    summed by `kernels.exact_sum`, bit for bit math.fsum.  The one-row case of
+    `worst_case_errors_sq`, with z reduced modulo n first.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if len(z) != params.d:
-        raise DomainError(f"vector has {len(z)} components, params.d = {params.d}")
-    if n > _MAX_POINTS:
-        raise DomainError(f"n = {n} exceeds {_MAX_POINTS}: k z mod n would overflow int64")
-    return _error_sq(CbcState((n,), params, zip(map(operator.index, z))))[0]
+    _check_points(n)
+    return float(worst_case_errors_sq(n, residue_row(n, z), params)[0])
 
 
 def eran_report(

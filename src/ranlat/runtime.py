@@ -7,6 +7,15 @@ from (seed, repetition index), making parallel and serial runs agree.
 The scalar `SplitMix64` and `stream_seed` are the specification;
 `first_draws_below` evaluates every repetition's first bounded draw as one
 uint64 array and replays only the rare rejected draw through them.
+
+`run_rp_cbc` and `run_rp_rv` take `REPETITION_BLOCK` repetitions at a time.
+Each repetition still draws from its own scalar stream, in the order of the
+one-repetition algorithm; the arithmetic then runs one prime at a time over
+every repetition of the block that drew it: the CBC levels and theta sweeps
+of a `cbc.CbcState` over many vectors, or the worst-case errors of all their
+tries.  Each block's rules are one call of the integrand on the stacked
+points (`lattice_rules`).  Every estimate is bit for bit the one-repetition
+value, so the streams do not depend on the block.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import cbc
-from .errors import BoundParams, default_lambda_grid, good_set_threshold, worst_case_error_sq
+from .errors import BoundParams, default_lambda_grid, good_set_threshold, worst_case_errors_sq
 from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
 from .primes import ResidueVector, build_prime_pool
 
@@ -112,6 +121,9 @@ def first_draws_below(seed: int, reps: int, m: int) -> np.ndarray:
 
 
 MAX_TRIES = 10_000  # rejection-sampling tries per `run_rp_rv` repetition
+# Repetitions that `run_rp_cbc` and `run_rp_rv` carry through together: their
+# working memory, chiefly the stacked rule points, grows with it.
+REPETITION_BLOCK = 256
 
 
 class SamplingFailureError(RuntimeError):
@@ -168,24 +180,42 @@ class RunConfig:
             raise DomainError("repetitions must be >= 1")
 
 
-def lattice_points(n: int, z) -> np.ndarray:
-    """Points {k z mod n}/n for k = 0..n-1; the integers z are reduced mod n first.
+def _stacked_points(ns: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The points {k z_r mod n_r}/n_r, k = 0..n_r-1, of every row r in turn, for
+    residues z[r] in [0, n_r): every product k z is below n^2, so no integer
+    overflow can occur at supported scales."""
+    owner = np.repeat(np.arange(len(ns)), ns)
+    k = np.arange(len(owner), dtype=np.int64) - np.repeat(np.cumsum(ns) - ns, ns)
+    n = ns[owner, None]
+    points = z[owner]
+    points *= k[:, None]
+    points %= n
+    return points / n
 
-    Reducing z before forming k * z keeps every product below n^2, so no
-    integer overflow can occur at supported scales.
-    """
-    zmod = np.array([operator.index(c) % n for c in z], dtype=np.int64)
-    k = np.arange(n, dtype=np.int64)
-    return (k[:, None] * zmod[None, :] % n) / n
+
+def lattice_points(n: int, z) -> np.ndarray:
+    """Points {k z mod n}/n for k = 0..n-1; the integers z are reduced mod n first."""
+    return _stacked_points(np.array([n]), cbc.residue_row(n, z))
+
+
+def lattice_rules(f: Integrand, ns, z: np.ndarray) -> np.ndarray:
+    """lattice_rule(f, ns[r], z[r]) for every row r of the int64 array z of residues
+    in [0, ns[r]): f is called once, on the stacked points, and each rule's values
+    summed apart."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if z.shape[-1] != f.d:
+        raise DomainError(f"integrand dimension {f.d} != vector dimension {z.shape[-1]}")
+    values = f(_stacked_points(ns, z))
+    ends = np.cumsum(ns).tolist()
+    return np.array([exact_sum(values[end - n:end]) / n for end, n in zip(ends, ns.tolist())])
 
 
 def lattice_rule(f: Integrand, n: int, z) -> float:
-    """Equal-weight average of f over the n-point rank-1 lattice."""
+    """Equal-weight average of f over the n-point rank-1 lattice: the one-row
+    case of `lattice_rules`, with z reduced modulo n first."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if len(z) != f.d:
-        raise DomainError(f"integrand dimension {f.d} != vector dimension {len(z)}")
-    return exact_sum(f(lattice_points(n, z))) / n
+    return float(lattice_rules(f, [n], cbc.residue_row(n, z))[0])
 
 
 def run_rpfv(f: Integrand, v: ResidueVector, cfg: RunConfig) -> np.ndarray:
@@ -197,10 +227,49 @@ def run_rpfv(f: Integrand, v: ResidueVector, cfg: RunConfig) -> np.ndarray:
     draws them all at once, the same values as a loop over `SplitMix64`.
     """
     primes = v.pool.primes
-    per_prime = np.array(
-        [lattice_rule(f, p, res) for p, res in zip(primes, v.residues)]
-    )
+    per_prime = lattice_rules(f, primes, np.array(v.residues, dtype=np.int64))
     return per_prime[first_draws_below(cfg.seed, cfg.repetitions, len(primes))]
+
+
+def _blocks(cfg: RunConfig):
+    """(slice, streams) of `REPETITION_BLOCK` repetitions at a time, in order."""
+    for start in range(0, cfg.repetitions, REPETITION_BLOCK):
+        block = range(start, min(start + REPETITION_BLOCK, cfg.repetitions))
+        yield slice(start, block.stop), [SplitMix64(stream_seed(cfg.seed, i)) for i in block]
+
+
+def _rp_cbc_vectors(
+    p: int,
+    draws: np.ndarray,
+    params: KorobovSpaceParams,
+    tau: float,
+    good_cache: dict[tuple[int, ...], np.ndarray],
+) -> np.ndarray:
+    """The vectors z[r] of the repetitions that drew p, from their draws[r, s - 2] of z_s.
+
+    All rows go through the levels s = 2..d together, in one `CbcState` of p
+    over all of them.  Theta is swept once per prefix not yet in good_cache,
+    keyed (p, *prefix), which holds its `candidate_set`.
+    """
+    z = np.ones((len(draws), params.d), dtype=np.int64)
+    state = cbc.CbcState((p,), params, [(z[:, :1],)])
+    inverse = np.zeros(len(draws), dtype=np.int64)
+    for s in range(1, params.d):
+        # number the distinct prefixes z[:, :s]: inverse holds the numbers of
+        # the prefixes z[:, :s - 1], so (number, z_s) identifies a prefix
+        _, first, inverse = np.unique(
+            inverse * p + z[:, s - 1], return_index=True, return_inverse=True
+        )
+        keys = [(p, *prefix) for prefix in z[first, :s].tolist()]
+        new = [u for u, key in enumerate(keys) if key not in good_cache]
+        if new:
+            good = cbc.candidate_set(cbc.theta_all(state.select(first[new])), tau)
+            good_cache.update(zip([keys[u] for u in new], good))
+        table = np.stack([good_cache[key] for key in keys])
+        z[:, s] = table[inverse, draws[:, s - 1]]
+        if s < params.d - 1:
+            state.extend(z[:, s:s + 1])
+    return z
 
 
 def run_rp_cbc(
@@ -211,25 +280,28 @@ def run_rp_cbc(
     cfg: RunConfig,
 ) -> np.ndarray:
     """Random-prime random-CBC-vector: z_1 = 1, then each z_s uniform among the
-    ceil(tau p) best-theta candidates (`candidate_set`) of one CBC state per draw,
-    which takes each drawn z_s; candidate sets are memoised per (prime, prefix)."""
+    ceil(tau p) best-theta candidates (`candidate_set`) of the prefix z_1..z_(s-1).
+
+    A candidate set always has ceil(tau p) members, so a repetition's draws do
+    not depend on theta: a block's draws come first, then the vectors of each
+    prime (`_rp_cbc_vectors`), then the block's rules (`lattice_rules`).
+    """
     pool = build_prime_pool(n)
-    good_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+    primes = np.array(pool.primes, dtype=np.int64)
+    sizes = [cbc.candidate_count(p, tau) for p in pool.primes]
+    good_cache: dict[tuple[int, ...], np.ndarray] = {}
     out = np.empty(cfg.repetitions)
-    for i in range(cfg.repetitions):
-        rng = SplitMix64(stream_seed(cfg.seed, i))
-        p = pool.primes[rng.next_below(len(pool.primes))]
-        z = [1]
-        state = cbc.CbcState((p,), params, zip(z))
-        for _ in range(2, params.d + 1):
-            key = (p, tuple(z))
-            good = good_cache.get(key)
-            if good is None:
-                good = cbc.candidate_set(cbc.theta_all(state), tau)
-                good_cache[key] = good
-            z.append(int(good[rng.next_below(len(good))]))
-            state.extend(z[-1])
-        out[i] = lattice_rule(f, p, z)
+    for block, rngs in _blocks(cfg):
+        which = np.empty(len(rngs), dtype=np.int64)
+        draws = np.empty((len(rngs), params.d - 1), dtype=np.int64)
+        for r, rng in enumerate(rngs):
+            which[r] = j = rng.next_below(len(primes))
+            draws[r] = [rng.next_below(sizes[j]) for _ in range(params.d - 1)]
+        z = np.empty((len(rngs), params.d), dtype=np.int64)
+        for j in np.flatnonzero(np.bincount(which)).tolist():
+            rows = which == j
+            z[rows] = _rp_cbc_vectors(pool.primes[j], draws[rows], params, tau, good_cache)
+        out[block] = lattice_rules(f, primes[which], z)
     return out
 
 
@@ -242,23 +314,36 @@ def run_rp_rv(
 ) -> np.ndarray:
     """Random-prime random-vector: rejection-sample z uniform over the good set.
 
-    Acceptance probability is at least tau, so the MAX_TRIES cap should
-    never bind; hitting it raises SamplingFailureError.
+    Each try of a block's repetitions draws all its components, and the tries
+    of one prime have their errors evaluated together (`worst_case_errors_sq`);
+    only the rejected repetitions draw again.  Acceptance probability is at
+    least tau, so the MAX_TRIES cap per repetition should never bind; hitting
+    it raises SamplingFailureError.
     """
     pool = build_prime_pool(n)
+    primes = np.array(pool.primes, dtype=np.int64)
     bounds = BoundParams(tau=tau, lambda_grid=default_lambda_grid(params.alpha))
-    thresholds = {p: good_set_threshold(p, params, bounds) ** 2 for p in pool.primes}
+    thresholds = np.array([good_set_threshold(p, params, bounds) ** 2 for p in pool.primes])
     out = np.empty(cfg.repetitions)
-    for i in range(cfg.repetitions):
-        rng = SplitMix64(stream_seed(cfg.seed, i))
-        p = pool.primes[rng.next_below(len(pool.primes))]
+    for block, rngs in _blocks(cfg):
+        which = np.array([rng.next_below(len(primes)) for rng in rngs], dtype=np.int64)
+        ns = primes[which]
+        z = np.empty((len(rngs), params.d), dtype=np.int64)
+        pending = np.arange(len(rngs))
         for _ in range(MAX_TRIES):
-            z = tuple(rng.next_below(p) for _ in range(params.d))
-            if worst_case_error_sq(p, z, params) <= thresholds[p]:
+            for r, m in zip(pending.tolist(), ns[pending].tolist()):
+                z[r] = [rngs[r].next_below(m) for _ in range(params.d)]
+            accepted = np.empty(len(pending), dtype=bool)
+            for j in np.flatnonzero(np.bincount(which[pending])).tolist():
+                rows = which[pending] == j
+                wce = worst_case_errors_sq(pool.primes[j], z[pending[rows]], params)
+                accepted[rows] = wce <= thresholds[j]
+            pending = pending[~accepted]
+            if not len(pending):
                 break
         else:
             raise SamplingFailureError(
-                f"no accepted vector for p={p} within {MAX_TRIES} tries"
+                f"no accepted vector for p={ns[pending[0]]} within {MAX_TRIES} tries"
             )
-        out[i] = lattice_rule(f, p, z)
+        out[block] = lattice_rules(f, ns, z)
     return out

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ranlat.cbc import CbcState, argmin_first, cbc_construct, theta_all
-from ranlat.errors import _error_sq, worst_case_error_sq
+from ranlat.cbc import CbcState, argmin_first, candidate_set, cbc_construct, theta_all
+from ranlat.errors import _error_sq, worst_case_error_sq, worst_case_errors_sq
 from ranlat.kernels import (
     EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, mu_quantity, poly_weights, zeta,
 )
@@ -171,3 +171,32 @@ def test_record_index_arithmetic_is_int64():
 def test_record_takes_one_or_two_moduli(moduli):
     with pytest.raises(DomainError):
         CbcState(moduli, _params(1), ())
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_state_over_many_vectors_is_each_vector_bit_for_bit(alpha):
+    # every prime < 120, p = 2 included (p // 2 + 1 == p: the full layout); a
+    # state over many vectors sweeps, chooses and sums each row as the state of
+    # that vector alone
+    params = _params(3, alpha=alpha, c=3.0)
+    rng = np.random.default_rng(alpha)
+    for p in sieve_primes(119):
+        z = rng.integers(0, p, (5, 3))
+        z[:, 0] = 1
+        for dims in (1, 2):
+            batch = CbcState((p,), params, zip(z[:, :dims].T[:, :, None]))
+            theta, good, means = theta_all(batch), candidate_set(theta_all(batch), 0.5), batch.mean()
+            for r, row in enumerate(z[:, :dims].tolist()):
+                one = CbcState((p,), params, zip(row))
+                assert theta[r].tobytes() == theta_all(one).tobytes()
+                assert good[r].tobytes() == candidate_set(theta_all(one), 0.5).tobytes()
+                assert means[r].hex() == one.mean().hex()
+            assert theta_all(batch.select([3, 0])).tobytes() == theta[[3, 0]].tobytes()
+        wce = worst_case_errors_sq(p, z, params)
+        for r, row in enumerate(z.tolist()):
+            assert wce[r].hex() == worst_case_error_sq(p, row, params).hex()
+
+
+def test_pair_record_holds_one_vector():
+    with pytest.raises(DomainError):
+        CbcState((5, 7), _params(1), [(np.array([[1], [2]]), np.array([[1], [3]]))])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranlat.fftconv import ShapeError, power_permutation, rader_cbc_kernel, rader_plan
+from ranlat.fftconv import ShapeError, power_permutation, rader_cbc_kernel, rader_plan, rader_sweeps
 from ranlat.oracles import rader_cbc_kernel_naive
 from ranlat.primes import NotPrimeError, primitive_root, sieve_primes
 
@@ -64,8 +64,9 @@ def test_rader_plan_cached_per_prime_and_root():
     assert rader_plan(13) is plan
     g = primitive_root(13)
     assert plan.powers.tolist() == power_permutation(13, g).tolist()
-    # z_index[b] = g^-b: the lag-b correlation value belongs to z = g^-b
-    assert [(int(z) * pow(g, b, 13)) % 13 for b, z in enumerate(plan.z_index)] == [1] * 12
+    # lag[z - 1] = b with z = g^-b: the lag-b correlation value belongs to z
+    assert [(z * pow(g, int(b), 13)) % 13 for z, b in enumerate(plan.lag, start=1)] == [1] * 12
+    assert plan.half_lag.tolist() == (plan.lag % 6).tolist()
     with pytest.raises(ValueError):
         plan.powers[0] = 5
     with pytest.raises(NotPrimeError):
@@ -92,3 +93,22 @@ def test_rader_matches_naive_batch_sum(p):
     # batch axes are shared, never broadcast
     with pytest.raises(ShapeError):
         rader_cbc_kernel(p, v, w[0])
+
+
+def test_rader_sweeps_rows_are_the_kernel_bit_for_bit():
+    # each row of weights swept against one table is the kernel of that row
+    # alone, in both layouts and at p = 2, where p // 2 + 1 == p
+    rng = np.random.default_rng(3)
+    for p in sieve_primes(400)[::3]:
+        for n in {p, p // 2 + 1}:
+            v = rng.standard_normal(n)
+            w = rng.standard_normal((4, n))
+            rows = rader_sweeps(p, v, w)
+            assert rows.shape == (4, p)
+            for r in range(4):
+                assert rows[r].tobytes() == rader_cbc_kernel(p, v, w[r]).tobytes()
+            assert rader_sweeps(p, v, w[0]).tobytes() == rows[0].tobytes()
+    with pytest.raises(ShapeError):
+        rader_sweeps(5, np.ones((2, 3)), np.ones((2, 3)))  # one table only
+    with pytest.raises(ShapeError):
+        rader_sweeps(5, np.ones(3), np.ones((2, 4)))

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ranlat import runtime
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import randomized_error_sq_fixed
+from ranlat.fftconv import rader_sweeps
 from ranlat.kernels import EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, poly_weights, sigma_alpha
 from ranlat.primes import ResidueVector, build_prime_pool
 from ranlat.runtime import (
+    REPETITION_BLOCK,
+    Integrand,
     RunConfig,
+    SamplingFailureError,
     SplitMix64,
     constant_integrand,
     first_draws_below,
     lattice_points,
     lattice_rule,
+    lattice_rules,
     product_bernoulli,
     product_cosine,
     run_rp_cbc,
@@ -114,6 +120,20 @@ def test_lattice_rule_is_the_fsum_average_bit_for_bit(n):
     z = [1, 7, 4_001 % n, 15_015 % n]
     want = math.fsum(f(lattice_points(n, z))) / n
     assert lattice_rule(f, n, z).hex() == want.hex()
+
+
+def test_lattice_rules_are_each_rule_bit_for_bit():
+    # one call of f on the stacked points of rules of different sizes
+    f = product_cosine(3)
+    rng = np.random.default_rng(5)
+    ns = np.array([1, 2, 7, 101, 7, 640, 997])
+    z = np.array([rng.integers(0, n, 3) for n in ns])
+    calls = []
+    counted = Integrand(evaluate=lambda x: calls.append(len(x)) or f(x), d=3)
+    got = lattice_rules(counted, ns, z)
+    assert calls == [int(ns.sum())]
+    for r, (n, row) in enumerate(zip(ns.tolist(), z.tolist())):
+        assert got[r].hex() == lattice_rule(f, n, row).hex()
 
 
 def test_constant_integrand_zero_variance():
@@ -225,56 +245,155 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
     assert abs(np.mean(est) - expect) <= 5.0 * sem + 1e-12
 
 
-@pytest.mark.parametrize("n, d, reps", [(30, 3, 200), (101, 5, 300)])
-def test_run_rp_cbc_matches_prefix_replay(n, d, reps):
-    # reference: the candidate set of each prefix from a state replayed from z_1
+def _rp_cbc_replay(f, n, params, seed, reps):
+    """(estimates, keys): run_rp_cbc replayed one repetition at a time, each
+    prefix's candidate set from a state replayed from z_1, and the (p, prefix)
+    whose theta it swept."""
     from ranlat.cbc import CbcState, candidate_set, theta_all
 
+    pool = build_prime_pool(n)
+    good_cache = {}
+    ref = np.empty(reps)
+    for i in range(reps):
+        rng = SplitMix64(stream_seed(seed, i))
+        p = pool.primes[rng.next_below(len(pool.primes))]
+        z = [1]
+        for _ in range(2, params.d + 1):
+            key = (p, tuple(z))
+            good = good_cache.get(key)
+            if good is None:
+                state = CbcState((p,), params, ())
+                for zj in z:
+                    state.extend(zj)
+                good = candidate_set(theta_all(state), 0.5)
+                good_cache[key] = good
+            z.append(int(good[rng.next_below(len(good))]))
+        ref[i] = lattice_rule(f, p, z)
+    return ref, set(good_cache)
+
+
+@pytest.mark.parametrize("n, d, reps", [(30, 3, 200), (101, 5, 300)])
+def test_run_rp_cbc_matches_prefix_replay(n, d, reps):
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
     f = product_cosine(d)
-    pool = build_prime_pool(n)
     for seed in (0, 1, 7):
-        good_cache = {}
-        ref = np.empty(reps)
-        for i in range(reps):
-            rng = SplitMix64(stream_seed(seed, i))
-            p = pool.primes[rng.next_below(len(pool.primes))]
-            z = [1]
-            for _ in range(2, d + 1):
-                key = (p, tuple(z))
-                good = good_cache.get(key)
-                if good is None:
-                    state = CbcState((p,), params, ())
-                    for zj in z:
-                        state.extend(zj)
-                    good = candidate_set(theta_all(state), 0.5)
-                    good_cache[key] = good
-                z.append(int(good[rng.next_below(len(good))]))
-            ref[i] = lattice_rule(f, p, z)
+        ref, _ = _rp_cbc_replay(f, n, params, seed, reps)
         est = run_rp_cbc(f, n, params, 0.5, RunConfig(seed=seed, repetitions=reps))
         assert est.tobytes() == ref.tobytes()
 
 
-def test_run_rp_cbc_builds_one_state_per_draw(monkeypatch):
-    from ranlat.cbc import CbcState
+def test_run_rp_cbc_sweeps_theta_once_per_prefix(monkeypatch):
+    # one theta row per distinct (prime, prefix) drawn, across blocks
+    import ranlat.cbc as cbc_module
 
-    counts = {"states": 0, "extends": 0}
-    post_init, extend = CbcState.__post_init__, CbcState.extend
+    rows = []
 
-    def counted_post_init(self, prefix):
-        counts["states"] += 1
-        post_init(self, prefix)
+    def counted_sweeps(p, values, weights):
+        rows.append(math.prod(np.shape(weights)[:-1]))
+        return rader_sweeps(p, values, weights)
 
-    def counted_extend(self, *z):
-        counts["extends"] += 1
-        extend(self, *z)
-
-    monkeypatch.setattr(CbcState, "__post_init__", counted_post_init)
-    monkeypatch.setattr(CbcState, "extend", counted_extend)
-    d, reps = 3, 50
+    monkeypatch.setattr(cbc_module, "rader_sweeps", counted_sweeps)
+    d, n, reps = 4, 30, REPETITION_BLOCK + 100
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
-    run_rp_cbc(product_cosine(d), 30, params, 0.5, RunConfig(seed=1, repetitions=reps))
-    assert counts == {"states": reps, "extends": d * reps}
+    f = product_cosine(d)
+    _, keys = _rp_cbc_replay(f, n, params, 1, reps)
+    rows.clear()
+    run_rp_cbc(f, n, params, 0.5, RunConfig(seed=1, repetitions=reps))
+    assert sum(rows) == len(keys)
+    assert len(rows) < len(keys)  # rows are swept together
+
+
+def _rp_rv_replay(f, n, params, seed, reps):
+    """(estimates, rejected tries): run_rp_rv replayed one repetition at a time."""
+    from ranlat.errors import BoundParams, default_lambda_grid, good_set_threshold, worst_case_error_sq
+
+    pool = build_prime_pool(n)
+    bounds = BoundParams(tau=0.5, lambda_grid=default_lambda_grid(params.alpha))
+    ref = np.empty(reps)
+    rejected = 0
+    for i in range(reps):
+        rng = SplitMix64(stream_seed(seed, i))
+        p = pool.primes[rng.next_below(len(pool.primes))]
+        while True:
+            z = [rng.next_below(p) for _ in range(params.d)]
+            if worst_case_error_sq(p, z, params) <= good_set_threshold(p, params, bounds) ** 2:
+                break
+            rejected += 1
+        ref[i] = lattice_rule(f, p, z)
+    return ref, rejected
+
+
+@pytest.mark.parametrize("n", [30, 101])
+def test_run_rp_rv_matches_scalar_replay(n):
+    d, reps = 5, REPETITION_BLOCK + 44
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    f = product_cosine(d)
+    rejected = 0
+    for seed in (0, 1, 7):
+        ref, r = _rp_rv_replay(f, n, params, seed, reps)
+        est = run_rp_rv(f, n, params, 0.5, RunConfig(seed=seed, repetitions=reps))
+        assert est.tobytes() == ref.tobytes()
+        rejected += r
+    assert rejected > 0  # the redraws of rejected repetitions are covered
+
+
+@pytest.mark.parametrize("run", [run_rp_cbc, run_rp_rv], ids=["rp_cbc", "rp_rv"])
+def test_online_runs_do_not_depend_on_the_block(monkeypatch, run):
+    # run(k) is the first k outputs of run(R), R over more than one block, and
+    # another block size gives the same bytes
+    d, n = 3, 30
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    f = product_cosine(d)
+    reps = 2 * REPETITION_BLOCK + 37
+    full = run(f, n, params, 0.5, RunConfig(seed=3, repetitions=reps))
+    for k in (1, 37):
+        head = run(f, n, params, 0.5, RunConfig(seed=3, repetitions=k))
+        assert head.tobytes() == full[:k].tobytes()
+    monkeypatch.setattr(runtime, "REPETITION_BLOCK", 7)
+    assert run(f, n, params, 0.5, RunConfig(seed=3, repetitions=reps)).tobytes() == full.tobytes()
+
+
+def test_run_rp_rv_stops_at_the_try_cap(monkeypatch):
+    # a threshold no vector meets: every repetition of the first block makes
+    # MAX_TRIES tries, then the run fails
+    draws = []
+    next_below = SplitMix64.next_below
+
+    def counted(self, m):
+        draws.append(m)
+        return next_below(self, m)
+
+    monkeypatch.setattr(runtime, "good_set_threshold", lambda p, params, bounds: 0.0)
+    monkeypatch.setattr(runtime, "MAX_TRIES", 3)
+    monkeypatch.setattr(SplitMix64, "next_below", counted)
+    d = 3
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    with pytest.raises(SamplingFailureError, match="within 3 tries"):
+        run_rp_rv(product_cosine(d), 30, params, 0.5, RunConfig(seed=1, repetitions=50))
+    assert len(draws) == 50 * (1 + 3 * d)
+
+
+@pytest.mark.parametrize("run", [run_rp_cbc, run_rp_rv], ids=["rp_cbc", "rp_rv"])
+def test_online_run_memory_is_bounded_by_the_block(run):
+    # at n=30, d=3 every (prime, prefix) of rp_cbc is drawn within 4,000
+    # repetitions, so its candidate sets are all cached at both sizes; beyond
+    # that, ten times the repetitions may only add the larger output array
+    import tracemalloc
+
+    d, n = 3, 30
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    f = product_cosine(d)
+    run(f, n, params, 0.5, RunConfig(seed=1, repetitions=REPETITION_BLOCK))  # fill the caches
+    peaks = {}
+    for reps in (4_000, 40_000):
+        tracemalloc.start()
+        try:
+            run(f, n, params, 0.5, RunConfig(seed=1, repetitions=reps))
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    slack = 128 * 1024  # run-to-run noise of the peak is about 60 KB
+    assert peaks[40_000] - peaks[4_000] <= 8 * 36_000 + slack
 
 
 def test_run_rp_rv_mean_matches_exact_expectation():
