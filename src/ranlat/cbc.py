@@ -6,13 +6,12 @@ the CRT, a pair of them, so that the squared-error increment theta of every
 candidate residue comes out of a single Rader convolution sweep.  As sigma_alpha
 is even, so is P: a record stores the rows k_1 <= m_1/2 of its first axis, and
 sigma is evaluated once per class +-c.  A state of one modulus may also hold
-many vectors at once, one row of products each: the online algorithms fold,
-sweep and sum all the vectors of one prime together.
+many vectors at once, one row of products each: `cbc_vectors` takes all the
+vectors of one prime through the CBC levels together.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
@@ -106,12 +105,6 @@ class CbcState:
         for z in prefix:
             self.extend(*z)
 
-    def select(self, rows) -> CbcState:
-        """The state of the vectors at rows, of a state of one modulus over many."""
-        state = copy.copy(self)
-        state.P_products = self.P_products[rows]
-        return state
-
     def sigma_rows(self, *z: int) -> np.ndarray:
         """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
         a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1.
@@ -179,18 +172,6 @@ def theta_all(state: CbcState) -> np.ndarray:
     return state.params.gamma[state.dims] ** 2 / state.moduli[0] * state.sweep(state.P_products)
 
 
-def argmin_first(values: np.ndarray) -> int:
-    """Index of the minimum, ties broken by smallest index.
-
-    Values within relative TIE_RTOL of the minimum count as tied, so exact
-    mathematical ties survive the differing round-off of the FFT and
-    naive evaluation paths.
-    """
-    v = np.asarray(values)
-    best = v.min()
-    return int(np.flatnonzero(v <= best + TIE_RTOL * abs(best))[0])
-
-
 def candidate_count(p: int, tau: float) -> int:
     """ceil(tau p), the size of every `candidate_set` of a prime p."""
     if not 0.0 < tau < 1.0:
@@ -198,31 +179,44 @@ def candidate_count(p: int, tau: float) -> int:
     return math.ceil(tau * p)
 
 
-def candidate_set(theta: np.ndarray, tau: float) -> np.ndarray:
-    """Indices of the ceil(tau p) candidates with the smallest theta, per row of theta[..., z].
+def candidate_set(theta: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m candidates with the smallest theta, per row of theta[..., z].
 
-    Values within relative TIE_RTOL of the ceil(tau p)-th smallest count as
-    tied with it and fill the set in index order, after those below it, so
-    round-off cannot choose between the members of a tie.
+    Values within relative TIE_RTOL of the m-th smallest count as tied with
+    it and fill the set in index order, after those below it, so round-off
+    cannot choose between the members of a tie.  With m = 1 this is the
+    argmin, ties broken by the smallest index.
     """
-    m = candidate_count(theta.shape[-1], tau)
     edge = np.sort(theta, axis=-1)[..., m - 1 : m]
     tol = TIE_RTOL * np.abs(edge)
     # 0 below the tie, 1 tied, 2 above: a stable sort lists each class in index order
     rank = (np.abs(theta - edge) > tol).view(np.int8) + np.int8(1)
     rank[theta < edge - tol] = 0
-    # a copy, so that a row kept in a cache does not keep the whole argsort
-    return np.argsort(rank, axis=-1, kind="stable")[..., :m].copy()
+    return np.argsort(rank, axis=-1, kind="stable")[..., :m]
+
+
+def cbc_vectors(p: int, params: KorobovSpaceParams, m: int, draws: np.ndarray) -> np.ndarray:
+    """The vectors z[r] of the p-point rule with z_1 = 1 and each z_s member
+    draws[r, s - 2] of the m-member `candidate_set` of its prefix z_1..z_(s-1),
+    as an int64 array of shape (R, d) for the R rows of draws.
+
+    All rows go through the levels s = 2..d together, in one `CbcState` of p
+    over all of them, and theta is swept for every row at every level.
+    """
+    z = np.ones((len(draws), params.d), dtype=np.int64)
+    state = CbcState((p,), params, [(z[:, :1],)])
+    for s in range(1, params.d):
+        good = candidate_set(theta_all(state), m)
+        z[:, s] = np.take_along_axis(good, draws[:, s - 1 : s], axis=1)[:, 0]
+        if s < params.d - 1:
+            state.extend(z[:, s : s + 1])
+    return z
 
 
 def cbc_construct(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
     """Fast CBC vector for the p-point rule: z_1 = 1, then per-dimension argmin.
 
-    Ties in the theta sweep are broken by the smallest candidate residue.
+    The one-row case of `cbc_vectors` with m = 1: theta ties go to the smaller residue.
     """
-    z = [1]
-    state = CbcState((p,), params, zip(z))
-    for _ in range(2, params.d + 1):
-        z.append(argmin_first(theta_all(state)))
-        state.extend(z[-1])
-    return tuple(z)
+    draws = np.zeros((1, params.d - 1), dtype=np.int64)
+    return tuple(cbc_vectors(p, params, 1, draws)[0].tolist())

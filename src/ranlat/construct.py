@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbc import CbcState, argmin_first, candidate_set, record_bytes, theta_all
+from .cbc import CbcState, candidate_count, candidate_set, record_bytes, theta_all
 from .errors import DomainError, eran_report
 from .kernels import KorobovSpaceParams
 from .primes import PrimePool, ResidueVector, build_prime_pool
@@ -38,12 +38,12 @@ class SequencingError(RuntimeError):
 def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
     """Residue choice: T-hat-minimiser among the `candidate_set` of theta.
 
-    T-hat ties resolve to the smaller index, as in `argmin_first`.
+    T-hat ties resolve to the smaller index by the same rule, a `candidate_set` of one.
     """
     if len(t_hat) != len(theta):
         raise DomainError("theta and t_hat must have equal length")
-    candidates = np.sort(candidate_set(theta, tau))
-    return int(candidates[argmin_first(t_hat[candidates])])
+    candidates = np.sort(candidate_set(theta, candidate_count(len(theta), tau)))
+    return int(candidates[candidate_set(t_hat[candidates], 1)[0]])
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:

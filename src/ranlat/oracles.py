@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cbc import CbcState, argmin_first
+from .cbc import CbcState, candidate_set
 from .errors import BoundParams, _grid_infimum
 from .fftconv import ShapeError
 from .kernels import DomainError, KorobovSpaceParams, sigma_alpha, zeta
@@ -88,7 +88,7 @@ def cbc_construct_naive(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:
     z = [1]
     state = CbcState((p,), params, zip(z))
     for _ in range(2, params.d + 1):
-        z.append(argmin_first(theta_all_naive(state)))
+        z.append(int(candidate_set(theta_all_naive(state), 1)[0]))
         state.extend(z[-1])
     return tuple(z)
 

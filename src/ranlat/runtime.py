@@ -11,11 +11,11 @@ uint64 array and replays only the rare rejected draw through them.
 `run_rp_cbc` and `run_rp_rv` take `REPETITION_BLOCK` repetitions at a time.
 Each repetition still draws from its own scalar stream, in the order of the
 one-repetition algorithm; the arithmetic then runs one prime at a time over
-every repetition of the block that drew it: the CBC levels and theta sweeps
-of a `cbc.CbcState` over many vectors, or the worst-case errors of all their
-tries.  Each block's rules are one call of the integrand on the stacked
-points (`lattice_rules`).  Every estimate is bit for bit the one-repetition
-value, so the streams do not depend on the block.
+every repetition of the block that drew it: the CBC levels of
+`cbc.cbc_vectors`, which sweep theta for every vector at every level, or the
+worst-case errors of all their tries.  Each block's rules are one call of the
+integrand on the stacked points (`lattice_rules`).  Every estimate is bit for
+bit the one-repetition value, so the streams do not depend on the block.
 """
 
 from __future__ import annotations
@@ -193,11 +193,6 @@ def _stacked_points(ns: np.ndarray, z: np.ndarray) -> np.ndarray:
     return points / n
 
 
-def lattice_points(n: int, z) -> np.ndarray:
-    """Points {k z mod n}/n for k = 0..n-1; the integers z are reduced mod n first."""
-    return _stacked_points(np.array([n]), cbc.residue_row(n, z))
-
-
 def lattice_rules(f: Integrand, ns, z: np.ndarray) -> np.ndarray:
     """lattice_rule(f, ns[r], z[r]) for every row r of the int64 array z of residues
     in [0, ns[r]): f is called once, on the stacked points, and each rule's values
@@ -238,40 +233,6 @@ def _blocks(cfg: RunConfig):
         yield slice(start, block.stop), [SplitMix64(stream_seed(cfg.seed, i)) for i in block]
 
 
-def _rp_cbc_vectors(
-    p: int,
-    draws: np.ndarray,
-    params: KorobovSpaceParams,
-    tau: float,
-    good_cache: dict[tuple[int, ...], np.ndarray],
-) -> np.ndarray:
-    """The vectors z[r] of the repetitions that drew p, from their draws[r, s - 2] of z_s.
-
-    All rows go through the levels s = 2..d together, in one `CbcState` of p
-    over all of them.  Theta is swept once per prefix not yet in good_cache,
-    keyed (p, *prefix), which holds its `candidate_set`.
-    """
-    z = np.ones((len(draws), params.d), dtype=np.int64)
-    state = cbc.CbcState((p,), params, [(z[:, :1],)])
-    inverse = np.zeros(len(draws), dtype=np.int64)
-    for s in range(1, params.d):
-        # number the distinct prefixes z[:, :s]: inverse holds the numbers of
-        # the prefixes z[:, :s - 1], so (number, z_s) identifies a prefix
-        _, first, inverse = np.unique(
-            inverse * p + z[:, s - 1], return_index=True, return_inverse=True
-        )
-        keys = [(p, *prefix) for prefix in z[first, :s].tolist()]
-        new = [u for u, key in enumerate(keys) if key not in good_cache]
-        if new:
-            good = cbc.candidate_set(cbc.theta_all(state.select(first[new])), tau)
-            good_cache.update(zip([keys[u] for u in new], good))
-        table = np.stack([good_cache[key] for key in keys])
-        z[:, s] = table[inverse, draws[:, s - 1]]
-        if s < params.d - 1:
-            state.extend(z[:, s:s + 1])
-    return z
-
-
 def run_rp_cbc(
     f: Integrand,
     n: int,
@@ -284,12 +245,11 @@ def run_rp_cbc(
 
     A candidate set always has ceil(tau p) members, so a repetition's draws do
     not depend on theta: a block's draws come first, then the vectors of each
-    prime (`_rp_cbc_vectors`), then the block's rules (`lattice_rules`).
+    prime drawn (`cbc.cbc_vectors`), then the block's rules (`lattice_rules`).
     """
     pool = build_prime_pool(n)
     primes = np.array(pool.primes, dtype=np.int64)
     sizes = [cbc.candidate_count(p, tau) for p in pool.primes]
-    good_cache: dict[tuple[int, ...], np.ndarray] = {}
     out = np.empty(cfg.repetitions)
     for block, rngs in _blocks(cfg):
         which = np.empty(len(rngs), dtype=np.int64)
@@ -300,7 +260,7 @@ def run_rp_cbc(
         z = np.empty((len(rngs), params.d), dtype=np.int64)
         for j in np.flatnonzero(np.bincount(which)).tolist():
             rows = which == j
-            z[rows] = _rp_cbc_vectors(pool.primes[j], draws[rows], params, tau, good_cache)
+            z[rows] = cbc.cbc_vectors(pool.primes[j], params, sizes[j], draws[rows])
         out[block] = lattice_rules(f, primes[which], z)
     return out
 

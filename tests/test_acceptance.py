@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from ranlat.cbc import CbcState, candidate_set, cbc_construct, theta_all
+from ranlat.cbc import CbcState, candidate_count, candidate_set, cbc_construct, theta_all
 from ranlat.construct import ConstructionState, construct_fixed_vector
 from ranlat.errors import (
     BoundParams,
@@ -123,7 +123,8 @@ def test_criterion_4_exhaustive_optimality():
     e2 = randomized_error_sq_fixed(v, params).squared_error
 
     state = ConstructionState(pool=pool, params=params, tau=tau)
-    cand = {p: candidate_set(theta_all(CbcState((p,), params, zip(state.residues[p]))), tau)
+    cand = {p: candidate_set(theta_all(CbcState((p,), params, zip(state.residues[p]))),
+                         candidate_count(p, tau))
             for p in pool.primes}
     vals = [
         randomized_error_sq_fixed(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ranlat.cbc import CbcState, argmin_first, candidate_set, cbc_construct, theta_all
+from ranlat.cbc import TIE_RTOL, CbcState, candidate_count, candidate_set, cbc_construct, theta_all
 from ranlat.errors import _error_sq, worst_case_error_sq, worst_case_errors_sq
 from ranlat.kernels import (
     EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, mu_quantity, poly_weights, zeta,
@@ -17,9 +17,28 @@ def _params(d, alpha=2, c=2.0):
     return KorobovSpaceParams(d=d, alpha=alpha, gamma=poly_weights(d, c))
 
 
-def test_argmin_first_tie_rule():
-    assert argmin_first(np.array([3.0, 1.0, 1.0 + 1e-12, 2.0])) == 1
-    assert argmin_first(np.array([0.5, 0.5, 0.1])) == 2
+def test_candidate_set_of_one_tie_rule():
+    assert candidate_set(np.array([3.0, 1.0, 1.0 + 1e-12, 2.0]), 1).tolist() == [1]
+    assert candidate_set(np.array([0.5, 0.5, 0.1]), 1).tolist() == [2]
+
+
+# offsets relative to a row's minimum: tied well inside TIE_RTOL, or apart well outside it
+_tie_offsets = st.one_of(st.floats(0.0, 0.5 * TIE_RTOL), st.floats(2.0 * TIE_RTOL, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), p=st.integers(1, 12))
+def test_candidate_set_of_one_is_the_first_near_minimum(data, rows, p):
+    theta = np.empty((rows, p))
+    for r in range(rows):
+        offsets = data.draw(st.lists(_tie_offsets, min_size=p, max_size=p))
+        offsets[data.draw(st.integers(0, p - 1))] = 0.0
+        theta[r] = data.draw(st.floats(1e-18, 1e3)) * (1.0 + np.array(offsets))
+    expect = []
+    for row in theta.tolist():
+        best = min(row)
+        expect.append(next(i for i, v in enumerate(row) if v <= best + TIE_RTOL * abs(best)))
+    assert candidate_set(theta, 1)[:, 0].tolist() == expect
 
 
 def test_theta_first_dimension_branches():
@@ -185,13 +204,13 @@ def test_state_over_many_vectors_is_each_vector_bit_for_bit(alpha):
         z[:, 0] = 1
         for dims in (1, 2):
             batch = CbcState((p,), params, zip(z[:, :dims].T[:, :, None]))
-            theta, good, means = theta_all(batch), candidate_set(theta_all(batch), 0.5), batch.mean()
+            m = candidate_count(p, 0.5)
+            theta, good, means = theta_all(batch), candidate_set(theta_all(batch), m), batch.mean()
             for r, row in enumerate(z[:, :dims].tolist()):
                 one = CbcState((p,), params, zip(row))
                 assert theta[r].tobytes() == theta_all(one).tobytes()
-                assert good[r].tobytes() == candidate_set(theta_all(one), 0.5).tobytes()
+                assert good[r].tobytes() == candidate_set(theta_all(one), m).tobytes()
                 assert means[r].hex() == one.mean().hex()
-            assert theta_all(batch.select([3, 0])).tobytes() == theta[[3, 0]].tobytes()
         wce = worst_case_errors_sq(p, z, params)
         for r, row in enumerate(z.tolist()):
             assert wce[r].hex() == worst_case_error_sq(p, row, params).hex()

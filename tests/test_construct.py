@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranlat import construct
-from ranlat.cbc import CbcState, candidate_set, cbc_construct, theta_all
+from ranlat.cbc import CbcState, candidate_count, candidate_set, cbc_construct, theta_all
 from ranlat.construct import (
     ConstructionState,
     SequencingError,
@@ -319,12 +319,12 @@ def test_candidate_set_boundary_mirror_tie():
     tied = [2, 5, 6, 9]
     assert np.ptp(theta[tied]) <= 1e-12 * theta[2]
     expect = [2, 3, 4, 5, 7, 8]
-    assert sorted(candidate_set(theta, 0.5).tolist()) == expect
+    assert sorted(candidate_set(theta, candidate_count(p, 0.5)).tolist()) == expect
     for bumped in tied:
         for sign in (1.0, -1.0):
             th2 = theta.copy()
             th2[bumped] *= 1.0 + sign * 1e-12
-            assert sorted(candidate_set(th2, 0.5).tolist()) == expect
+            assert sorted(candidate_set(th2, candidate_count(p, 0.5)).tolist()) == expect
 
 
 def test_estimate_cached_bytes(monkeypatch):
@@ -391,7 +391,8 @@ def test_constructed_beats_exhaustive_candidate_mean():
     e2 = randomized_error_sq_fixed(v, params).squared_error
 
     state = ConstructionState(pool=pool, params=params, tau=tau)
-    cand = {p: candidate_set(theta_all(CbcState((p,), params, zip(state.residues[p]))), tau)
+    cand = {p: candidate_set(theta_all(CbcState((p,), params, zip(state.residues[p]))),
+                         candidate_count(p, tau))
             for p in pool.primes}
     vals = []
     for z7, z11 in itertools.product(cand[7], cand[11]):

@@ -18,7 +18,6 @@ from ranlat.runtime import (
     SplitMix64,
     constant_integrand,
     first_draws_below,
-    lattice_points,
     lattice_rule,
     lattice_rules,
     product_bernoulli,
@@ -94,10 +93,13 @@ def test_next_below_unbiased_small():
 
 
 def test_lattice_points_structure():
-    pts = lattice_points(5, [1, 2])
-    assert pts.shape == (5, 2)
-    assert pts[0] == pytest.approx([0.0, 0.0])
-    assert pts[3] == pytest.approx([3 / 5, 6 % 5 / 5])
+    # the rule evaluates f at the points {k z mod n}/n, k = 0..n-1
+    seen = []
+    f = Integrand(evaluate=lambda x: seen.append(x) or np.zeros(len(x)), d=2)
+    lattice_rule(f, 5, [1, 7])
+    (pts,) = seen
+    assert pts.tobytes() == (np.outer(np.arange(5), [1, 7]) % 5 / 5).tobytes()
+    assert pts[3] == pytest.approx([3 / 5, 21 % 5 / 5])
 
 
 def test_lattice_rule_exact_for_low_frequency():
@@ -118,7 +120,7 @@ def test_lattice_rule_rejects_non_integer_vector():
 def test_lattice_rule_is_the_fsum_average_bit_for_bit(n):
     f = product_cosine(4)
     z = [1, 7, 4_001 % n, 15_015 % n]
-    want = math.fsum(f(lattice_points(n, z))) / n
+    want = math.fsum(f(np.outer(np.arange(n), z) % n / n)) / n
     assert lattice_rule(f, n, z).hex() == want.hex()
 
 
@@ -225,7 +227,7 @@ def test_truncated_extremal_unit_norm_properties():
 def test_run_rp_cbc_mean_matches_exact_expectation():
     # outcome distribution at n=12, d=2 is small: uniform prime in {7, 11},
     # then z_2 uniform over that prime's best-theta candidate set
-    from ranlat.cbc import CbcState, candidate_set, theta_all
+    from ranlat.cbc import CbcState, candidate_count, candidate_set, theta_all
 
     params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 2.0))
     f = product_bernoulli(params)
@@ -234,7 +236,7 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
     for p in pool.primes:
         state = CbcState((p,), params, ())
         state.extend(1)
-        good = candidate_set(theta_all(state), 0.5)
+        good = candidate_set(theta_all(state), candidate_count(p, 0.5))
         prime_means.append(
             np.mean([lattice_rule(f, p, [1, int(z)]) for z in good])
         )
@@ -246,30 +248,21 @@ def test_run_rp_cbc_mean_matches_exact_expectation():
 
 
 def _rp_cbc_replay(f, n, params, seed, reps):
-    """(estimates, keys): run_rp_cbc replayed one repetition at a time, each
-    prefix's candidate set from a state replayed from z_1, and the (p, prefix)
-    whose theta it swept."""
-    from ranlat.cbc import CbcState, candidate_set, theta_all
+    """run_rp_cbc replayed one repetition at a time, each prefix's candidate set
+    from a state replayed from z_1."""
+    from ranlat.cbc import CbcState, candidate_count, candidate_set, theta_all
 
     pool = build_prime_pool(n)
-    good_cache = {}
     ref = np.empty(reps)
     for i in range(reps):
         rng = SplitMix64(stream_seed(seed, i))
         p = pool.primes[rng.next_below(len(pool.primes))]
         z = [1]
         for _ in range(2, params.d + 1):
-            key = (p, tuple(z))
-            good = good_cache.get(key)
-            if good is None:
-                state = CbcState((p,), params, ())
-                for zj in z:
-                    state.extend(zj)
-                good = candidate_set(theta_all(state), 0.5)
-                good_cache[key] = good
+            good = candidate_set(theta_all(CbcState((p,), params, zip(z))), candidate_count(p, 0.5))
             z.append(int(good[rng.next_below(len(good))]))
         ref[i] = lattice_rule(f, p, z)
-    return ref, set(good_cache)
+    return ref
 
 
 @pytest.mark.parametrize("n, d, reps", [(30, 3, 200), (101, 5, 300)])
@@ -277,13 +270,14 @@ def test_run_rp_cbc_matches_prefix_replay(n, d, reps):
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
     f = product_cosine(d)
     for seed in (0, 1, 7):
-        ref, _ = _rp_cbc_replay(f, n, params, seed, reps)
+        ref = _rp_cbc_replay(f, n, params, seed, reps)
         est = run_rp_cbc(f, n, params, 0.5, RunConfig(seed=seed, repetitions=reps))
         assert est.tobytes() == ref.tobytes()
 
 
-def test_run_rp_cbc_sweeps_theta_once_per_prefix(monkeypatch):
-    # one theta row per distinct (prime, prefix) drawn, across blocks
+def test_run_rp_cbc_sweeps_theta_once_per_block_prime_and_level(monkeypatch):
+    # one theta sweep per (block, prime drawn, level), over every vector of
+    # the block that drew the prime: reps (d - 1) rows in all
     import ranlat.cbc as cbc_module
 
     rows = []
@@ -293,14 +287,14 @@ def test_run_rp_cbc_sweeps_theta_once_per_prefix(monkeypatch):
         return rader_sweeps(p, values, weights)
 
     monkeypatch.setattr(cbc_module, "rader_sweeps", counted_sweeps)
-    d, n, reps = 4, 30, REPETITION_BLOCK + 100
+    d, n, reps = 4, 30, 2 * REPETITION_BLOCK + 100
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
-    f = product_cosine(d)
-    _, keys = _rp_cbc_replay(f, n, params, 1, reps)
-    rows.clear()
-    run_rp_cbc(f, n, params, 0.5, RunConfig(seed=1, repetitions=reps))
-    assert sum(rows) == len(keys)
-    assert len(rows) < len(keys)  # rows are swept together
+    run_rp_cbc(product_cosine(d), n, params, 0.5, RunConfig(seed=1, repetitions=reps))
+    # a repetition's first draw picks its prime
+    which = first_draws_below(1, reps, len(build_prime_pool(n).primes)).tolist()
+    drawn = sum(len(set(which[i:i + REPETITION_BLOCK])) for i in range(0, reps, REPETITION_BLOCK))
+    assert len(rows) == drawn * (d - 1)
+    assert sum(rows) == reps * (d - 1)
 
 
 def _rp_rv_replay(f, n, params, seed, reps):
@@ -375,25 +369,26 @@ def test_run_rp_rv_stops_at_the_try_cap(monkeypatch):
 
 @pytest.mark.parametrize("run", [run_rp_cbc, run_rp_rv], ids=["rp_cbc", "rp_rv"])
 def test_online_run_memory_is_bounded_by_the_block(run):
-    # at n=30, d=3 every (prime, prefix) of rp_cbc is drawn within 4,000
-    # repetitions, so its candidate sets are all cached at both sizes; beyond
-    # that, ten times the repetitions may only add the larger output array
+    # beyond one block's working memory, more repetitions may only add the
+    # larger output array.  At n=53, d=5 few rp_cbc prefixes of length d - 1
+    # repeat, so anything kept per (prime, prefix) across blocks would grow
+    # with the repetitions; at n=30, d=3 every prefix is drawn in both runs.
     import tracemalloc
 
-    d, n = 3, 30
-    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
-    f = product_cosine(d)
-    run(f, n, params, 0.5, RunConfig(seed=1, repetitions=REPETITION_BLOCK))  # fill the caches
-    peaks = {}
-    for reps in (4_000, 40_000):
-        tracemalloc.start()
-        try:
-            run(f, n, params, 0.5, RunConfig(seed=1, repetitions=reps))
-            peaks[reps] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    slack = 128 * 1024  # run-to-run noise of the peak is about 60 KB
-    assert peaks[40_000] - peaks[4_000] <= 8 * 36_000 + slack
+    for n, d, small, large in [(30, 3, 4_000, 40_000), (53, 5, 2_000, 10_000)]:
+        params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+        f = product_cosine(d)
+        run(f, n, params, 0.5, RunConfig(seed=1, repetitions=REPETITION_BLOCK))  # fill the caches
+        peaks = {}
+        for reps in (small, large):
+            tracemalloc.start()
+            try:
+                run(f, n, params, 0.5, RunConfig(seed=1, repetitions=reps))
+                peaks[reps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        slack = 128 * 1024  # run-to-run noise of the peak is about 60 KB
+        assert peaks[large] - peaks[small] <= 8 * (large - small) + slack, (n, d)
 
 
 def test_run_rp_rv_mean_matches_exact_expectation():
