@@ -142,11 +142,11 @@ class CbcState:
             return exact_sum(weighted.ravel()) / m
         return np.array([exact_sum(w) / m for w in weighted.reshape(rows + (-1,))])
 
-    def sweep(self, weights: np.ndarray) -> np.ndarray:
-        """S[..., z] = sum_{k in Z_p} sigma_alpha(k z / p) weights[..., k] for every z in Z_p,
-        for even weights stored on k <= p/2 (one prime): one sweep per row of weights."""
-        (p,) = self.moduli
-        return rader_sweeps(p, self.grid, weights)
+    def sweep(self, *rows: np.ndarray) -> np.ndarray:
+        """S[..., z] = sum_k sigma_alpha(k z / p) w[..., k], k and z in Z_p (one prime), one sweep
+        per row of w: the products, stacked over any given rows of even weights on k <= p/2."""
+        w = np.vstack((self.P_products,) + rows) if rows else self.P_products
+        return rader_sweeps(self.moduli[0], self.grid, w)
 
     def cross_sweep(self, zq: int) -> np.ndarray:
         """S[z] = sum_{l in Z_q, k in Z_p} sigma_alpha(l zq / q + k z / p) P(l, k) for every
@@ -169,7 +169,7 @@ def theta_all(state: CbcState) -> np.ndarray:
     for all z at once through the Rader convolution sweep; one row per vector
     of a state over many.
     """
-    return state.params.gamma[state.dims] ** 2 / state.moduli[0] * state.sweep(state.P_products)
+    return state.params.gamma[state.dims] ** 2 / state.moduli[0] * state.sweep()
 
 
 def candidate_count(p: int, tau: float) -> int:

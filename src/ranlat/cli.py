@@ -27,7 +27,7 @@ from .errors import (
     theorem_bound_min,
     worst_case_error_sq,
 )
-from .fftconv import rader_cbc_kernel
+from .fftconv import rader_cbc_kernel, rader_sweeps
 from .kernels import DomainError, KorobovSpaceParams, poly_weights
 from .primes import C_PRIME, ResidueVector, build_prime_pool, sieve_primes
 from .runtime import (
@@ -273,23 +273,24 @@ def _verify_lemma_averaging() -> list[str]:
 
 
 def _verify_fft_oracle() -> list[str]:
-    from .oracles import rader_cbc_kernel_naive
+    from .oracles import rader_cbc_kernel_naive as naive
 
     failures = []
     rng = SplitMix64(2024)
-    primes = [p for p in sieve_primes(200) if p >= 3]
+    uniform = lambda n: np.array([(rng.next_u64() >> 11) / 2.0 ** 53 for _ in range(n)])
+    primes = [p for p in sieve_primes(200) if p > 5]  # p <= 5 cannot tell a reversed correlation
     for i in range(20):
         p = primes[rng.next_below(len(primes))]
-        vals = np.array([(rng.next_u64() >> 11) / 2.0 ** 53 for _ in range(p)])
-        wts = np.array([(rng.next_u64() >> 11) / 2.0 ** 53 for _ in range(p)])
-        even = np.minimum(np.arange(p), p - np.arange(p))  # even inputs: entries 0..p // 2
+        v, w, ws = uniform(p), uniform(p), uniform(p * (1 + rng.next_below(4))).reshape(-1, p)
+        even, h = np.minimum(np.arange(p), p - np.arange(p)), p // 2 + 1  # even inputs: entries < h
         for form, fast, slow in (
-            ("", rader_cbc_kernel(p, vals, wts), rader_cbc_kernel_naive(p, vals, wts)),
-            (" even", rader_cbc_kernel(p, vals[: p // 2 + 1], wts[: p // 2 + 1]),
-             rader_cbc_kernel_naive(p, vals[even], wts[even])),
+            ("", rader_cbc_kernel(p, v, w), naive(p, v, w)),
+            (" even", rader_cbc_kernel(p, v[:h], w[:h]), naive(p, v[even], w[even])),
+            (" sweeps", rader_sweeps(p, v[:h], ws[:, :h]),
+             [naive(p, v[even], r[even]) for r in ws]),
         ):
             err = float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)))
-            if err > 1e-9 or (form and not np.array_equal(fast[even], fast)):
+            if err > 1e-9 or (form and not np.array_equal(fast[..., even], fast)):
                 failures.append(f"fft-oracle{form} instance {i} p={p}: rel err {err:.3e}")
     return failures
 

@@ -7,13 +7,14 @@ smallest theta, for each prime of the budget pool in ascending order.
 Every prime and every prime pair has one record, a `CbcState` over its
 moduli.  T-hat of prime p reads the pair record of each partner prime q:
 the pair (q, p) of a smaller q is swept at q's residue, and the row sums of
-the pair (p, q) of a larger q feed one shared sweep.  The chosen residues are the search's only state: a record is a cache
-over them, brought up to date when it is read.  The pairs are kept
-(sum_{q<p} (q + 1) p floats) if they fit in half of the memory the process
-may use; else each is rebuilt whenever it is read, so one is alive at a
-time.  Both give bit-identical vectors.  After the last choice every record
-is read once more, at all d components, for the e_ran report
-(`errors.eran_report`) that the vector carries.
+the pair (p, q) of a larger q feed one shared sweep, which the due prime's
+sigma table runs with theta's in one call.  The chosen residues are the
+search's only state: a record is a cache over them, brought up to date when
+it is read.  The pairs are kept (sum_{q<p} (q + 1) p floats) if they fit in
+half of the memory the process may use; else each is rebuilt whenever it is
+read, so one is alive at a time.  Both give bit-identical vectors.  After
+the last choice every record is read once more, at all d components, for
+the e_ran report (`errors.eran_report`) that the vector carries.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbc import CbcState, candidate_count, candidate_set, record_bytes, theta_all
+from .cbc import CbcState, candidate_count, candidate_set, record_bytes
 from .errors import DomainError, eran_report
 from .kernels import KorobovSpaceParams
 from .primes import PrimePool, ResidueVector, build_prime_pool
@@ -118,36 +119,34 @@ class ConstructionState:
             self.records[moduli] = record
         return record
 
-    def t_hat_all(self, theta: np.ndarray) -> np.ndarray:
-        """T-hat for every candidate residue z in Z_p of the prime p that is due.
+    def t_hat_all(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, T-hat) for every candidate residue z in Z_p of the prime p that is due.
 
-        Adds to theta, the due prime's `theta_all`, the cross-prime
-        corrections.  Each smaller prime q contributes one batched Rader
-        sweep of its pair, summed in the frequency domain.  Since
+        T-hat adds to theta the cross-prime corrections.  Each smaller prime
+        q contributes one batched Rader sweep of its pair, summed in the
+        frequency domain.  Since
         sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
-        all larger primes share one sweep over their permuted row sums.
+        all larger primes share one row, swept with theta's products.
         """
         p, dims = self._due()
         power = 2 * self.params.alpha + 1
-        gam2 = self.params.gamma[dims] ** 2
         cross = np.zeros(p)
-        larger = np.zeros(p // 2 + 1)
+        larger = np.zeros(p // 2 + 1)  # zero for the largest prime: its sweep is +-0
         # Each pair is a temporary, so a rebuilt one is freed before the next is built.
         for q in self.pool.primes:
             if q < p:
                 cross += 2.0 / q * self._record(q, p, dims=dims).cross_sweep(self.residues[q][dims])
             elif q > p:
                 larger += 2.0 / q ** power * self._record(p, q, dims=dims).row_sums(pow(q, -1, p))
-        if p < self.pool.primes[-1]:
-            cross += self._record(p, dims=dims).sweep(larger)
-        return theta + gam2 / p * cross
+        S = self._record(p, dims=dims).sweep(larger)
+        scale = self.params.gamma[dims] ** 2 / p
+        theta = scale * S[0]
+        return theta, theta + scale * (cross + S[1])
 
     def choose(self) -> int:
         """Choose and append the residue of the prime that is due."""
-        p, dims = self._due()
-        theta = theta_all(self._record(p, dims=dims))
-        z = select_candidate(theta, self.t_hat_all(theta), self.tau)
-        self.residues[p].append(z)
+        z = select_candidate(*self.t_hat_all(), self.tau)
+        self.residues[self._due()[0]].append(z)
         return z
 
 

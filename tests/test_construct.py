@@ -51,8 +51,7 @@ def test_select_candidate_mirror_tie_resolves_to_smaller_residue():
     params = KorobovSpaceParams(d=3, alpha=2, gamma=poly_weights(3, 3.0))
     state = ConstructionState(pool=pool, params=params, tau=0.5)
     p = pool.primes[0]
-    theta = theta_all(CbcState((p,), state.params, zip(state.residues[p])))
-    t_hat = state.t_hat_all(theta)
+    theta, t_hat = state.t_hat_all()
     z = select_candidate(theta, t_hat, 0.5)
     assert 0 < z < p - z
     assert t_hat[p - z] == pytest.approx(t_hat[z], rel=1e-11)
@@ -92,19 +91,6 @@ def test_t_hat_single_prime_reduces_to_cbc():
     assert v.residues == (cbc_construct(5, params),)
 
 
-def test_t_hat_fast_matches_naive_triple_loop():
-    pool = build_prime_pool(12)
-    for d in (2, 3):
-        params = _params(d)
-        state = ConstructionState(pool=pool, params=params, tau=0.5)
-        for _ in range(2, d + 1):
-            for p in pool.primes:
-                fast = state.t_hat_all(theta_all(CbcState((p,), params, zip(state.residues[p]))))
-                slow = t_hat_all_naive(pool, params, p, state.residues)
-                assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
-                state.choose()
-
-
 def test_choose_past_the_last_dimension_raises_and_leaves_state_intact():
     # pool {7, 11}: each dimension takes 7 then 11; a choice past the last
     # dimension is rejected, and the stepped state holds the vector that
@@ -123,14 +109,15 @@ def test_choose_past_the_last_dimension_raises_and_leaves_state_intact():
 
 def test_t_hat_fast_matches_naive_n30_pool():
     # four primes (17, 19, 23, 29): the shared larger-prime sweep and the
-    # frequency-domain sums over several smaller primes
+    # frequency-domain sums over several smaller primes; theta, swept in the
+    # same call, is the due prime's theta_all bit for bit
     pool = build_prime_pool(30)
     params = _params(3)
     state = ConstructionState(pool=pool, params=params, tau=0.5)
     for _ in range(2, 4):
         for p in pool.primes:
-            theta = theta_all(CbcState((p,), state.params, zip(state.residues[p])))
-            fast = state.t_hat_all(theta)
+            theta, fast = state.t_hat_all()
+            assert theta.tobytes() == theta_all(state.records[(p,)]).tobytes()
             slow = t_hat_all_naive(pool, params, p, state.residues)
             assert np.max(np.abs(fast - slow) / np.abs(slow)) < 1e-9
             state.choose()

@@ -54,18 +54,19 @@ def test_every_exported_name_resolves():
 
 def test_only_cbc_reads_the_record_layout():
     # A record's layout (its grid, products and sigma rows) is read through
-    # CbcState's methods alone, and only cbc runs the Rader sweep; cli
-    # imports it for its fft oracle suite.
+    # CbcState's methods alone, and only cbc runs the Rader sweeps, by either
+    # entry point; cli imports both for its fft oracle suite.
+    sweeps = {"rader_cbc_kernel", "rader_sweeps"}
     readers, sweepers = set(), set()
     for name in PRODUCT:
         for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
             if isinstance(node, ast.Attribute):
                 if node.attr in {"P_products", "grid", "sigma_rows"}:
                     readers.add(name)
-                if node.attr == "rader_cbc_kernel":
+                if node.attr in sweeps:
                     sweepers.add(name)
             elif isinstance(node, ast.ImportFrom):
-                if any(a.name == "rader_cbc_kernel" for a in node.names):
+                if any(a.name in sweeps for a in node.names):
                     sweepers.add(name)
     assert readers == {"cbc"}
     assert sweepers == {"cbc", "cli"}

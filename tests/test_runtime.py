@@ -372,23 +372,23 @@ def test_online_run_memory_is_bounded_by_the_block(run):
     # beyond one block's working memory, more repetitions may only add the
     # larger output array.  At n=53, d=5 few rp_cbc prefixes of length d - 1
     # repeat, so anything kept per (prime, prefix) across blocks would grow
-    # with the repetitions; at n=30, d=3 every prefix is drawn in both runs.
+    # with the repetitions.
     import tracemalloc
 
-    for n, d, small, large in [(30, 3, 4_000, 40_000), (53, 5, 2_000, 10_000)]:
-        params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
-        f = product_cosine(d)
-        run(f, n, params, 0.5, RunConfig(seed=1, repetitions=REPETITION_BLOCK))  # fill the caches
-        peaks = {}
-        for reps in (small, large):
-            tracemalloc.start()
-            try:
-                run(f, n, params, 0.5, RunConfig(seed=1, repetitions=reps))
-                peaks[reps] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        slack = 128 * 1024  # run-to-run noise of the peak is about 60 KB
-        assert peaks[large] - peaks[small] <= 8 * (large - small) + slack, (n, d)
+    n, d, small, large = 53, 5, 2_000, 10_000
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    f = product_cosine(d)
+    run(f, n, params, 0.5, RunConfig(seed=1, repetitions=REPETITION_BLOCK))  # fill the caches
+    peaks = {}
+    for reps in (small, large):
+        tracemalloc.start()
+        try:
+            run(f, n, params, 0.5, RunConfig(seed=1, repetitions=reps))
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    slack = 128 * 1024  # run-to-run noise of the peak is about 60 KB
+    assert peaks[large] - peaks[small] <= 8 * (large - small) + slack
 
 
 def test_run_rp_rv_mean_matches_exact_expectation():
