@@ -3,7 +3,8 @@
 `CbcState` keeps the running per-point products P(k) = prod_{j<s} (1 + gamma_j^2
 sigma_alpha(k z_j / m)) of the rule modulo m, for one prime modulus or, by
 the CRT, a pair of them, so that the squared-error increment theta of every
-candidate residue comes out of a single Rader convolution sweep.  As sigma_alpha
+candidate residue comes out of a single Rader convolution sweep,
+`fftconv.rader_cbc_kernel`, as do a pair's cross terms.  As sigma_alpha
 is even, so is P: a record stores the rows k_1 <= m_1/2 of its first axis, and
 sigma is evaluated once per class +-c.  A state of one modulus may also hold
 many vectors at once, one row of products each: `cbc_vectors` takes all the
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fftconv import rader_cbc_kernel, rader_sweeps
+from .fftconv import rader_cbc_kernel
 from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
 
 # Relative tolerance under which two criterion values count as tied.  Exact
@@ -146,7 +147,7 @@ class CbcState:
         """S[..., z] = sum_k sigma_alpha(k z / p) w[..., k], k and z in Z_p (one prime), one sweep
         per row of w: the products, stacked over any given rows of even weights on k <= p/2."""
         w = np.vstack((self.P_products,) + rows) if rows else self.P_products
-        return rader_sweeps(self.moduli[0], self.grid, w)
+        return rader_cbc_kernel(self.moduli[0], self.grid[None], w[..., None, :])
 
     def cross_sweep(self, zq: int) -> np.ndarray:
         """S[z] = sum_{l in Z_q, k in Z_p} sigma_alpha(l zq / q + k z / p) P(l, k) for every
@@ -187,7 +188,7 @@ def candidate_set(theta: np.ndarray, m: int) -> np.ndarray:
     cannot choose between the members of a tie.  With m = 1 this is the
     argmin, ties broken by the smallest index.
     """
-    edge = np.sort(theta, axis=-1)[..., m - 1 : m]
+    edge = np.partition(theta, m - 1, axis=-1)[..., m - 1 : m]
     tol = TIE_RTOL * np.abs(edge)
     # 0 below the tie, 1 tied, 2 above: a stable sort lists each class in index order
     rank = (np.abs(theta - edge) > tol).view(np.int8) + np.int8(1)

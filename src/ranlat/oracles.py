@@ -4,7 +4,7 @@ Nothing in the package calls these except `ranlat verify`; the tests read
 them as oracles.  Each one computes what a product path computes fast, by a
 route that shares as little with it as possible: the point-products
 records by a per-point formula, the candidate sweep and theta by direct
-O(p^2) sums, CBC by exhaustive argmin, T-hat by a triple loop over
+O(p^2) sums, CBC by exhaustive argmin, T-hat by a direct sum over
 (q, l, k), the errors by truncated dual-lattice sums, and a unit-norm
 truncated worst-case integrand.  This module imports the product; the
 product never imports it.
@@ -103,7 +103,7 @@ def t_hat_all_naive(
     p: int,
     residues: dict[int, list[int]],
 ) -> np.ndarray:
-    """Direct triple-loop evaluation of T-hat over (q, l, k); no FFT, no grids.
+    """Direct evaluation of T-hat as a sum over (q, l, k), each k row at once; no FFT, no grids.
 
     residues[p] holds p's s-1 prefix components, which set the dimension s;
     residues[q] holds at least those s-1 for every pool prime, and also z_s
@@ -112,10 +112,12 @@ def t_hat_all_naive(
     s = len(residues[p]) + 1
     alpha = params.alpha
     gam2 = params.gamma[s - 1] ** 2
+    k = np.arange(p)
     out = np.zeros(p)
 
-    def prefix_prod(k: int, q: int | None, l: int | None) -> float:
-        prod = 1.0
+    def prefix_prod(q: int | None, l: int) -> np.ndarray:
+        """The prefix product at the points k = 0..p-1, paired with l in Z_q if q is given."""
+        prod = np.ones(p)
         for j in range(s - 1):
             x = k * residues[p][j] / p
             if q is not None:
@@ -125,10 +127,7 @@ def t_hat_all_naive(
 
     for z in range(p):
         # theta term
-        acc = 0.0
-        for k in range(p):
-            acc += sigma_alpha(k * z / p % 1.0, alpha) * prefix_prod(k, None, None)
-        total = gam2 / p * acc
+        total = gam2 / p * float(sigma_alpha(k * z / p % 1.0, alpha) @ prefix_prod(None, 0))
         # smaller primes
         for q in pool.primes:
             if q >= p:
@@ -136,19 +135,14 @@ def t_hat_all_naive(
             zq = residues[q][s - 1]
             acc = 0.0
             for l in range(q):
-                for k in range(p):
-                    acc += sigma_alpha(
-                        (k * z / p + l * zq / q) % 1.0, alpha
-                    ) * prefix_prod(k, q, l)
+                acc += float(sigma_alpha((k * z / p + l * zq / q) % 1.0, alpha) @ prefix_prod(q, l))
             total += 2.0 / q * gam2 / p * acc
         # larger primes
         for q in pool.primes:
             if q <= p:
                 continue
-            acc = 0.0
-            for k in range(p):
-                bracket = sum(prefix_prod(k, q, l) for l in range(q))
-                acc += sigma_alpha(k * q * z / p % 1.0, alpha) * bracket
+            bracket = sum(prefix_prod(q, l) for l in range(q))
+            acc = float(sigma_alpha(k * q * z / p % 1.0, alpha) @ bracket)
             total += 2.0 * gam2 / (q ** (2 * alpha + 1) * p) * acc
         out[z] = total
     return out

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -197,6 +198,23 @@ def test_study_small_range(tmp_path):
     assert float(e_det) == float(f"{float(e_det):.17g}")
     slopes = [l for l in lines if l.startswith("# slope_")]
     assert len(slopes) == 2
+
+
+def test_study_construct_seconds_leave_out_the_cbc_baseline(monkeypatch, tmp_path):
+    # construct_seconds times construct_fixed_vector and its e_ran, not the CBC
+    # vector and e_det that the row's e_det_cbc column reports
+    cbc_construct = cli.cbc_construct
+
+    def slow_cbc(n, params):
+        time.sleep(0.3)
+        return cbc_construct(n, params)
+
+    monkeypatch.setattr(cli, "cbc_construct", slow_cbc)
+    out = tmp_path / "study.csv"
+    args = ["study", "--alpha", "1", "--d", "2", "--k-range", "13..13", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    row = out.read_text().splitlines()[1]
+    assert float(row.split(",")[-1]) < 0.3
 
 
 def test_study_single_row_has_absent_slopes(tmp_path):

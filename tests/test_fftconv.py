@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranlat.fftconv import ShapeError, power_permutation, rader_cbc_kernel, rader_plan, rader_sweeps
+from ranlat.fftconv import ShapeError, power_permutation, rader_cbc_kernel, rader_plan
 from ranlat.oracles import rader_cbc_kernel_naive
 from ranlat.primes import NotPrimeError, primitive_root, sieve_primes
 
@@ -15,7 +15,7 @@ def test_power_permutation():
 def test_rader_kernel_p3_by_hand():
     v = np.array([10.0, 1.0, 2.0])
     w = np.array([100.0, 7.0, 11.0])
-    out = rader_cbc_kernel(3, v, w)
+    out = rader_cbc_kernel(3, v[None], w[None])
     # S[z] = sum_k v[(k z) % 3] w[k]
     expect = [
         v[0] * (w[0] + w[1] + w[2]),
@@ -24,16 +24,16 @@ def test_rader_kernel_p3_by_hand():
     ]
     assert np.allclose(out, expect)
     # even on Z_3, given by entries 0 and 1: f(2) = f(1)
-    assert rader_cbc_kernel(3, v[:2], w[:2]).tolist() == [10.0 * 114.0, 1014.0, 1014.0]
+    assert rader_cbc_kernel(3, v[None, :2], w[None, :2]).tolist() == [10.0 * 114.0, 1014.0, 1014.0]
     # a last axis of p // 2 + 1 selects the even form; any other length but p fails
     with pytest.raises(ShapeError):
-        rader_cbc_kernel(5, np.ones(4), np.ones(4))
+        rader_cbc_kernel(5, np.ones((1, 4)), np.ones((1, 4)))
 
 
 def test_rader_kernel_p2():
     v = np.array([4.0, 9.0])
     w = np.array([0.5, 0.25])
-    out = rader_cbc_kernel(2, v, w)
+    out = rader_cbc_kernel(2, v[None], w[None])
     assert np.allclose(out, [v[0] * (w[0] + w[1]), v[0] * w[0] + v[1] * w[1]])
 
 
@@ -47,70 +47,71 @@ def test_rader_matches_naive(pidx, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(p)
     w = rng.standard_normal(p)
-    fast = rader_cbc_kernel(p, v, w)
+    fast = rader_cbc_kernel(p, v[None], w[None])
     slow = rader_cbc_kernel_naive(p, v, w)
     assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
     # even inputs, given by their entries 0..p // 2, take the half-length form;
     # z and p - z share one correlation lag class: bit-equal, not just close
     even = np.minimum(np.arange(p), p - np.arange(p))
-    fast = rader_cbc_kernel(p, v[: p // 2 + 1], w[: p // 2 + 1])
+    fast = rader_cbc_kernel(p, v[None, : p // 2 + 1], w[None, : p // 2 + 1])
     slow = rader_cbc_kernel_naive(p, v[even], w[even])
     assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
     assert fast.tobytes() == fast[even].tobytes()
 
 
-def test_rader_plan_cached_per_prime_and_root():
-    plan = rader_plan(13)
-    assert rader_plan(13) is plan
+def test_rader_plan_is_cached_per_prime_and_length():
     g = primitive_root(13)
-    assert plan.powers.tolist() == power_permutation(13, g).tolist()
+    powers = power_permutation(13, g)
+    full, half = rader_plan(13, 13), rader_plan(13, 7)
+    assert rader_plan(13, 13) is full and rader_plan(13, 7) is half
+    assert full[0] == 1 and full[1].tolist() == powers.tolist()
     # lag[z - 1] = b with z = g^-b: the lag-b correlation value belongs to z
-    assert [(z * pow(g, int(b), 13)) % 13 for z, b in enumerate(plan.lag, start=1)] == [1] * 12
-    assert plan.half_lag.tolist() == (plan.lag % 6).tolist()
-    with pytest.raises(ValueError):
-        plan.powers[0] = 5
+    assert [(z * pow(g, int(b), 13)) % 13 for z, b in enumerate(full[2], start=1)] == [1] * 12
+    # the even layout: one period of min(g^a, p - g^a), lags modulo it
+    assert half[0] == 2 and half[1].tolist() == np.minimum(powers, 13 - powers)[:6].tolist()
+    assert half[2].tolist() == (full[2] % 6).tolist()
+    for a in full[1:] + half[1:]:
+        with pytest.raises(ValueError):
+            a[0] = 5
+    assert rader_plan(2, 2)[0] == 1  # p = 2 keeps the full layout: there p // 2 + 1 == p
+    with pytest.raises(ShapeError):
+        rader_plan(13, 8)
     with pytest.raises(NotPrimeError):
-        rader_plan(9)
+        rader_plan(9, 9)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 53, 307])
 def test_rader_matches_naive_batch_sum(p):
+    # R tables against R rows: the sum over r of each pair's sweep
     rng = np.random.default_rng(p)
-    tol = lambda slow: 1e-9 * max(1.0, np.max(np.abs(slow)))
     for rows in (1, 4):
         v = rng.standard_normal((rows, p))
         w = rng.standard_normal((rows, p))
-        # stacked weights: row i of values against row i of weights
         slow = sum(rader_cbc_kernel_naive(p, v[i], w[i]) for i in range(rows))
         fast = rader_cbc_kernel(p, v, w)
         assert fast.shape == (p,)
-        assert np.max(np.abs(fast - slow)) < tol(slow)
-    # two leading batch axes are summed alike
-    v = rng.standard_normal((2, 3, p))
-    w = rng.standard_normal((2, 3, p))
-    slow = sum(rader_cbc_kernel_naive(p, v[i, j], w[i, j]) for i in range(2) for j in range(3))
-    assert np.max(np.abs(rader_cbc_kernel(p, v, w) - slow)) < tol(slow)
-    # batch axes are shared, never broadcast
-    with pytest.raises(ShapeError):
-        rader_cbc_kernel(p, v, w[0])
+        assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
 
 
-def test_rader_sweeps_rows_are_the_kernel_bit_for_bit():
-    # each row of weights swept against one table is the kernel of that row
-    # alone, in both layouts and at p = 2, where p // 2 + 1 == p; 2 rows is
+def test_rader_batch_rows_are_the_kernel_bit_for_bit():
+    # each batch entry of weights swept against one table is the kernel of that
+    # row alone, in both layouts and at p = 2, where p // 2 + 1 == p; 2 rows is
     # the construction's turn, theta's products over the larger-prime row
     rng = np.random.default_rng(3)
     for p in sieve_primes(400)[::3]:
         for n in {p, p // 2 + 1}:
-            v = rng.standard_normal(n)
-            for k in (2, 4):
-                w = rng.standard_normal((k, n))
-                rows = rader_sweeps(p, v, w)
+            v = rng.standard_normal((1, n))
+            for k in (1, 2, 4):
+                w = rng.standard_normal((k, 1, n))
+                rows = rader_cbc_kernel(p, v, w)
                 assert rows.shape == (k, p)
                 for r in range(k):
                     assert rows[r].tobytes() == rader_cbc_kernel(p, v, w[r]).tobytes()
-                assert rader_sweeps(p, v, w[0]).tobytes() == rows[0].tobytes()
     with pytest.raises(ShapeError):
-        rader_sweeps(5, np.ones((2, 3)), np.ones((2, 3)))  # one table only
+        rader_cbc_kernel(5, np.ones(5), np.ones(5))  # values must be 2-D
     with pytest.raises(ShapeError):
-        rader_sweeps(5, np.ones(3), np.ones((2, 4)))
+        rader_cbc_kernel(5, np.ones((1, 2, 5)), np.ones((1, 2, 5)))
+    with pytest.raises(ShapeError):
+        rader_cbc_kernel(5, np.ones((2, 5)), np.ones((3, 5)))  # one row per table
+    with pytest.raises(ShapeError):
+        rader_cbc_kernel(5, np.ones((2, 5)), np.ones((2, 2, 3)))

@@ -54,9 +54,9 @@ def test_every_exported_name_resolves():
 
 def test_only_cbc_reads_the_record_layout():
     # A record's layout (its grid, products and sigma rows) is read through
-    # CbcState's methods alone, and only cbc runs the Rader sweeps, by either
-    # entry point; cli imports both for its fft oracle suite.
-    sweeps = {"rader_cbc_kernel", "rader_sweeps"}
+    # CbcState's methods alone, and only cbc runs the Rader sweep; cli imports
+    # it for its fft oracle suite.
+    sweeps = {"rader_cbc_kernel"}
     readers, sweepers = set(), set()
     for name in PRODUCT:
         for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):

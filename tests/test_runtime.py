@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ranlat import runtime
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import randomized_error_sq_fixed
-from ranlat.fftconv import rader_sweeps
+from ranlat.fftconv import rader_cbc_kernel
 from ranlat.kernels import EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, poly_weights, sigma_alpha
 from ranlat.primes import ResidueVector, build_prime_pool
 from ranlat.runtime import (
@@ -284,9 +284,9 @@ def test_run_rp_cbc_sweeps_theta_once_per_block_prime_and_level(monkeypatch):
 
     def counted_sweeps(p, values, weights):
         rows.append(math.prod(np.shape(weights)[:-1]))
-        return rader_sweeps(p, values, weights)
+        return rader_cbc_kernel(p, values, weights)
 
-    monkeypatch.setattr(cbc_module, "rader_sweeps", counted_sweeps)
+    monkeypatch.setattr(cbc_module, "rader_cbc_kernel", counted_sweeps)
     d, n, reps = 4, 30, 2 * REPETITION_BLOCK + 100
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
     run_rp_cbc(product_cosine(d), n, params, 0.5, RunConfig(seed=1, repetitions=reps))
