@@ -1,21 +1,18 @@
 """Online randomised integration algorithms and the integrands of `ranlat integrate`.
 
-Randomness comes from a SplitMix64 generator specified bit-exactly below,
-so identical (seed, repetitions) configurations reproduce byte-identical
-estimate streams on any platform.  Each repetition derives its own stream
-from (seed, repetition index), making parallel and serial runs agree.
-The scalar `SplitMix64` and `stream_seed` are the specification;
-`first_draws_below` evaluates every repetition's first bounded draw as one
-uint64 array and replays only the rare rejected draw through them.
+Randomness comes from a SplitMix64 generator specified bit-exactly below, so
+identical (seed, repetitions) configurations reproduce byte-identical estimate
+streams on any platform.  Repetition r has its own stream, seeded from
+(seed, r); the scalar `SplitMix64` and `stream_seed` are the specification,
+and every online draw is taken by `draws_below`, many streams in one pass.
 
-`run_rp_cbc` and `run_rp_rv` take `REPETITION_BLOCK` repetitions at a time.
-Each repetition still draws from its own scalar stream, in the order of the
-one-repetition algorithm; the arithmetic then runs one prime at a time over
-every repetition of the block that drew it: the CBC levels of
-`cbc.cbc_vectors`, which sweep theta for every vector at every level, or the
-worst-case errors of all their tries.  Each block's rules are one call of the
-integrand on the stacked points (`lattice_rules`).  Every estimate is bit for
-bit the one-repetition value, so the streams do not depend on the block.
+`run_rp_cbc` and `run_rp_rv` take `REPETITION_BLOCK` repetitions at a time,
+each drawing in the order of the one-repetition algorithm, then run one prime
+at a time over every repetition of the block that drew it: the CBC levels of
+`cbc.cbc_vectors` or the worst-case errors of all their tries.  Each block's
+rules are one call of the integrand on the stacked points (`lattice_rules`).
+Every estimate is bit for bit the one-repetition value, so the streams do not
+depend on the block.
 """
 
 from __future__ import annotations
@@ -78,46 +75,49 @@ def stream_seed(seed: int, index: int) -> int:
     return _mix64(seed & _MASK64) ^ _mix64((index + 1) & _MASK64)
 
 
-def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
-    """`_mix64` of every entry of the uint64 array x, in place; tmp is scratch.
+def _mix64_inplace(x: np.ndarray) -> None:
+    """`_mix64` of every entry of the uint64 array x, in place.
 
     uint64 array arithmetic wraps modulo 2**64, as the scalar `& _MASK64`
     does, and every operand is a uint64 so no promotion rule can widen it.
     """
-    np.right_shift(x, np.uint64(30), out=tmp)
-    x ^= tmp
+    x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    np.right_shift(x, np.uint64(27), out=tmp)
-    x ^= tmp
+    x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(x, np.uint64(31), out=tmp)
-    x ^= tmp
+    x ^= x >> np.uint64(31)
 
 
-def first_draws_below(seed: int, reps: int, m: int) -> np.ndarray:
-    """SplitMix64(stream_seed(seed, i)).next_below(m) for every i < reps, as uint64.
-
-    The first output of stream i is mix64(stream_seed(seed, i) + GOLDEN), so
-    all of them are one array pass.  An output at or above the rejection
-    limit (probability below m / 2**64) is replaced by replaying its stream
-    through the scalar generator.
+def draws_below(seed: int, reps: np.ndarray, pos, m) -> tuple[np.ndarray, np.ndarray]:
+    """(draws, after): draws[i] = SplitMix64(stream_seed(seed, reps[i])).next_below(m)
+    once that stream is pos outputs in, as uint64, and after[i] the outputs it has
+    then consumed; pos and m are each a scalar or one value per repetition.  Output
+    j of stream r is mix64(stream_seed(seed, r) + (j + 1) GOLDEN), so this is one
+    uint64 array pass; only an output at or above the rejection limit
+    (probability below m / 2**64) is replayed alone through `_mix64`.
     """
-    limit = _rejection_limit(m)
-    x = np.arange(1, reps + 1, dtype=np.uint64)
-    tmp = np.empty_like(x)
-    _mix64_inplace(x, tmp)
+    if np.ndim(m):
+        _rejection_limit(int(np.min(m)))  # the DomainError of a modulus below 1
+        m = np.asarray(m).astype(np.uint64)
+        keep = ~(-m % m)  # the largest kept output, 2**64 - 1 - 2**64 % m
+    else:
+        keep = np.uint64(_rejection_limit(m) - 1)  # m may be 2**64, which is no uint64
+    x = np.asarray(reps).astype(np.uint64) + np.uint64(1)
+    _mix64_inplace(x)
     x ^= np.uint64(_mix64(seed))
-    x += np.uint64(_GOLDEN)
-    _mix64_inplace(x, tmp)
-    del tmp
-    # limit and m may be 2**64, which is no uint64: x >= limit is
-    # x > limit - 1, and x % 2**64 is x
-    rejected = np.flatnonzero(x > np.uint64(limit - 1))
-    if m < 1 << 64:
-        np.remainder(x, np.uint64(m), out=x)
-    for i in rejected:
-        x[i] = SplitMix64(stream_seed(seed, int(i))).next_below(m)
-    return x
+    x += np.multiply(np.asarray(pos).astype(np.uint64) + np.uint64(1), np.uint64(_GOLDEN))
+    _mix64_inplace(x)
+    rejected = np.flatnonzero(x > keep)
+    if np.ndim(m) or m < 1 << 64:
+        np.remainder(x, m, out=x)
+    after = np.ones(len(x), dtype=np.int64) + pos
+    for i in rejected.tolist():
+        out, mi = 1 << 64, int(m[i] if np.ndim(m) else m)
+        while out >= _rejection_limit(mi):
+            after[i] += 1
+            out = _mix64(stream_seed(seed, int(reps[i])) + int(after[i]) * _GOLDEN)
+        x[i] = out % mi
+    return x, after
 
 
 MAX_TRIES = 10_000  # rejection-sampling tries per `run_rp_rv` repetition
@@ -218,19 +218,18 @@ def run_rpfv(f: Integrand, v: ResidueVector, cfg: RunConfig) -> np.ndarray:
 
     Since each repetition's estimate depends only on the drawn prime, the
     per-prime rule values are computed once and indexed by the draws.  A
-    repetition's only draw is the first of its stream, so `first_draws_below`
-    draws them all at once, the same values as a loop over `SplitMix64`.
+    repetition's only draw is the first of its stream, so every repetition's
+    prime is one `draws_below` pass.
     """
     primes = v.pool.primes
     per_prime = lattice_rules(f, primes, np.array(v.residues, dtype=np.int64))
-    return per_prime[first_draws_below(cfg.seed, cfg.repetitions, len(primes))]
+    return per_prime[draws_below(cfg.seed, np.arange(cfg.repetitions), 0, len(primes))[0]]
 
 
 def _blocks(cfg: RunConfig):
-    """(slice, streams) of `REPETITION_BLOCK` repetitions at a time, in order."""
+    """The indices of `REPETITION_BLOCK` repetitions at a time, in order."""
     for start in range(0, cfg.repetitions, REPETITION_BLOCK):
-        block = range(start, min(start + REPETITION_BLOCK, cfg.repetitions))
-        yield slice(start, block.stop), [SplitMix64(stream_seed(cfg.seed, i)) for i in block]
+        yield np.arange(start, min(start + REPETITION_BLOCK, cfg.repetitions))
 
 
 def run_rp_cbc(
@@ -249,19 +248,17 @@ def run_rp_cbc(
     """
     pool = build_prime_pool(n)
     primes = np.array(pool.primes, dtype=np.int64)
-    sizes = [cbc.candidate_count(p, tau) for p in pool.primes]
+    sizes = np.array([cbc.candidate_count(p, tau) for p in pool.primes])
     out = np.empty(cfg.repetitions)
-    for block, rngs in _blocks(cfg):
-        which = np.empty(len(rngs), dtype=np.int64)
-        draws = np.empty((len(rngs), params.d - 1), dtype=np.int64)
-        for r, rng in enumerate(rngs):
-            which[r] = j = rng.next_below(len(primes))
-            draws[r] = [rng.next_below(sizes[j]) for _ in range(params.d - 1)]
-        z = np.empty((len(rngs), params.d), dtype=np.int64)
-        for j in np.flatnonzero(np.bincount(which)).tolist():
+    for reps in _blocks(cfg):
+        which, pos = draws_below(cfg.seed, reps, 0, len(primes))
+        z = np.empty((len(reps), params.d), dtype=np.int64)
+        for s in range(1, params.d):  # the draw of z_s, replaced by z_s below
+            z[:, s], pos = draws_below(cfg.seed, reps, pos, sizes[which])
+        for j in np.unique(which).tolist():
             rows = which == j
-            z[rows] = cbc.cbc_vectors(pool.primes[j], params, sizes[j], draws[rows])
-        out[block] = lattice_rules(f, primes[which], z)
+            z[rows] = cbc.cbc_vectors(pool.primes[j], params, int(sizes[j]), z[rows, 1:])
+        out[reps] = lattice_rules(f, primes[which], z)
     return out
 
 
@@ -285,16 +282,17 @@ def run_rp_rv(
     bounds = BoundParams(tau=tau, lambda_grid=default_lambda_grid(params.alpha))
     thresholds = np.array([good_set_threshold(p, params, bounds) ** 2 for p in pool.primes])
     out = np.empty(cfg.repetitions)
-    for block, rngs in _blocks(cfg):
-        which = np.array([rng.next_below(len(primes)) for rng in rngs], dtype=np.int64)
+    for reps in _blocks(cfg):
+        which, pos = draws_below(cfg.seed, reps, 0, len(primes))
         ns = primes[which]
-        z = np.empty((len(rngs), params.d), dtype=np.int64)
-        pending = np.arange(len(rngs))
+        z = np.empty((len(reps), params.d), dtype=np.int64)
+        pending = np.arange(len(reps))
         for _ in range(MAX_TRIES):
-            for r, m in zip(pending.tolist(), ns[pending].tolist()):
-                z[r] = [rngs[r].next_below(m) for _ in range(params.d)]
+            for s in range(params.d):
+                z[pending, s], pos[pending] = draws_below(
+                    cfg.seed, reps[pending], pos[pending], ns[pending])
             accepted = np.empty(len(pending), dtype=bool)
-            for j in np.flatnonzero(np.bincount(which[pending])).tolist():
+            for j in np.unique(which[pending]).tolist():
                 rows = which[pending] == j
                 wce = worst_case_errors_sq(pool.primes[j], z[pending[rows]], params)
                 accepted[rows] = wce <= thresholds[j]
@@ -305,5 +303,5 @@ def run_rp_rv(
             raise SamplingFailureError(
                 f"no accepted vector for p={ns[pending[0]]} within {MAX_TRIES} tries"
             )
-        out[block] = lattice_rules(f, ns, z)
+        out[reps] = lattice_rules(f, ns, z)
     return out

@@ -17,7 +17,7 @@ from ranlat.runtime import (
     SamplingFailureError,
     SplitMix64,
     constant_integrand,
-    first_draws_below,
+    draws_below,
     lattice_rule,
     lattice_rules,
     product_bernoulli,
@@ -60,23 +60,83 @@ def test_next_below_modulus_bounds():
         with pytest.raises(DomainError):
             SplitMix64(5).next_below(m)
         with pytest.raises(DomainError):
-            first_draws_below(5, 3, m)
+            draws_below(5, np.arange(3), 0, m)
+    for m in ([3, 0, 2], [-3, 5]):  # one modulus per repetition
+        with pytest.raises(DomainError):
+            draws_below(5, np.arange(len(m)), 0, np.array(m))
 
 
-# 2**63 + 1 and 3 * 2**62 reject about 1/2 and 1/4 of first outputs, so the
-# scalar replay of rejected draws runs; 2**64 and 2**62 reject none.
-@pytest.mark.parametrize("m", [1, 13, 2 ** 63 + 1, 3 * 2 ** 62, 2 ** 62, 2 ** 64])
-@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 64 - 1, -1])
-def test_first_draws_below_matches_scalar_streams(seed, m):
-    got = first_draws_below(seed, 2_000, m)
+class _Counted(SplitMix64):
+    """The specification's generator, counting the outputs it has given."""
+
+    outputs = 0
+
+    def next_u64(self) -> int:
+        self.outputs += 1
+        return super().next_u64()
+
+
+def _assert_scalar_draws(seed, reps, pos, m):
+    """draws_below(seed, reps, pos, m) against stream reps[i] of the scalar
+    generator advanced by pos[i] outputs, then next_below(m[i]): the same
+    draws, and the outputs each stream has then consumed.  pos and m may be
+    "per repetition": reps % 7 and a cycle of MIXED."""
+    if pos == "per repetition":
+        pos = reps % 7
+    if m == "per repetition":
+        m = MIXED[reps % len(MIXED)]
+    got, after = draws_below(seed, reps, pos, m)
     assert got.dtype == np.uint64
-    want = [SplitMix64(stream_seed(seed, i)).next_below(m) for i in range(2_000)]
+    per_rep = lambda v: v.tolist() if np.ndim(v) else [v] * len(reps)
+    want, consumed = [], []
+    for r, p, mr in zip(reps.tolist(), per_rep(pos), per_rep(m)):
+        g = _Counted(stream_seed(seed, r))
+        for _ in range(p):
+            g.next_u64()
+        want.append(g.next_below(mr))
+        consumed.append(g.outputs)
     assert got.tolist() == want
+    assert after.tolist() == consumed
+
+
+# 2**63 + 1 and 3 * 2**62 reject about 1/2 and 1/4 of outputs, so the
+# scalar replay of rejected draws runs; 2**64 and 2**62 reject none.  MIXED
+# puts small moduli into one array with moduli that reach the replay.
+MIXED = np.array([13, 2 ** 63 + 1, 1, 3 * 2 ** 62, 7, 2 ** 62], dtype=np.uint64)
+MODULI = [1, 13, 2 ** 63 + 1, 3 * 2 ** 62, 2 ** 62, 2 ** 64, "per repetition"]
+SEEDS = [0, 1, 7, 2 ** 64 - 1, -1]
+
+
+@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_draws_below_matches_scalar_streams(seed, m):
+    # every stream at position 0: the only draw of a run_rpfv repetition
+    _assert_scalar_draws(seed, np.arange(2_000), 0, m)
+
+
+@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("pos", [5, "per repetition"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draws_below_matches_scalar_streams_at_any_position(seed, pos, m):
+    _assert_scalar_draws(seed, np.arange(300, 1_300), pos, m)
+
+
+def test_draws_below_chains_like_one_stream():
+    # each call at the positions the last one returned: consecutive next_below
+    # calls of every stream, the rejections of one draw shifting the next
+    moduli = [3 * 2 ** 62, 13, 2 ** 63 + 1, 7]
+    reps, pos, got = np.arange(500), 0, []
+    for m in moduli:
+        draws, pos = draws_below(3, reps, pos, m)
+        got.append(draws.tolist())
+    for r in reps.tolist():
+        g = SplitMix64(stream_seed(3, r))
+        assert [g.next_below(m) for m in moduli] == [col[r] for col in got]
 
 
 @pytest.mark.parametrize("m, share", [(2 ** 63 + 1, 1 / 2), (3 * 2 ** 62, 1 / 4)])
 def test_first_draws_below_moduli_reach_the_replay(m, share):
-    # the premise of the test above: these moduli reject first outputs often
+    # the premise of the tests above: these moduli reject first outputs often
     limit = (1 << 64) - ((1 << 64) % m)
     firsts = [SplitMix64(stream_seed(0, i)).next_u64() for i in range(2_000)]
     assert abs(sum(r >= limit for r in firsts) / 2_000 - share) < 0.05
@@ -164,6 +224,25 @@ def test_run_rpfv_matches_scalar_replay(seed):
     want = np.array([per_prime[SplitMix64(stream_seed(seed, i)).next_below(len(pool.primes))]
                      for i in range(2_000)])
     assert run_rpfv(f, v, RunConfig(seed=seed, repetitions=2_000)).tobytes() == want.tobytes()
+
+
+def test_run_rpfv_memory_is_a_few_words_per_repetition():
+    # the draws are one uint64 pass over all repetitions, with nothing per
+    # repetition beyond a few 8-byte arrays: one array of positions more than
+    # the indices, the draws and the estimates would read about 40 B
+    import tracemalloc
+
+    pool = build_prime_pool(30)
+    v = ResidueVector(pool=pool, residues=tuple((1, 2) for _ in pool.primes), d=2)
+    f, reps = product_cosine(2), 200_000
+    run_rpfv(f, v, RunConfig(seed=1, repetitions=10))  # fill the caches
+    tracemalloc.start()
+    try:
+        run_rpfv(f, v, RunConfig(seed=1, repetitions=reps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * reps + 128 * 1024
 
 
 @pytest.mark.parametrize("seed, reps", [(1, 2.5), (1, 2.0), (1.5, 2)])
@@ -291,7 +370,7 @@ def test_run_rp_cbc_sweeps_theta_once_per_block_prime_and_level(monkeypatch):
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
     run_rp_cbc(product_cosine(d), n, params, 0.5, RunConfig(seed=1, repetitions=reps))
     # a repetition's first draw picks its prime
-    which = first_draws_below(1, reps, len(build_prime_pool(n).primes)).tolist()
+    which = draws_below(1, np.arange(reps), 0, len(build_prime_pool(n).primes))[0].tolist()
     drawn = sum(len(set(which[i:i + REPETITION_BLOCK])) for i in range(0, reps, REPETITION_BLOCK))
     assert len(rows) == drawn * (d - 1)
     assert sum(rows) == reps * (d - 1)
@@ -351,15 +430,14 @@ def test_run_rp_rv_stops_at_the_try_cap(monkeypatch):
     # a threshold no vector meets: every repetition of the first block makes
     # MAX_TRIES tries, then the run fails
     draws = []
-    next_below = SplitMix64.next_below
 
-    def counted(self, m):
-        draws.append(m)
-        return next_below(self, m)
+    def counted(seed, reps, pos, m):
+        draws.extend(reps.tolist())
+        return draws_below(seed, reps, pos, m)
 
     monkeypatch.setattr(runtime, "good_set_threshold", lambda p, params, bounds: 0.0)
     monkeypatch.setattr(runtime, "MAX_TRIES", 3)
-    monkeypatch.setattr(SplitMix64, "next_below", counted)
+    monkeypatch.setattr(runtime, "draws_below", counted)
     d = 3
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
     with pytest.raises(SamplingFailureError, match="within 3 tries"):
