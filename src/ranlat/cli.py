@@ -32,7 +32,6 @@ from .kernels import DomainError, KorobovSpaceParams, poly_weights
 from .primes import C_PRIME, ResidueVector, build_prime_pool, sieve_primes
 from .runtime import (
     RunConfig,
-    SplitMix64,
     constant_integrand,
     product_bernoulli,
     product_cosine,
@@ -273,7 +272,7 @@ def _verify_lemma_averaging() -> list[str]:
 
 
 def _verify_fft_oracle() -> list[str]:
-    from .oracles import rader_cbc_kernel_naive as naive
+    from .oracles import SplitMix64, rader_cbc_kernel_naive as naive
 
     failures = []
     rng = SplitMix64(2024)

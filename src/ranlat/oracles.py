@@ -6,8 +6,10 @@ route that shares as little with it as possible: the point-products
 records by a per-point formula, the candidate sweep and theta by direct
 O(p^2) sums, CBC by exhaustive argmin, T-hat by a direct sum over
 (q, l, k), the errors by truncated dual-lattice sums, and a unit-norm
-truncated worst-case integrand.  This module imports the product; the
-product never imports it.
+truncated worst-case integrand.  The scalar SplitMix64 generator is the
+specification of the online draws: `runtime.draws_below` takes them many
+streams at a time, and must give its bytes.  This module imports the
+product; the product never imports it.
 """
 
 from __future__ import annotations
@@ -316,3 +318,45 @@ def component_threshold(
         ) ** (2.0 * lam)
 
     return _grid_infimum(fun, bounds.lambda_grid)
+
+
+# ---------------------------------------------------------------------------
+# SplitMix64: the specification of the online draws
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(x: int) -> int:
+    """SplitMix64 output mix (Steele/Lea/Flood finaliser)."""
+    x &= _MASK64
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
+
+
+class SplitMix64:
+    """Counter-based 64-bit generator: out_i = mix64(seed + (i+1) * GOLDEN)."""
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return _mix64(self._state)
+
+    def next_below(self, m: int) -> int:
+        """Uniform draw from {0, ..., m-1} by rejection (no modulo bias)."""
+        if not 0 < m <= 1 << 64:  # above 2**64 every output would be rejected
+            raise DomainError(f"modulus must lie in [1, 2**64], got {m}")
+        limit = (1 << 64) - ((1 << 64) % m)
+        while True:
+            r = self.next_u64()
+            if r < limit:
+                return r % m
+
+
+def stream_seed(seed: int, index: int) -> int:
+    """Per-repetition stream seed: mix64(seed) XOR mix64(index + 1)."""
+    return _mix64(seed & _MASK64) ^ _mix64((index + 1) & _MASK64)

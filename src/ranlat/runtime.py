@@ -1,10 +1,11 @@
 """Online randomised integration algorithms and the integrands of `ranlat integrate`.
 
-Randomness comes from a SplitMix64 generator specified bit-exactly below, so
-identical (seed, repetitions) configurations reproduce byte-identical estimate
-streams on any platform.  Repetition r has its own stream, seeded from
-(seed, r); the scalar `SplitMix64` and `stream_seed` are the specification,
-and every online draw is taken by `draws_below`, many streams in one pass.
+Randomness comes from SplitMix64 (Steele, Lea & Flood 2014), so identical
+(seed, repetitions) configurations reproduce byte-identical estimate streams
+on any platform.  Repetition r has its own stream, seeded from (seed, r), and
+every online draw is taken by `draws_below`, many streams in one uint64 array
+pass.  The scalar generator in `ranlat.oracles` is its specification: the
+tests replay every draw against it.
 
 `run_rp_cbc` and `run_rp_rv` take `REPETITION_BLOCK` repetitions at a time,
 each drawing in the order of the one-repetition algorithm, then run one prime
@@ -29,58 +30,12 @@ from .errors import BoundParams, default_lambda_grid, good_set_threshold, worst_
 from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
 from .primes import ResidueVector, build_prime_pool
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _mix64(x: int) -> int:
-    """SplitMix64 output mix (Steele/Lea/Flood finaliser)."""
-    x &= _MASK64
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    return x ^ (x >> 31)
-
-
-class SplitMix64:
-    """Counter-based 64-bit generator: out_i = mix64(seed + (i+1) * GOLDEN)."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def next_below(self, m: int) -> int:
-        """Uniform draw from {0, ..., m-1} by rejection (no modulo bias)."""
-        limit = _rejection_limit(m)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % m
-
-
-def _rejection_limit(m: int) -> int:
-    """Outputs below this are kept, so output % m is uniform on {0, ..., m-1}.
-
-    Above 2**64 the limit would be 0 and every output rejected.
-    """
-    if not 0 < m <= 1 << 64:
-        raise DomainError(f"modulus must lie in [1, 2**64], got {m}")
-    return (1 << 64) - ((1 << 64) % m)
-
-
-def stream_seed(seed: int, index: int) -> int:
-    """Per-repetition stream seed: mix64(seed) XOR mix64(index + 1)."""
-    return _mix64(seed & _MASK64) ^ _mix64((index + 1) & _MASK64)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix64_inplace(x: np.ndarray) -> None:
-    """`_mix64` of every entry of the uint64 array x, in place.
-
-    uint64 array arithmetic wraps modulo 2**64, as the scalar `& _MASK64`
-    does, and every operand is a uint64 so no promotion rule can widen it.
-    """
+    """The SplitMix64 output mix (Steele/Lea/Flood finaliser) of every entry of the
+    uint64 array x, in place: uint64 operands only, so it wraps modulo 2**64."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -88,35 +43,43 @@ def _mix64_inplace(x: np.ndarray) -> None:
     x ^= x >> np.uint64(31)
 
 
-def draws_below(seed: int, reps: np.ndarray, pos, m) -> tuple[np.ndarray, np.ndarray]:
-    """(draws, after): draws[i] = SplitMix64(stream_seed(seed, reps[i])).next_below(m)
-    once that stream is pos outputs in, as uint64, and after[i] the outputs it has
-    then consumed; pos and m are each a scalar or one value per repetition.  Output
-    j of stream r is mix64(stream_seed(seed, r) + (j + 1) GOLDEN), so this is one
-    uint64 array pass; only an output at or above the rejection limit
-    (probability below m / 2**64) is replayed alone through `_mix64`.
-    """
-    if np.ndim(m):
-        _rejection_limit(int(np.min(m)))  # the DomainError of a modulus below 1
-        m = np.asarray(m).astype(np.uint64)
-        keep = ~(-m % m)  # the largest kept output, 2**64 - 1 - 2**64 % m
-    else:
-        keep = np.uint64(_rejection_limit(m) - 1)  # m may be 2**64, which is no uint64
+def _outputs(seed: int, reps: np.ndarray, pos) -> np.ndarray:
+    """Output pos (from 0) of each stream reps[i], as uint64: mix64(s + (pos + 1) GOLDEN)
+    for the stream seed s = mix64(seed) XOR mix64(reps[i] + 1)."""
     x = np.asarray(reps).astype(np.uint64) + np.uint64(1)
     _mix64_inplace(x)
-    x ^= np.uint64(_mix64(seed))
-    x += np.multiply(np.asarray(pos).astype(np.uint64) + np.uint64(1), np.uint64(_GOLDEN))
+    s = np.array(seed % (1 << 64), dtype=np.uint64)
+    _mix64_inplace(s)
+    x ^= s
+    x += np.multiply(np.asarray(pos).astype(np.uint64) + np.uint64(1), _GOLDEN)
     _mix64_inplace(x)
-    rejected = np.flatnonzero(x > keep)
-    if np.ndim(m) or m < 1 << 64:
-        np.remainder(x, m, out=x)
+    return x
+
+
+def draws_below(seed: int, reps: np.ndarray, pos, m) -> tuple[np.ndarray, np.ndarray]:
+    """(draws, after): draws[i] uniform on {0, ..., m[i] - 1}, as uint64, from
+    stream reps[i] once it is pos[i] outputs in, and after[i] the outputs that
+    stream has then consumed; pos and m are each one value per repetition or a
+    scalar for all, with 1 <= m < 2**64.  A draw is the first output below the
+    rejection limit, reduced mod m, as `oracles.SplitMix64.next_below` specifies:
+    one uint64 array pass, which the rejected repetitions (probability below
+    m / 2**64 each) take again at their next output."""
+    m = np.asarray(m)
+    if m.size and not 1 <= int(m.min()) <= int(m.max()) < 1 << 64:
+        raise DomainError(f"moduli must lie in [1, 2**64), got {m}")
+    m = m.astype(np.uint64)
+    keep = ~(-m % m)  # the largest kept output, 2**64 - 1 - 2**64 % m
+    x = _outputs(seed, reps, pos)
+    redraw = np.flatnonzero(x > keep)
+    np.remainder(x, m, out=x)
     after = np.ones(len(x), dtype=np.int64) + pos
-    for i in rejected.tolist():
-        out, mi = 1 << 64, int(m[i] if np.ndim(m) else m)
-        while out >= _rejection_limit(mi):
-            after[i] += 1
-            out = _mix64(stream_seed(seed, int(reps[i])) + int(after[i]) * _GOLDEN)
-        x[i] = out % mi
+    while len(redraw):
+        out = _outputs(seed, reps[redraw], after[redraw])
+        after[redraw] += 1
+        m_r, keep_r = (m[redraw], keep[redraw]) if m.ndim else (m, keep)
+        kept = out <= keep_r
+        x[redraw[kept]] = (out % m_r)[kept]
+        redraw = redraw[~kept]
     return x, after
 
 

@@ -21,6 +21,7 @@ from ranlat.errors import (
 )
 from ranlat.kernels import KorobovSpaceParams, poly_weights
 from ranlat.oracles import (
+    SplitMix64,
     cbc_construct_naive,
     component_threshold,
     dual_tail_bound,
@@ -30,8 +31,8 @@ from ranlat.oracles import (
     worst_case_error_sq_truncated,
 )
 from ranlat.primes import ResidueVector, build_prime_pool, sieve_primes
-from ranlat.runtime import RunConfig, SplitMix64, product_cosine, run_rpfv
-from ranlat.cli import closest_prime
+from ranlat.runtime import RunConfig, product_cosine, run_rpfv
+from ranlat.cli import VERIFY_SUITES, closest_prime
 
 
 def _report(num, ok, detail):
@@ -141,17 +142,8 @@ def test_criterion_4_exhaustive_optimality():
 
 
 def test_criterion_5_lemma_suite():
-    # exact averaging identity by integer counting
-    count_ok = True
-    for p in (3, 5, 7):
-        for d in (1, 2, 3):
-            zs = np.stack(np.meshgrid(
-                *([np.arange(p)] * d), indexing="ij"), axis=-1).reshape(-1, d)
-            for h in itertools.product(range(-2, 3), repeat=d):
-                ha = np.array(h)
-                count = int(np.count_nonzero(zs @ ha % p == 0))
-                expect = p ** (d - 1) * ((p - 1) * int(np.all(ha % p == 0)) + 1)
-                count_ok = count_ok and count == expect
+    # exact averaging identity by integer counting: `ranlat verify`'s suite
+    count_ok = VERIFY_SUITES["lemma-averaging"]() == []
 
     # good-set cardinality over full vectors (d=2)
     tau = 0.5

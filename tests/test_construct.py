@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -366,23 +365,3 @@ def test_first_component_all_ones():
     v = construct_fixed_vector(40, 3, params)
     for row in v.residues:
         assert row[0] == 1
-
-
-def test_constructed_beats_exhaustive_candidate_mean():
-    # n=12, d=2: e_ran of the constructed vector is at most the mean e_ran
-    # over the product of the per-prime candidate sets
-    params = _params(2)
-    pool = build_prime_pool(12)
-    tau = 0.5
-    v = construct_fixed_vector(12, 2, params, tau=tau)
-    e2 = randomized_error_sq_fixed(v, params).squared_error
-
-    state = ConstructionState(pool=pool, params=params, tau=tau)
-    cand = {p: candidate_set(theta_all(CbcState((p,), params, zip(state.residues[p]))),
-                         candidate_count(p, tau))
-            for p in pool.primes}
-    vals = []
-    for z7, z11 in itertools.product(cand[7], cand[11]):
-        w = ResidueVector(pool=pool, residues=((1, int(z7)), (1, int(z11))), d=2)
-        vals.append(randomized_error_sq_fixed(w, params).squared_error)
-    assert e2 <= np.mean(vals) * (1 + 1e-12)

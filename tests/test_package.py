@@ -70,18 +70,3 @@ def test_only_cbc_reads_the_record_layout():
                     sweepers.add(name)
     assert readers == {"cbc"}
     assert sweepers == {"cbc", "cli"}
-
-
-def test_online_runs_draw_only_through_draws_below():
-    # Every online draw is a draws_below array pass: no run builds a scalar
-    # generator or steps one.  cli's verify suite keeps its own SplitMix64.
-    scalar = {"SplitMix64", "next_below", "next_u64"}
-    runs = {"run_rpfv", "run_rp_cbc", "run_rp_rv"}
-    seen = set()
-    for node in ast.parse((PACKAGE / "runtime.py").read_text()).body:
-        if isinstance(node, ast.FunctionDef) and node.name in runs | {"_blocks"}:
-            seen.add(node.name)
-            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
-            assert not names & scalar, node.name
-            assert node.name == "_blocks" or "draws_below" in names, node.name
-    assert seen == runs | {"_blocks"}

@@ -15,7 +15,6 @@ from ranlat.runtime import (
     Integrand,
     RunConfig,
     SamplingFailureError,
-    SplitMix64,
     constant_integrand,
     draws_below,
     lattice_rule,
@@ -25,9 +24,8 @@ from ranlat.runtime import (
     run_rp_cbc,
     run_rp_rv,
     run_rpfv,
-    stream_seed,
 )
-from ranlat.oracles import truncated_extremal
+from ranlat.oracles import SplitMix64, stream_seed, truncated_extremal
 
 
 def test_splitmix_reference_sequence():
@@ -54,16 +52,25 @@ def test_next_below_range(m):
 
 
 def test_next_below_modulus_bounds():
-    # above 2**64 the rejection limit is 0, so no draw could ever be accepted
+    # above 2**64 the rejection limit is 0, so no draw could ever be accepted;
+    # the specification takes 2**64 itself, draws_below only uint64 moduli
     assert 0 <= SplitMix64(5).next_below(2 ** 64) < 2 ** 64
+    with pytest.raises(DomainError):
+        draws_below(5, np.arange(3), 0, 2 ** 64)
     for m in (2 ** 64 + 1, 2 ** 65, 0, -3):
         with pytest.raises(DomainError):
             SplitMix64(5).next_below(m)
         with pytest.raises(DomainError):
             draws_below(5, np.arange(3), 0, m)
-    for m in ([3, 0, 2], [-3, 5]):  # one modulus per repetition
+    for m in ([3, 0, 2], [-3, 5], [3, 2 ** 64]):  # one modulus per repetition
         with pytest.raises(DomainError):
             draws_below(5, np.arange(len(m)), 0, np.array(m))
+
+
+def test_draws_below_of_no_repetitions_is_empty():
+    for m in (np.array([], dtype=np.int64), 5):
+        draws, after = draws_below(5, np.arange(0), np.array([], dtype=np.int64), m)
+        assert draws.shape == after.shape == (0,)
 
 
 class _Counted(SplitMix64):
@@ -99,11 +106,12 @@ def _assert_scalar_draws(seed, reps, pos, m):
     assert after.tolist() == consumed
 
 
-# 2**63 + 1 and 3 * 2**62 reject about 1/2 and 1/4 of outputs, so the
-# scalar replay of rejected draws runs; 2**64 and 2**62 reject none.  MIXED
-# puts small moduli into one array with moduli that reach the replay.
+# 2**63 + 1 and 3 * 2**62 reject about 1/2 and 1/4 of outputs, so rejected
+# repetitions are redrawn, some more than once; 2**64 - 1 rejects one output
+# in 2**64 and 2**62 none.  MIXED puts small moduli into one array with
+# moduli that reach the redraw.
 MIXED = np.array([13, 2 ** 63 + 1, 1, 3 * 2 ** 62, 7, 2 ** 62], dtype=np.uint64)
-MODULI = [1, 13, 2 ** 63 + 1, 3 * 2 ** 62, 2 ** 62, 2 ** 64, "per repetition"]
+MODULI = [1, 13, 2 ** 63 + 1, 3 * 2 ** 62, 2 ** 62, 2 ** 64 - 1, "per repetition"]
 SEEDS = [0, 1, 7, 2 ** 64 - 1, -1]
 
 
@@ -135,7 +143,7 @@ def test_draws_below_chains_like_one_stream():
 
 
 @pytest.mark.parametrize("m, share", [(2 ** 63 + 1, 1 / 2), (3 * 2 ** 62, 1 / 4)])
-def test_first_draws_below_moduli_reach_the_replay(m, share):
+def test_first_draws_below_moduli_reach_the_redraw(m, share):
     # the premise of the tests above: these moduli reject first outputs often
     limit = (1 << 64) - ((1 << 64) % m)
     firsts = [SplitMix64(stream_seed(0, i)).next_u64() for i in range(2_000)]
