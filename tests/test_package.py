@@ -70,3 +70,17 @@ def test_only_cbc_reads_the_record_layout():
                     sweepers.add(name)
     assert readers == {"cbc"}
     assert sweepers == {"cbc", "cli"}
+
+
+def test_runtime_keeps_no_scalar_generator():
+    # draws_below is the product's one SplitMix64; the scalar generator is
+    # the specification in ranlat.oracles
+    scalar = {"SplitMix64", "stream_seed", "_mix64", "_rejection_limit"}
+    defined = set()
+    for node in ast.walk(ast.parse((PACKAGE / "runtime.py").read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+    assert not defined & scalar
+    assert "draws_below" in defined

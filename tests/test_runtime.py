@@ -73,6 +73,15 @@ def test_draws_below_of_no_repetitions_is_empty():
         assert draws.shape == after.shape == (0,)
 
 
+def test_draws_below_leaves_its_arguments_as_they_were():
+    # callers keep their position and modulus arrays, rejections included
+    reps, pos, m = np.arange(200), np.arange(200) % 7, MIXED[np.arange(200) % len(MIXED)]
+    kept = reps.copy(), pos.copy(), m.copy()
+    draws_below(3, reps, pos, m)
+    for arg, was in zip((reps, pos, m), kept):
+        assert arg.tobytes() == was.tobytes()
+
+
 class _Counted(SplitMix64):
     """The specification's generator, counting the outputs it has given."""
 
