@@ -8,12 +8,16 @@ candidate residue comes out of a single Rader convolution sweep,
 is even, so is P: a record stores the rows k_1 <= m_1/2 of its first axis, and
 sigma is evaluated once per class +-c.  A state of one modulus may also hold
 many vectors at once, one row of products each: `cbc_vectors` takes all the
-vectors of one prime through the CBC levels together.
+vectors of one prime through the CBC levels together.  A state of pairs may
+hold a run of them, (q_1, p), ..., (q_r, p), stacked on rows: one grid, one
+product array and one kernel call per sweep for all of them, each pair's rows
+bit for bit its own state's.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import InitVar, dataclass, field
@@ -33,14 +37,25 @@ TIE_RTOL = 1e-9
 
 def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     """Read-only grid[a_1, a_2] = sigma_alpha(min(c, m - c) / m), c = (a_1 m / m_1 + a_2 m / m_2)
-    mod m, on the stored rows a_1 <= m_1/2 of the CRT grid of m = prod(moduli)."""
-    m = math.prod(moduli)
-    c = np.arange(moduli[0] // 2 + 1, dtype=np.int64) * (m // moduli[0])
-    if len(moduli) == 2:
-        # both residues are reduced, so c < 2m and one subtraction reduces it
-        c = np.add.outer(c, np.arange(0, m, moduli[0], dtype=np.int64))
-        np.subtract(c, m, out=c, where=c >= m)
-    grid = sigma_alpha(np.minimum(c, m - c, out=c) / m, alpha)
+    mod m, on the stored rows a_1 <= m_1/2 of the CRT grid of m = m_1 m_2 of each pair
+    (m_1, m_2) = (q_i, p) of a run (q_1, ..., q_r, p), stacked on rows; of one prime
+    (p,), sigma_alpha(a / p) for a <= p/2."""
+    if len(moduli) == 1:
+        (m,) = moduli
+        x = np.arange(m // 2 + 1, dtype=np.int64) / m
+    else:
+        p = moduli[-1]
+        x = np.empty((sum(q // 2 + 1 for q in moduli[:-1]), p))
+        row = 0
+        for q in moduli[:-1]:
+            m = q * p
+            c = np.add.outer(np.arange(q // 2 + 1, dtype=np.int64) * p,
+                             np.arange(0, m, q, dtype=np.int64))
+            # both residues are reduced, so c < 2m and one subtraction reduces it
+            np.subtract(c, m, out=c, where=c >= m)
+            np.divide(np.minimum(c, m - c, out=c), m, out=x[row : row + len(c)])
+            row += len(c)
+    grid = sigma_alpha(x, alpha)
     grid.flags.writeable = False
     return grid
 
@@ -57,8 +72,11 @@ def residue_row(n: int, z) -> np.ndarray:
 
 
 def record_bytes(moduli: tuple[int, ...]) -> int:
-    """Bytes of a `CbcState`'s sigma grid and products: m_1 // 2 + 1 rows of m_2 floats each."""
-    return 2 * 8 * (moduli[0] // 2 + 1) * math.prod(moduli[1:])
+    """Bytes of a `CbcState`'s sigma grid and products: p // 2 + 1 floats of one prime
+    (p,), and q_i // 2 + 1 rows of p floats for each pair of a run (q_1, ..., q_r, p)."""
+    if len(moduli) == 1:
+        return 2 * 8 * (moduli[0] // 2 + 1)
+    return 2 * 8 * sum(q // 2 + 1 for q in moduli[:-1]) * moduli[-1]
 
 
 # Pair grids are not cached: the rebuild policy exists to avoid holding them.
@@ -77,12 +95,15 @@ class CbcState:
     the other axis.  grid is `sigma_grid`, so the point of index k sits at
     grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike: every lookup is one
     permutation (`residue_perm`) per axis.  Only the methods below read this
-    layout: `mean` and the sweeps of the construction's criteria.
+    layout: `mean` and the sweeps and sums of the construction's criteria.
 
     A state of one modulus holds R vectors at once if each component of the
     prefix is an int64 column of R residues, shape (R, 1): P_products then has a leading axis,
     P_products[r, k], and every method works row by row, each row bit for bit
-    the state of that one vector.
+    the state of that one vector.  A state of moduli (q_1, ..., q_r, p) holds the
+    run of pairs (q_i, p), stacked on rows from `starts[i]` on, and a component
+    is one residue per modulus; each pair's rows, sweep, sums and mean are bit for
+    bit those of its own state (q_i, p), which is the run of one.
     """
 
     moduli: tuple[int, ...]
@@ -93,31 +114,58 @@ class CbcState:
     P_products: np.ndarray = field(init=False)
 
     def __post_init__(self, prefix: Iterable[tuple[int, ...]]) -> None:
-        if len(self.moduli) not in (1, 2):
-            raise DomainError(f"a record has moduli (p,) or (q, p), got {self.moduli}")
-        grids = single_sigma_grid if len(self.moduli) == 1 else sigma_grid
-        self.grid = grids(self.moduli, self.params.alpha)
+        if not self.moduli:
+            raise DomainError("a record has moduli (p,) or a run of pairs (q_1, ..., q_r, p)")
+        if len(self.moduli) == 1:
+            self.grid = single_sigma_grid(self.moduli, self.params.alpha)
+        else:
+            self.grid = sigma_grid(self.moduli, self.params.alpha)
+            # each pair's stored rows [start, end); each stored row's pair start,
+            # its pair's q_i and its index a <= q_i/2 within the pair
+            self._counts = [q // 2 + 1 for q in self.moduli[:-1]]
+            ends = list(itertools.accumulate(self._counts))
+            self._rows = list(zip([0] + ends[:-1], ends))
+            self.starts = np.array([a for a, _ in self._rows])
+            self._base = np.repeat(self.starts, self._counts)
+            self._q = np.repeat(self.moduli[:-1], self._counts)
+            self._a = np.arange(ends[-1]) - self._base
+            self._read = self._inverse = None
         self.dims = 0
         prefix = list(prefix)
         rows = np.shape(prefix[0][0])[:-1] if prefix else ()
-        if rows and len(self.moduli) == 2:
+        if rows and len(self.moduli) > 1:
             raise DomainError("a pair record holds one vector")
         self.P_products = np.ones(rows + self.grid.shape)
         for z in prefix:
             self.extend(*z)
 
+    def _stored_rows(self, zq: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, fold) of a run: for each stored row a of pair i, the stored row that holds
+        row a zq_i mod q_i, and the rows where that residue is above q_i / 2, so is read
+        folded.  The last zq's are kept, for the extension that follows a sweep."""
+        if self._read is None or self._read[0] != zq:
+            r = np.array([z % q for z, q in zip(zq, self.moduli)]).repeat(self._counts)
+            r *= self._a
+            r %= self._q
+            rows = np.minimum(r, self._q - r)
+            fold = np.flatnonzero(rows != r)
+            rows += self._base
+            self._read = zq, rows, fold
+        return self._read[1:]
+
     def sigma_rows(self, *z: int) -> np.ndarray:
         """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
         a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1.
-        One modulus and a column z_1 give one row per entry."""
-        m = self.moduli[0]
-        r = residue_perm(m, z[0], len(self.grid))
-        rows = self.grid.take(np.minimum(r, m - r), axis=0)
-        if len(self.moduli) == 2:
-            if len(z) == 2:
-                rows = rows.take(residue_perm(self.moduli[1], z[1], rows.shape[1]), axis=1)
-            fold = np.flatnonzero(r > m // 2)
-            rows[fold, 1:] = rows[fold, :0:-1]
+        One modulus and a column z_1 give one row per entry; a run takes one z_1 per pair."""
+        if len(self.moduli) == 1:
+            m = self.moduli[0]
+            r = residue_perm(m, z[0], len(self.grid))
+            return self.grid.take(np.minimum(r, m - r), axis=0)
+        rows, fold = self._stored_rows(z[: len(self.moduli) - 1])
+        rows = self.grid.take(rows, axis=0)
+        if len(z) == len(self.moduli):
+            rows = rows.take(residue_perm(self.moduli[-1], z[-1], rows.shape[1]), axis=1)
+        rows[fold, 1:] = rows[fold, :0:-1]
         return rows
 
     def extend(self, *z: int) -> None:
@@ -132,16 +180,23 @@ class CbcState:
         """Mean of P over all m points by one `exact_sum`: a stored row that is not
         its own mirror stands for two, and doubling is exact, so this is bit for
         bit the fsum over the full record.  An array of one mean per vector if the
-        state holds many."""
+        state holds many, or per pair if it holds a run of more than one."""
         weighted = 2.0 * self.P_products
-        rows = weighted.shape[: weighted.ndim - len(self.moduli)]
+        if len(self.moduli) > 1:
+            own = np.flatnonzero((self._a == 0) | (2 * self._a == self._q))
+            weighted[own] = self.P_products[own]
+            p = self.moduli[-1]
+            means = [exact_sum(weighted[a:b].ravel()) / (q * p)
+                     for q, (a, b) in zip(self.moduli, self._rows)]
+            return means[0] if len(means) == 1 else np.array(means)
+        rows = weighted.shape[:-1]
         own = [0, -1] if self.moduli[0] % 2 == 0 else [0]  # the rows that are their own mirror
         own = (slice(None),) * len(rows) + (own,)
         weighted[own] = self.P_products[own]
-        m = math.prod(self.moduli)
+        m = self.moduli[0]
         if not rows:
-            return exact_sum(weighted.ravel()) / m
-        return np.array([exact_sum(w) / m for w in weighted.reshape(rows + (-1,))])
+            return exact_sum(weighted) / m
+        return np.array([exact_sum(w) / m for w in weighted])
 
     def sweep(self, *rows: np.ndarray) -> np.ndarray:
         """S[..., z] = sum_k sigma_alpha(k z / p) w[..., k], k and z in Z_p (one prime), one sweep
@@ -149,18 +204,23 @@ class CbcState:
         w = np.vstack((self.P_products,) + rows) if rows else self.P_products
         return rader_cbc_kernel(self.moduli[0], self.grid[None], w[..., None, :])
 
-    def cross_sweep(self, zq: int) -> np.ndarray:
-        """S[z] = sum_{l in Z_q, k in Z_p} sigma_alpha(l zq / q + k z / p) P(l, k) for every
-        z in Z_p, of the pair (q, p): row l stands for l and q - l, so rows l > 0 count twice."""
-        v = self.sigma_rows(zq)
-        v[1:] *= 2.0
-        return rader_cbc_kernel(self.moduli[1], v, self.P_products)
+    def pair_sweep(self, *zq: int) -> np.ndarray:
+        """S[i, z] = sum_{l in Z_q_i, k in Z_p} sigma_alpha(l zq_i / q_i + k z / p) P_i(l, k) for
+        every z in Z_p, one row per pair (q_i, p) of the run, from one kernel call that sums
+        each pair's rows apart: row l stands for l and q_i - l, so rows l > 0 count twice."""
+        v = self.sigma_rows(*zq)
+        for a, b in self._rows:
+            v[a + 1 : b] *= 2.0
+        return rader_cbc_kernel(self.moduli[-1], v, self.P_products, self.starts)
 
-    def row_sums(self, z: int) -> np.ndarray:
-        """sum_{l in Z_q} P(k z mod p, l) for k <= p/2, of the pair (p, q)."""
-        p = self.moduli[0]
-        r = residue_perm(p, z, len(self.P_products))
-        return self.P_products.sum(axis=1)[np.minimum(r, p - r)]
+    def pair_sums(self) -> list[np.ndarray]:
+        """sum_{k in Z_p} P_i(l, k) at l = k p^-1 mod q_i for k <= q_i/2, the larger-prime weights
+        of T-hat at q_i, one array per pair (q_i, p) of the run."""
+        if self._inverse is None:
+            p = self.moduli[-1]
+            self._inverse = self._stored_rows(tuple(pow(p, -1, q) for q in self.moduli[:-1]))[0]
+        sums = self.P_products.sum(axis=1)[self._inverse]
+        return [sums[a:b] for a, b in self._rows]
 
 
 def theta_all(state: CbcState) -> np.ndarray:

@@ -4,21 +4,28 @@ Implements the component-by-component, prime-by-prime search that minimises
 the cross-prime criterion T-hat over the ceil(tau p) candidates with the
 smallest theta, for each prime of the budget pool in ascending order.
 
-Every prime and every prime pair has one record, a `CbcState` over its
-moduli.  T-hat of prime p reads the pair record of each partner prime q:
-the pair (q, p) of a smaller q is swept at q's residue, and the row sums of
-the pair (p, q) of a larger q feed one shared sweep, which the due prime's
-sigma table runs with theta's in one call.  The chosen residues are the
-search's only state: a record is a cache over them, brought up to date when
-it is read.  The pairs are kept (sum_{q<p} (q + 1) p floats) if they fit in
-half of the memory the process may use; else each is rebuilt whenever it is
-read, so one is alive at a time.  Both give bit-identical vectors.  After
-the last choice every record is read once more, at all d components, for
+Every prime has one record, a `CbcState` over its chosen residues.  The
+pairs (q, p) of a prime p with its smaller partners q are held in runs,
+`CbcState`s of consecutive pairs stacked on rows, up to `RUN_BYTES` of
+products each (`partner_runs`).  At
+p's turn each run is one kernel call (`CbcState.pair_sweep`) that gives T-hat
+the cross terms of its pairs, swept at the partners' residues.  After p's
+choice each run is extended by the component, and the row sums of its pairs
+are added, in ascending p, to each partner's shared larger-prime row: the
+weights that its next turn's single sweep runs with theta's.  After p's last
+choice the runs are at all d components, and each pair's mean is kept for
 the e_ran report (`errors.eran_report`) that the vector carries.
+
+The runs are kept (sum_{q<p} (q//2 + 1) p floats of grid and products each)
+if they fit in half of the memory the process may use.  Otherwise a prime's
+runs are built at the start and at each of its turns, held through the
+choice and dropped, so one prime's runs are alive at a time.  Both policies
+give bit-identical vectors and reports.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import pathlib
@@ -48,8 +55,28 @@ def select_candidate(theta: np.ndarray, t_hat: np.ndarray, tau: float) -> int:
 
 
 def estimate_cached_bytes(pool: PrimePool) -> int:
-    """Bytes the kept policy holds in the records of every pair (q, p)."""
+    """Bytes the kept policy holds in the runs, the records of every pair (q, p)."""
     return sum(record_bytes(moduli) for moduli in itertools.combinations(pool.primes, 2))
+
+
+# Bytes of point products up to which consecutive pairs of a prime share a run
+# (measured best at 128 KiB), and as many of sigma grid; a larger pair is a run
+# of its own.
+RUN_BYTES = 128 * 1024
+
+
+@functools.lru_cache(maxsize=1024)
+def partner_runs(primes: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """The moduli (q_1, ..., q_r, p) of p's runs: its smaller partners q < p of primes
+    in ascending order, split into consecutive runs of at most RUN_BYTES of products."""
+    runs: list[tuple[int, ...]] = []
+    run: tuple[int, ...] = ()
+    for q in (q for q in primes if q < p):
+        if run and record_bytes(run + (q, p)) > 2 * RUN_BYTES:
+            runs.append(run + (p,))
+            run = ()
+        run += (q,)
+    return tuple(runs + [run + (p,)] if run else runs)
 
 
 # cgroup v2 memory limit of the process's container: a byte count, or "max".
@@ -72,14 +99,18 @@ def physical_memory_bytes() -> int:
 
 @dataclass
 class ConstructionState:
-    """The search's only state, residues[p], the residues prime p has chosen,
-    and the records cached over it.
+    """The search's state: residues[p], the residues prime p has chosen, the
+    records over them, and each prime's larger-prime row for its next turn.
 
     The prime whose residue is due is the first with the fewest, so the
-    search goes dimension by dimension, primes ascending.  records[(p,)] and
-    records[(q, p)], q < p, are the `CbcState`s of a prime and of a pair over
-    the chosen residues, each brought up to date when it is read.  A prime's
-    record is kept; a pair's only if keep_tables (set from the memory probe).
+    search goes dimension by dimension, primes ascending.  records[(p,)] is a
+    prime's `CbcState` and records[run] the `CbcState` of each run of
+    `partner_runs`, all over as many components as their larger prime has
+    chosen.  A prime's record is kept, a run only if keep_tables (set from the
+    memory probe); else it is held through its prime's choice.  larger[p] sums,
+    over q > p ascending, 2 / q^(2 alpha + 1) times the row sums of the pair
+    (p, q) read at k q^-1 mod p, k <= p/2, as q's choices extend the pair; means
+    holds E(pq) + 1 of each pair once it is at all d components.
     """
 
     pool: PrimePool
@@ -89,64 +120,90 @@ class ConstructionState:
     keep_tables: bool = field(init=False)
     residues: dict[int, list[int]] = field(init=False)
     records: dict[tuple[int, ...], CbcState] = field(init=False)
+    larger: dict[int, np.ndarray] = field(init=False)
+    means: dict[tuple[int, int], float] = field(init=False)
 
     def __post_init__(self) -> None:
-        # Keep the pairs only if they fit in half of the probed memory: the
-        # other half holds what runs beside them, that is, one pair at a time
-        # with its permuted sigma rows and FFT spectra during a choice or
-        # the e_ran read, and other processes.
+        # Keep the runs only if they fit in half of the probed memory: the
+        # other half holds what runs beside them, that is, one prime's runs
+        # with their permuted sigma rows and FFT spectra during a choice, and
+        # other processes.
         self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
         self.residues = {p: [1] for p in self.pool.primes}
-        self.records = {}
+        self.records = {(p,): CbcState((p,), self.params, [(1,)]) for p in self.pool.primes}
+        self.larger = {p: np.zeros(p // 2 + 1) for p in self.pool.primes}
+        self.means = {}
+        # the start: every prime's runs over z_1, for the smaller primes' first turns
+        for p in self.pool.primes:
+            self._store(p, self._runs(p, 1))
 
     def _due(self) -> tuple[int, int]:
         """(p, dims): the prime whose residue is due, the first with the fewest, and
-        how many it has, the components every record is read at."""
+        how many it has, the components every record of p is at."""
         p = min(self.residues, key=lambda q: len(self.residues[q]))
         dims = len(self.residues[p])
         if dims >= self.params.d:
             raise SequencingError(f"all {self.params.d} components are chosen")
         return p, dims
 
-    def _record(self, *moduli: int, dims: int) -> CbcState:
-        """The record over moduli (p,) or (q, p), q < p, extended by the components
-        it lacks up to dims; kept if it is a prime's or keep_tables."""
-        record = self.records.get(moduli) or CbcState(moduli, self.params, ())
-        if record.dims < dims:  # most reads find the record up to date
-            for z in zip(*(self.residues[m][record.dims:dims] for m in moduli)):
-                record.extend(*z)
-        if len(moduli) == 1 or self.keep_tables:
-            self.records[moduli] = record
-        return record
+    def _runs(self, p: int, dims: int) -> list[CbcState]:
+        """p's runs over the first dims components: the kept or held ones, or built
+        and held until `_store` drops them."""
+        runs = []
+        for moduli in partner_runs(self.pool.primes, p):
+            if moduli not in self.records:
+                prefix = zip(*(self.residues[m][:dims] for m in moduli))
+                self.records[moduli] = CbcState(moduli, self.params, prefix)
+            runs.append(self.records[moduli])
+        return runs
+
+    def _store(self, p: int, runs: list[CbcState]) -> None:
+        """Add the row sums of p's pairs to the smaller primes' larger-prime rows or,
+        at all d components, keep their means; then drop the runs unless kept."""
+        scale = 2.0 / p ** (2 * self.params.alpha + 1)
+        for run in runs:
+            qs = run.moduli[:-1]
+            if run.dims < self.params.d:
+                for q, sums in zip(qs, run.pair_sums()):
+                    self.larger[q] += scale * sums
+            else:
+                self.means.update(zip(((q, p) for q in qs), np.atleast_1d(run.mean()).tolist()))
+            if not self.keep_tables:
+                del self.records[run.moduli]
 
     def t_hat_all(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, T-hat) for every candidate residue z in Z_p of the prime p that is due.
 
-        T-hat adds to theta the cross-prime corrections.  Each smaller prime
-        q contributes one batched Rader sweep of its pair, summed in the
-        frequency domain.  Since
-        sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
-        all larger primes share one row, swept with theta's products.
+        T-hat adds to theta the cross-prime corrections: one kernel call per run
+        of the smaller primes, its pairs swept at their residues and added in
+        ascending q.  Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
+        all larger primes share one row, larger[p], swept with theta's products.
         """
         p, dims = self._due()
-        power = 2 * self.params.alpha + 1
         cross = np.zeros(p)
-        larger = np.zeros(p // 2 + 1)  # zero for the largest prime: its sweep is +-0
-        # Each pair is a temporary, so a rebuilt one is freed before the next is built.
-        for q in self.pool.primes:
-            if q < p:
-                cross += 2.0 / q * self._record(q, p, dims=dims).cross_sweep(self.residues[q][dims])
-            elif q > p:
-                larger += 2.0 / q ** power * self._record(p, q, dims=dims).row_sums(pow(q, -1, p))
-        S = self._record(p, dims=dims).sweep(larger)
+        for run in self._runs(p, dims):
+            qs = run.moduli[:-1]
+            S = run.pair_sweep(*(self.residues[q][dims] for q in qs))
+            S *= [[2.0 / q] for q in qs]
+            for row in S:  # in ascending q, as one pair at a time
+                cross += row
+        S = self.records[(p,)].sweep(self.larger[p])
         scale = self.params.gamma[dims] ** 2 / p
         theta = scale * S[0]
         return theta, theta + scale * (cross + S[1])
 
     def choose(self) -> int:
-        """Choose and append the residue of the prime that is due."""
-        z = select_candidate(*self.t_hat_all(), self.tau)
-        self.residues[self._due()[0]].append(z)
+        """Choose and append the residue of the prime that is due, and extend its records."""
+        theta, t_hat = self.t_hat_all()
+        p, dims = self._due()
+        z = select_candidate(theta, t_hat, self.tau)
+        self.residues[p].append(z)
+        self.records[(p,)].extend(z)
+        self.larger[p] = np.zeros(p // 2 + 1)
+        runs = self._runs(p, dims)  # held since t_hat_all
+        for run in runs:
+            run.extend(*(self.residues[m][dims] for m in run.moduli))
+        self._store(p, runs)
         return z
 
 
@@ -160,8 +217,8 @@ def construct_fixed_vector(
 
     z_1 = 1 for every prime; for s = 2..d and each pool prime ascending, the
     residue is the T-hat minimiser among the ceil(tau p) best-theta candidates.
-    The vector carries its e_ran report (`ResidueVector.eran`), read from the
-    search's records, which `randomized_error_sq_fixed` returns under params.
+    The vector carries its e_ran report (`ResidueVector.eran`), from the means
+    of the search's records, which `randomized_error_sq_fixed` returns under params.
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
@@ -172,7 +229,8 @@ def construct_fixed_vector(
     for _ in range((d - 1) * len(pool.primes)):
         state.choose()
     v = ResidueVector(pool, state.residues.values(), d)
-    # e_ran from the records, read at all d components: one extend each if kept
-    report = eran_report(pool.primes, lambda *moduli: state._record(*moduli, dims=d))
+    # e_ran from the means the search keeps, all at d components
+    means = {(p,): state.records[(p,)].mean() for p in pool.primes} | state.means
+    report = eran_report(pool.primes, lambda *moduli: means[moduli])
     object.__setattr__(v, "eran", (params, report))  # frozen, and set here only
     return v

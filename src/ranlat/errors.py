@@ -4,17 +4,19 @@ Contains the point formula for the squared worst-case error, the exact
 CRT prime-pair decomposition of the squared randomised error of the
 random-prime fixed-vector algorithm (both take the mean of a `cbc.CbcState`,
 the record that the construction keeps for every prime and prime pair), the
-good-set thresholds, and the explicit theoretical error bound of the
-constructive theorem.
+good-set thresholds, computed once per prime, params and bounds, and the
+explicit theoretical error bound of the constructive theorem.
 
-`eran_report` is the one term loop of e_ran.  `construct_fixed_vector` runs
-it over its own records, read at all d components, and the vector carries
-that report; `randomized_error_sq_fixed` returns it under the same params
-and otherwise runs the loop over records built anew from the residues.
+`eran_report` is the one term loop of e_ran, over the mean of every prime's
+and pair's record.  `construct_fixed_vector` runs it over the means its search
+kept at all d components, and the vector carries that report;
+`randomized_error_sq_fixed` returns it under the same params and otherwise
+runs the loop over records built anew from the residues.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -65,6 +67,7 @@ class BoundParams:
     lambda_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lambda_grid", tuple(self.lambda_grid))  # hashable
         if not 0.0 < self.tau < 1.0:
             raise DomainError(f"tau must lie in (0, 1), got {self.tau}")
         if not self.lambda_grid:
@@ -104,10 +107,10 @@ def _grid_infimum(fun: Callable[[float], float], grid: Sequence[float]) -> float
     return min(best, f1, f2)
 
 
-def _error_sq(state: CbcState):
-    """E(m) = mean of the record's products - 1, and whether round-off below 0 was
-    clamped to 0; arrays of both, one entry per vector, if the state holds many."""
-    value = state.mean() - 1.0
+def _error_sq(mean):
+    """E(m) = mean - 1, of a record's products, and whether round-off below 0 was
+    clamped to 0; arrays of both, one entry per vector, for an array of means."""
+    value = mean - 1.0
     if np.any(value < _CLAMP_FLOOR):
         raise ArithmeticError(
             f"squared error {np.min(value)} below the roundoff clamp floor"
@@ -134,7 +137,7 @@ def worst_case_errors_sq(
     _check_points(n)
     if z.shape[-1] != params.d:
         raise DomainError(f"vector has {z.shape[-1]} components, params.d = {params.d}")
-    return _error_sq(CbcState((n,), params, zip(z.T[:, :, None])))[0]
+    return _error_sq(CbcState((n,), params, zip(z.T[:, :, None])).mean())[0]
 
 
 def worst_case_error_sq(
@@ -152,20 +155,20 @@ def worst_case_error_sq(
 
 
 def eran_report(
-    primes: Sequence[int], record: Callable[..., CbcState]
+    primes: Sequence[int], mean: Callable[..., float]
 ) -> ErrorReport:
-    """[e_ran]^2 from record(p) of every prime and record(p, q) of every pair p < q,
-    `CbcState`s over all d components (see `randomized_error_sq_fixed`)."""
+    """[e_ran]^2 from mean(p), the mean of the products of every prime's record, and
+    mean(p, q) of every pair p < q, over all d components (see `randomized_error_sq_fixed`)."""
     L = len(primes)
     scale = 1.0 / (L * L)
     terms: dict[str, float] = {}
     clamped = 0
     for p in primes:
-        e_p, flag = _error_sq(record(p))
+        e_p, flag = _error_sq(mean(p))
         terms[f"p={p}"] = scale * e_p
         clamped += flag
     for p, q in combinations(primes, 2):
-        e_pq, flag = _error_sq(record(p, q))
+        e_pq, flag = _error_sq(mean(p, q))
         terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
         clamped += flag
     return ErrorReport(math.fsum(terms.values()), terms, clamped)
@@ -187,7 +190,7 @@ def randomized_error_sq_fixed(
     (p, q), which the CRT maps onto the points of the pq-point rule.  Terms
     are accumulated in sorted prime(-pair) order for bit-reproducibility;
     clamped ones are counted.  A vector from `construct_fixed_vector` carries
-    the report read from the construction's own records; under the same
+    the report from the means of the construction's own records; under the same
     params it is returned as is, and it is bit for bit the one built here.
     """
     primes = v.pool.primes
@@ -199,7 +202,7 @@ def randomized_error_sq_fixed(
         return v.eran[1]
     residues = dict(zip(primes, v.residues))
     return eran_report(
-        primes, lambda *moduli: CbcState(moduli, params, zip(*(residues[m] for m in moduli)))
+        primes, lambda *moduli: CbcState(moduli, params, zip(*(residues[m] for m in moduli))).mean()
     )
 
 
@@ -207,13 +210,14 @@ def randomized_error_sq_fixed(
 # Good-set thresholds and theoretical bounds
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
 def good_set_threshold(
     p: int, params: KorobovSpaceParams, bounds: BoundParams
 ) -> float:
     """Worst-case-error threshold defining the good set of generating vectors.
 
     inf over lambda of (2 mu(lambda) / ((1 - tau) p))^lambda, taken over the
-    lambda-grid with golden-section refinement.
+    lambda-grid with golden-section refinement; computed once per (p, params, bounds).
     """
     def fun(lam: float) -> float:
         return (2.0 * mu_quantity(params, lam) / ((1.0 - bounds.tau) * p)) ** lam

@@ -7,7 +7,9 @@ p - 1, computed with unpadded real FFTs in O(p log p), or of half that
 length when both inputs are even functions on Z_p, as the CBC search's
 sigma grids and point products are.  `rader_plan` builds the reindexing once
 per prime and layout.  `rader_cbc_kernel` is the one sweep: it contracts R
-tables of values with R rows of weights, for any batch of such row sets.
+tables of values with R rows of weights, for any batch of such row sets, and
+sums the tables in one total or in consecutive runs, one result row per run:
+a run of prime pairs sharing their larger prime is one call.
 """
 
 from __future__ import annotations
@@ -58,16 +60,18 @@ def rader_plan(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return fold, order, lag
 
 
-def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray, starts=None) -> np.ndarray:
     """S[..., z] = sum_r sum_{k in Z_p} values[r, (k z) mod p] * weights[..., r, k], z in Z_p.
 
     values holds R tables, shape (R, n), and weights R rows per batch entry, shape
-    (..., R, n); S has shape (..., p).  The k = 0 and z = 0 terms are split off, and
-    reindexing k = g^a, z = g^-b leaves a cyclic correlation of length p - 1, whose
-    spectra multiply as conj(table) * row (complex products need not be
-    bit-commutative) and are summed over r before one inverse transform per batch
-    entry.  The last axis holds all p entries, or entries 0..p // 2 of even
-    functions (`rader_plan`).
+    (..., R, n); S has shape (..., p).  Given segment starts, the indices at which
+    consecutive runs of tables begin (starts[0] = 0), each run is summed apart and
+    S has shape (..., len(starts), p), one row per run.  The k = 0 and z = 0 terms
+    are split off, and reindexing k = g^a, z = g^-b leaves a cyclic correlation of
+    length p - 1, whose spectra multiply as conj(table) * row (complex products need
+    not be bit-commutative) and are summed over r before one inverse transform per
+    sum.  The last axis holds all p entries, or entries 0..p // 2 of even functions
+    (`rader_plan`).
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -75,11 +79,18 @@ def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndar
         raise ShapeError("values must be R tables, shape (R, n), and weights (..., R, n)")
     fold, order, lag = rader_plan(p, v.shape[-1])
     # c[..., b] = sum_r sum_a v[r, g^(a-b)] w[..., r, g^a], a over one period
-    spec = np.conjugate(np.fft.rfft(v[:, order])) * np.fft.rfft(w[..., order])
-    c = np.fft.irfft(spec.sum(axis=-2), len(order))
+    table, spec = np.fft.rfft(v[:, order]), np.fft.rfft(w[..., order])
+    np.multiply(np.conjugate(table, out=table), spec, out=spec)  # conj(table) * row
     # the k = 0 terms: c0 = sum_r v[r, 0] w[..., r, 0], s0 = sum_r v[r, 0] sum_k w[..., r, k]
-    c0, s0 = w[..., 0] @ v[:, 0], w.sum(axis=-1) @ v[:, 0]
+    if len(v) == 1:  # one table: each term is its own sum
+        c0, s0 = w[..., 0] * v[0, 0], w.sum(axis=-1) * v[0, 0]
+    else:  # each run of tables summed in order, apart from the others
+        at = [0] if starts is None else starts
+        spec = np.add.reduceat(spec, at, axis=-2)
+        c0 = np.add.reduceat(w[..., 0] * v[:, 0], at, axis=-1)
+        s0 = np.add.reduceat(w.sum(axis=-1) * v[:, 0], at, axis=-1)
+    c = np.fft.irfft(spec, len(order))
     S = np.empty(c.shape[:-1] + (p,))
     S[..., 0] = fold * s0 - (fold - 1) * c0  # S[..., z] == S[..., p - z] if fold is 2
     S[..., 1:] = (c0[..., None] + fold * c).take(lag, axis=-1)
-    return S
+    return S[..., 0, :] if starts is None else S

@@ -18,6 +18,7 @@ depend on the block.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -43,14 +44,20 @@ def _mix64_inplace(x: np.ndarray) -> None:
     x ^= x >> np.uint64(31)
 
 
+@functools.lru_cache(maxsize=64)
+def _seed_mix(seed: int) -> np.uint64:
+    """mix64(seed mod 2**64), the seed's half of every stream seed, mixed once per seed."""
+    s = np.array(seed % (1 << 64), dtype=np.uint64)
+    _mix64_inplace(s)
+    return s[()]
+
+
 def _outputs(seed: int, reps: np.ndarray, pos) -> np.ndarray:
     """Output pos (from 0) of each stream reps[i], as uint64: mix64(s + (pos + 1) GOLDEN)
     for the stream seed s = mix64(seed) XOR mix64(reps[i] + 1)."""
     x = np.asarray(reps).astype(np.uint64) + np.uint64(1)
     _mix64_inplace(x)
-    s = np.array(seed % (1 << 64), dtype=np.uint64)
-    _mix64_inplace(s)
-    x ^= s
+    x ^= _seed_mix(seed)
     x += np.multiply(np.asarray(pos).astype(np.uint64) + np.uint64(1), _GOLDEN)
     _mix64_inplace(x)
     return x

@@ -142,7 +142,7 @@ def test_error_sq_of_half_record_is_fsum_of_full(moduli, alpha, data):
     state = CbcState(moduli, params, zip(*([data[:d], data[d : 2 * d]][: len(moduli)])))
     full = expanded_products(state)
     expect = math.fsum(full.ravel()) / full.size - 1.0
-    assert _error_sq(state) == (max(expect, 0.0), expect < 0.0)
+    assert _error_sq(state.mean()) == (max(expect, 0.0), expect < 0.0)
 
 
 def _fsum_mean(state):
@@ -186,10 +186,14 @@ def test_record_index_arithmetic_is_int64():
     assert fast.tobytes() == direct_products((n,), params, zip(z))[: n // 2 + 1].tobytes()
 
 
-@pytest.mark.parametrize("moduli", [(), (2, 3, 5)])
-def test_record_takes_one_or_two_moduli(moduli):
+def test_record_takes_a_prime_or_a_run():
+    # (2, 3, 5) is the run of the pairs (2, 5) and (3, 5), a row each at a = 0, 1
     with pytest.raises(DomainError):
-        CbcState(moduli, _params(1), ())
+        CbcState((), _params(1), ())
+    run = CbcState((2, 3, 5), _params(1), [(1, 2, 3)])
+    assert run.starts.tolist() == [0, 2]
+    pairs = [CbcState((q, 5), _params(1), [(z, 3)]) for q, z in ((2, 1), (3, 2))]
+    assert run.P_products.tobytes() == np.vstack([s.P_products for s in pairs]).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -219,3 +223,40 @@ def test_state_over_many_vectors_is_each_vector_bit_for_bit(alpha):
 def test_pair_record_holds_one_vector():
     with pytest.raises(DomainError):
         CbcState((5, 7), _params(1), [(np.array([[1], [2]]), np.array([[1], [3]]))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([5, 7, 11, 13, 29, 31, 53, 59]),
+    alpha=st.sampled_from([1, 2, 3]),
+)
+def test_run_is_its_pairs_bit_for_bit(data, p, alpha):
+    # a run of pairs (q_i, p) stacked on rows sweeps, extends, sums and averages
+    # each pair bit for bit as the one-pair state (q_i, p) does, at any residues,
+    # also when it is extended at the residues it was just swept at, and each
+    # pair's products are the direct formula's
+    qs = data.draw(st.lists(st.sampled_from([q for q in _PRIMES if q < p]), min_size=1,
+                            max_size=4, unique=True).map(sorted))
+    dims = data.draw(st.integers(1, 4))
+    residues = st.integers(min_value=0, max_value=10 ** 4)
+    prefix = [tuple(data.draw(residues) for _ in range(len(qs) + 1)) for _ in range(dims)]
+    zq = [data.draw(residues) for _ in qs]
+    params = KorobovSpaceParams(d=dims + 1, alpha=alpha, gamma=poly_weights(dims + 1, 1.5))
+    run = CbcState((*qs, p), params, prefix)
+    pairs = [CbcState((q, p), params, [(z[i], z[-1]) for z in prefix]) for i, q in enumerate(qs)]
+    rows, sums, means = run.pair_sweep(*zq), run.pair_sums(), np.atleast_1d(run.mean())
+    assert rows.shape == (len(qs), p)
+    for i, pair in enumerate(pairs):
+        a, b = run.starts[i], run.starts[i] + qs[i] // 2 + 1
+        assert run.P_products[a:b].tobytes() == pair.P_products.tobytes()
+        assert rows[i].tobytes() == pair.pair_sweep(zq[i])[0].tobytes()
+        assert sums[i].tobytes() == pair.pair_sums()[0].tobytes()
+        assert means[i].hex() == pair.mean().hex()
+    zp = data.draw(residues)
+    run.extend(*zq, zp)
+    for i, pair in enumerate(pairs):
+        pair.extend(zq[i], zp)
+        direct = direct_products((qs[i], p), params, [(z[i], z[-1]) for z in prefix] + [(zq[i], zp)])
+        assert expanded_products(pair).tobytes() == direct.tobytes()
+    assert run.P_products.tobytes() == np.vstack([pair.P_products for pair in pairs]).tobytes()

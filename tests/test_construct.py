@@ -170,17 +170,18 @@ def _probe_reports(monkeypatch, memory_bytes):
 
 
 def _count_pair_builds(monkeypatch):
-    # builds: CbcState.__post_init__ calls with two moduli (the pair records);
-    # extends: their extend calls, the prefix a build folds in included
+    # builds: CbcState.__post_init__ calls with two moduli or more (a run of
+    # pairs, the one pair included); extends: their extend calls, the prefix a
+    # build folds in included
     counts = {"builds": 0, "extends": 0}
     post_init, extend = CbcState.__post_init__, CbcState.extend
 
     def counted_post_init(self, prefix):
-        counts["builds"] += len(self.moduli) == 2
+        counts["builds"] += len(self.moduli) >= 2
         post_init(self, prefix)
 
     def counted_extend(self, *z):
-        counts["extends"] += len(self.moduli) == 2
+        counts["extends"] += len(self.moduli) >= 2
         extend(self, *z)
 
     monkeypatch.setattr(CbcState, "__post_init__", counted_post_init)
@@ -200,18 +201,18 @@ def test_kept_and_rebuilt_identical(monkeypatch):
 
 
 def test_estimate_over_probe_selects_rebuild(monkeypatch):
-    # the tables are kept up to half of the probed memory; one byte more
-    # rebuilds each of the 6 pairs at both of its primes' turns in each of
-    # the d - 1 = 2 chosen dimensions, and once more for the e_ran report
+    # the runs are kept up to half of the probed memory; one byte more
+    # rebuilds each of the 3 runs at the start and at its prime's turn in each
+    # of the d - 1 = 2 chosen dimensions
     params = _params(3)
     est = estimate_cached_bytes(build_prime_pool(30))
     counts = _count_pair_builds(monkeypatch)
     _probe_reports(monkeypatch, 2 * est)
     kept = construct_fixed_vector(30, 3, params)
-    assert counts["builds"] == 6
+    assert counts["builds"] == 3
     _probe_reports(monkeypatch, 2 * est - 1)
     rebuilt = construct_fixed_vector(30, 3, params)
-    assert counts["builds"] == 6 + 30
+    assert counts["builds"] == 3 + 9
     assert rebuilt.residues == kept.residues
 
 
@@ -229,34 +230,65 @@ def test_probe_takes_cgroup_limit_below_installed_memory(monkeypatch, tmp_path):
     assert construct.physical_memory_bytes() == 2 * est - 1
     counts = _count_pair_builds(monkeypatch)
     construct_fixed_vector(30, 3, _params(3))
-    assert counts["builds"] == 30
+    assert counts["builds"] == 9
 
 
 @pytest.mark.parametrize(
-    "memory_bytes, builds, extends", [(1 << 62, 6, 18), (0, 30, 54)], ids=["kept", "rebuilt"]
+    "memory_bytes, builds, extends", [(1 << 62, 3, 9), (0, 9, 18)], ids=["kept", "rebuilt"]
 )
 def test_pair_table_builds_per_policy(monkeypatch, memory_bytes, builds, extends):
-    # n=30: primes 17, 19, 23, 29 make 6 pairs.  Kept pairs are built once,
-    # at the smaller prime's turn at s = 2, over z_1, and extended by z_2 and,
-    # for the e_ran report, by z_3.  Rebuilt ones are built at both primes'
-    # turns, over z_1 at s = 2 and over z_1, z_2 at s = 3, and once more over
-    # z_1, z_2, z_3 for the report, and never extended after.
+    # n=30: primes 17, 19, 23, 29 make 6 pairs in 3 runs, (17, 19),
+    # (17, 19, 23) and (17, 19, 23, 29), one per larger prime.  Kept runs are
+    # built once, at the start, over z_1, and extended by z_2 and z_3 at their
+    # prime's turns at s = 2 and s = 3.  Rebuilt ones are built at the start
+    # over z_1 and at their prime's turns over z_1 and over z_1, z_2, and
+    # extended once at each turn: 1 + 2 + 3 extends each.  The e_ran report
+    # builds and extends none.
     counts = _count_pair_builds(monkeypatch)
     _probe_reports(monkeypatch, memory_bytes)
     construct_fixed_vector(30, 3, _params(3))
     assert counts == {"builds": builds, "extends": extends}
 
 
-def test_rebuild_holds_at_most_one_pair(monkeypatch):
-    # n=101: 11 primes, so a prime has 10 partner pairs; a rebuilt pair is
-    # dropped once swept, before the next one is built
+@pytest.mark.parametrize("memory_bytes, per_run", [(1 << 62, 1), (0, 4)], ids=["kept", "rebuilt"])
+def test_each_run_is_built_once_or_once_per_dimension(monkeypatch, memory_bytes, per_run):
+    # n=53, d=4: 21 pairs in 6 runs.  A kept run is built once; a rebuilt one
+    # at the start and at its prime's turn in each of the d - 1 = 3 chosen
+    # dimensions, d = 4 builds, and none for the e_ran report
+    builds = {}
+    post_init = CbcState.__post_init__
+
+    def counted_post_init(self, prefix):
+        if len(self.moduli) >= 2:
+            builds[self.moduli] = builds.get(self.moduli, 0) + 1
+        post_init(self, prefix)
+
+    monkeypatch.setattr(CbcState, "__post_init__", counted_post_init)
+    _probe_reports(monkeypatch, memory_bytes)
+    report = construct.eran_report
+    before = {}
+    monkeypatch.setattr(construct, "eran_report",
+                        lambda *args: before.update(builds) or report(*args))
+    primes = build_prime_pool(53).primes
+    construct_fixed_vector(53, 4, _params(4))
+    runs = {run for p in primes for run in construct.partner_runs(primes, p)}
+    assert len(runs) == 6 and sum(len(run) - 1 for run in runs) == 21
+    assert builds == before == {run: per_run for run in runs}
+
+
+def test_rebuild_holds_one_primes_runs(monkeypatch):
+    # n=101: 11 primes, and the largest has its 10 smaller partners in runs;
+    # rebuilt runs are held through their prime's choice and dropped before
+    # the next prime's are built, so the runs alive at any build share one
+    # larger prime, and at most all of them are
     alive = {}
     peak = 0
     post_init = CbcState.__post_init__
 
     def tracked_post_init(self, prefix):
         nonlocal peak
-        if len(self.moduli) == 2:
+        if len(self.moduli) >= 2:
+            assert {ref().moduli[-1] for ref in alive.values()} <= {self.moduli[-1]}
             alive[id(self)] = weakref.ref(self, lambda _, key=id(self): alive.pop(key))
             peak = max(peak, len(alive))
         post_init(self, prefix)
@@ -264,7 +296,8 @@ def test_rebuild_holds_at_most_one_pair(monkeypatch):
     monkeypatch.setattr(CbcState, "__post_init__", tracked_post_init)
     _probe_reports(monkeypatch, 0)
     construct_fixed_vector(101, 4, _params(4))
-    assert peak == 1
+    primes = build_prime_pool(101).primes
+    assert peak == max(len(construct.partner_runs(primes, p)) for p in primes) > 1
 
 
 def test_eran_builds_one_pair_state_per_pair(monkeypatch):
@@ -276,10 +309,11 @@ def test_eran_builds_one_pair_state_per_pair(monkeypatch):
     assert counts == {"builds": 6, "extends": 18}
 
 
-def test_report_extends_each_kept_pair_once(monkeypatch):
-    # under the kept policy construct's e_ran report builds no pair: it reads
-    # each of the 6 pairs, held at z_1, z_2, extended by z_3
-    _probe_reports(monkeypatch, 1 << 62)
+@pytest.mark.parametrize("memory_bytes", [1 << 62, 0], ids=["kept", "rebuilt"])
+def test_report_reads_no_record(monkeypatch, memory_bytes):
+    # construct's e_ran report builds and extends no run under either policy:
+    # each pair's mean was kept when its last choice extended it to z_3
+    _probe_reports(monkeypatch, memory_bytes)
     counts = _count_pair_builds(monkeypatch)
     before = {}
     report = construct.eran_report
@@ -290,7 +324,7 @@ def test_report_extends_each_kept_pair_once(monkeypatch):
 
     monkeypatch.setattr(construct, "eran_report", counted_report)
     construct_fixed_vector(30, 3, _params(3))
-    assert counts == {"builds": before["builds"], "extends": before["extends"] + 6}
+    assert counts == before
 
 
 def test_candidate_set_boundary_mirror_tie():
@@ -315,22 +349,22 @@ def test_candidate_set_boundary_mirror_tie():
 
 def test_estimate_cached_bytes(monkeypatch):
     # the estimate is the bytes the kept policy really holds: the sigma grid
-    # and point products of every pair record, each q // 2 + 1 rows of p
+    # and point products of every run, q // 2 + 1 rows of p for each pair
     _probe_reports(monkeypatch, 1 << 62)
     state = ConstructionState(pool=build_prime_pool(30), params=_params(3), tau=0.5)
     for _ in range(2 * len(state.pool.primes)):
         state.choose()
-    pairs = [record for moduli, record in state.records.items() if len(moduli) == 2]
-    assert len(pairs) == 6
-    held = sum(pair.grid.nbytes + pair.P_products.nbytes for pair in pairs)
+    runs = [record for moduli, record in state.records.items() if len(moduli) >= 2]
+    assert len(runs) == 3
+    held = sum(run.grid.nbytes + run.P_products.nbytes for run in runs)
     assert estimate_cached_bytes(state.pool) == held
 
 
 @pytest.mark.parametrize("memory_bytes", [1 << 62, 0], ids=["kept", "rebuilt"])
 def test_records_are_caches_over_residues(monkeypatch, memory_bytes):
-    # after every choice, each record held is byte-equal to a record built anew
-    # from the residues over as many components; the rebuild policy holds only
-    # the records of primes
+    # after every choice, each record held, a prime's or a run's, is byte-equal
+    # to a record built anew from the residues over as many components; the
+    # kept policy holds every prime's runs, the rebuild policy none
     _probe_reports(monkeypatch, memory_bytes)
     params = _params(4)
     state = ConstructionState(pool=build_prime_pool(30), params=params, tau=0.5)
@@ -341,8 +375,10 @@ def test_records_are_caches_over_residues(monkeypatch, memory_bytes):
             prefix = zip(*(state.residues[m][:record.dims] for m in moduli))
             fresh = CbcState(moduli, params, prefix)
             assert record.P_products.tobytes() == fresh.P_products.tobytes(), moduli
-        pair_keys = [moduli for moduli in state.records if len(moduli) == 2]
-        assert bool(pair_keys) == (memory_bytes > 0)
+        primes = state.pool.primes
+        runs = {run for p in primes for run in construct.partner_runs(primes, p)}
+        assert {moduli for moduli in state.records if len(moduli) >= 2} == (
+            runs if memory_bytes else set())
 
 
 def test_probe_without_sysconf_reports_zero_and_rebuilds(monkeypatch, tmp_path):
@@ -357,7 +393,7 @@ def test_probe_without_sysconf_reports_zero_and_rebuilds(monkeypatch, tmp_path):
     counts = _count_pair_builds(monkeypatch)
     v = construct_fixed_vector(30, 3, params, tau=fix["tau"])
     assert [list(res) for res in v.residues] == case["residues"]
-    assert counts["builds"] == 30  # 24 in the search, one per pair for the e_ran report
+    assert counts["builds"] == 9  # 3 runs at the start and at each of 2 turns, none for e_ran
 
 
 def test_first_component_all_ones():
@@ -365,3 +401,23 @@ def test_first_component_all_ones():
     v = construct_fixed_vector(40, 3, params)
     for row in v.residues:
         assert row[0] == 1
+
+
+@pytest.mark.parametrize("memory_bytes", [1 << 62, 0], ids=["kept", "rebuilt"])
+def test_t_hat_all_leaves_the_search_as_it_was(monkeypatch, memory_bytes):
+    # t_hat_all may be called any number of times before a choice: it returns
+    # the same bytes each time, and the choices and report are the ones of a
+    # search that only chooses
+    _probe_reports(monkeypatch, memory_bytes)
+    params = _params(3)
+    pool = build_prime_pool(30)
+    probed = ConstructionState(pool=pool, params=params, tau=0.5)
+    for _ in range(2 * len(pool.primes)):
+        first, again = probed.t_hat_all(), probed.t_hat_all()
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
+        probed.choose()
+    plain = ConstructionState(pool=pool, params=params, tau=0.5)
+    for _ in range(2 * len(pool.primes)):
+        plain.choose()
+    assert probed.residues == plain.residues
+    assert probed.means == plain.means

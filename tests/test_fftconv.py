@@ -115,3 +115,22 @@ def test_rader_batch_rows_are_the_kernel_bit_for_bit():
         rader_cbc_kernel(5, np.ones((2, 5)), np.ones((3, 5)))  # one row per table
     with pytest.raises(ShapeError):
         rader_cbc_kernel(5, np.ones((2, 5)), np.ones((2, 2, 3)))
+
+
+def test_rader_segments_are_the_kernel_of_each_segment_bit_for_bit():
+    # given segment starts, each run of tables is summed apart: row i is the
+    # kernel of the tables from starts[i] to starts[i + 1] alone, bit for bit,
+    # in both layouts and with segments of one table
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 5, 13, 53, 101):
+        for n in {p, p // 2 + 1}:
+            counts = rng.integers(1, 5, 4)
+            counts[1] = 1
+            starts = np.cumsum(counts) - counts
+            v = rng.standard_normal((counts.sum(), n))
+            w = rng.standard_normal((counts.sum(), n))
+            rows = rader_cbc_kernel(p, v, w, starts)
+            assert rows.shape == (4, p)
+            for i, (a, c) in enumerate(zip(starts, counts)):
+                one = rader_cbc_kernel(p, v[a : a + c], w[a : a + c])
+                assert rows[i].tobytes() == one.tobytes()

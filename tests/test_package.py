@@ -1,12 +1,18 @@
 """The package boundary: the product never loads its oracles."""
 
 import ast
+import itertools
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import ranlat
+from ranlat import cbc, construct
+from ranlat.kernels import KorobovSpaceParams, poly_weights
+from ranlat.primes import build_prime_pool
 
 PACKAGE = pathlib.Path(ranlat.__file__).parent
 PRODUCT = {"cbc", "cli", "construct", "errors", "fftconv", "kernels", "primes", "runtime"}
@@ -70,6 +76,31 @@ def test_only_cbc_reads_the_record_layout():
                     sweepers.add(name)
     assert readers == {"cbc"}
     assert sweepers == {"cbc", "cli"}
+
+
+@pytest.mark.parametrize("n", [53, 307])
+def test_one_kernel_call_per_run_per_turn(monkeypatch, n):
+    # a turn sweeps the due prime's sigma table once, with theta's products and
+    # the larger primes' row, and each run of its smaller partners once.  Runs
+    # cover every pair once; at n=307 each is a single pair, so a sweep keeps
+    # one pair's cache footprint, and at n=53 some run holds several.
+    calls = []
+    kernel = cbc.rader_cbc_kernel
+    monkeypatch.setattr(cbc, "rader_cbc_kernel", lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(construct, "physical_memory_bytes", lambda: 0)
+    params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 3.0))
+    state = construct.ConstructionState(pool=build_prime_pool(n), params=params, tau=0.5)
+    primes = state.pool.primes
+    runs = {p: construct.partner_runs(primes, p) for p in primes}
+    pairs = [(q, run[-1]) for rs in runs.values() for run in rs for q in run[:-1]]
+    assert sorted(pairs) == list(itertools.combinations(primes, 2))
+    for p in primes:
+        calls.clear()
+        state.choose()
+        assert len(state.residues[p]) == 2
+        assert len(calls) == len(runs[p]) + 1
+    sizes = [len(run) - 1 for rs in runs.values() for run in rs]
+    assert max(sizes) == 1 if n == 307 else max(sizes) > 1
 
 
 def test_runtime_keeps_no_scalar_generator():

@@ -549,3 +549,44 @@ def test_online_runs_evaluate_sigma_once_per_prime(monkeypatch, run):
     # p // 2 + 1 points per table: one size per prime of the pool 17, 19, 23, 29
     assert sorted(points) == sorted({p // 2 + 1 for p in build_prime_pool(n).primes})
     cbc_module.single_sigma_grid.cache_clear()
+
+
+def test_draws_below_mixes_each_seed_once(monkeypatch):
+    # the seed's mix is the same for every stream of a run: it is taken once
+    # per seed, not on every call
+    mixed = []
+    mix = runtime._mix64_inplace
+
+    def counted(x):
+        mixed.append(np.ndim(x))
+        mix(x)
+
+    monkeypatch.setattr(runtime, "_mix64_inplace", counted)
+    runtime._seed_mix.cache_clear()
+    reps = np.arange(5)
+    first = [draws_below(11, reps, pos, 7)[0] for pos in range(4)]
+    assert mixed.count(0) == 1
+    draws_below(12, reps, 0, 7)
+    assert mixed.count(0) == 2
+    runtime._seed_mix.cache_clear()
+    assert all(draws_below(11, reps, pos, 7)[0].tobytes() == x.tobytes()
+               for pos, x in enumerate(first))
+
+
+def test_run_rp_rv_takes_each_threshold_once(monkeypatch):
+    # good_set_threshold is computed once per (p, params, bounds): a second
+    # run over the same pool evaluates no mu(lambda)
+    from ranlat import errors
+
+    calls = []
+    mu = errors.mu_quantity
+    monkeypatch.setattr(errors, "mu_quantity", lambda *a: calls.append(a) or mu(*a))
+    errors.good_set_threshold.cache_clear()
+    d = 3
+    params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
+    first = run_rp_rv(product_cosine(d), 30, params, 0.5, RunConfig(seed=2, repetitions=20))
+    assert calls
+    calls.clear()
+    again = run_rp_rv(product_cosine(d), 30, params, 0.5, RunConfig(seed=2, repetitions=20))
+    assert not calls
+    assert again.tobytes() == first.tobytes()
