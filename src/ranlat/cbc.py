@@ -1,27 +1,25 @@
 """Point products of rank-1 lattice rules and the component-by-component search.
 
 `CbcState` keeps the running per-point products P(k) = prod_{j<s} (1 + gamma_j^2
-sigma_alpha(k z_j / m)) of the rule modulo m, for one prime modulus or, by
-the CRT, a pair of them, so that the squared-error increment theta of every
+sigma_alpha(k z_j / m)) of the rule modulo m, for one prime or, by the CRT, a
+pair of coprime moduli, so that the squared-error increment theta of every
 candidate residue comes out of a single Rader convolution sweep,
-`fftconv.rader_cbc_kernel`, as do a pair's cross terms.  As sigma_alpha
-is even, so is P: a record stores the rows k_1 <= m_1/2 of its first axis, and
-sigma is evaluated once per class +-c.  A state of one modulus may also hold
-many vectors at once, one row of products each: `cbc_vectors` takes all the
-vectors of one prime through the CBC levels together.  A state of pairs may
-hold a run of them, (q_1, p), ..., (q_r, p), stacked on rows: one grid, one
-product array and one kernel call per sweep for all of them, each pair's rows
-bit for bit its own state's.
+`fftconv.rader_cbc_kernel`, as do a pair's cross terms.  As sigma_alpha is even,
+so is P: a record stores the rows k_1 <= m_1/2 of its first axis, each for k_1
+and m_1 - k_1, as `record_layout` lays them out.  A state of one prime may hold
+many vectors, one row of products each: `cbc_vectors` takes all the vectors of
+one prime through the CBC levels together.  A state of pairs may hold a run of
+them, (q_1, p), ..., (q_r, p), stacked on rows: one grid, one product array and
+one kernel call per sweep for all of them, each pair's rows bit for bit its own.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,26 +33,54 @@ from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
 TIE_RTOL = 1e-9
 
 
+class RecordLayout(NamedTuple):
+    """A record's stored rows, each the row a <= q/2 of a pair (q, c), for a and q - a."""
+
+    shape: tuple[int, ...]  # of the grid and the products
+    rows: tuple[slice, ...]  # each pair's rows
+    starts: np.ndarray  # each pair's first row
+    pair: np.ndarray  # each row's pair, q and a
+    q: np.ndarray
+    a: np.ndarray
+    weight: np.ndarray  # the rows it stands for: 1 if a = -a mod q, else 2
+    inverse: np.ndarray  # the stored row of a c^-1 mod q
+
+
+@functools.lru_cache(maxsize=1024)
+def record_layout(moduli: tuple[int, ...]) -> RecordLayout:
+    """The read-only `RecordLayout` of a prime (p,), the pair (p, 1) of one column, or of
+    a run (q_1, ..., q_r, p), the pairs (q_i, p) of p columns stacked on rows."""
+    if not moduli or any(math.gcd(q, moduli[-1]) != 1 for q in moduli[:-1]):
+        raise DomainError(f"moduli {moduli}: not (p,) or (q_1, ..., q_r, p) with q_i prime to p")
+    *qs, c = moduli + (1,) if len(moduli) == 1 else moduli
+    counts = [q // 2 + 1 for q in qs]
+    pair = np.repeat(np.arange(len(qs)), counts)
+    starts = np.cumsum(counts) - counts
+    q = np.array(qs)[pair]
+    a = np.arange(len(pair)) - starts[pair]
+    r = a * np.array([pow(c, -1, m) for m in qs])[pair] % q
+    inverse = starts[pair] + np.minimum(r, q - r)
+    shape = (len(pair),) + ((c,) if len(moduli) > 1 else ())
+    rows = tuple(slice(b, b + n) for b, n in zip(starts.tolist(), counts))
+    layout = RecordLayout(shape, rows, starts, pair, q, a, np.where(2 * a % q, 2.0, 1.0), inverse)
+    for x in layout[2:]:
+        x.flags.writeable = False
+    return layout
+
+
 def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     """Read-only grid[a_1, a_2] = sigma_alpha(min(c, m - c) / m), c = (a_1 m / m_1 + a_2 m / m_2)
     mod m, on the stored rows a_1 <= m_1/2 of the CRT grid of m = m_1 m_2 of each pair
-    (m_1, m_2) = (q_i, p) of a run (q_1, ..., q_r, p), stacked on rows; of one prime
-    (p,), sigma_alpha(a / p) for a <= p/2."""
-    if len(moduli) == 1:
-        (m,) = moduli
-        x = np.arange(m // 2 + 1, dtype=np.int64) / m
-    else:
-        p = moduli[-1]
-        x = np.empty((sum(q // 2 + 1 for q in moduli[:-1]), p))
-        row = 0
-        for q in moduli[:-1]:
-            m = q * p
-            c = np.add.outer(np.arange(q // 2 + 1, dtype=np.int64) * p,
-                             np.arange(0, m, q, dtype=np.int64))
-            # both residues are reduced, so c < 2m and one subtraction reduces it
-            np.subtract(c, m, out=c, where=c >= m)
-            np.divide(np.minimum(c, m - c, out=c), m, out=x[row : row + len(c)])
-            row += len(c)
+    (m_1, m_2) of the `record_layout` of moduli, a prime (p,) as the pair (p, 1)."""
+    layout = record_layout(moduli)
+    x = np.empty(layout.shape)
+    p = x.size // len(x)  # 1 of a prime, whose rows are one column
+    for q, rows in zip(layout.q[layout.starts].tolist(), layout.rows):
+        m = q * p
+        c = np.add.outer(layout.a[rows] * p, np.arange(0, m, q, dtype=np.int64))
+        # both residues are reduced, so c < 2m and one subtraction reduces it
+        np.subtract(c, m, out=c, where=c >= m)
+        np.divide(np.minimum(c, m - c, out=c), m, out=x.reshape(-1, p)[rows])
     grid = sigma_alpha(x, alpha)
     grid.flags.writeable = False
     return grid
@@ -72,11 +98,8 @@ def residue_row(n: int, z) -> np.ndarray:
 
 
 def record_bytes(moduli: tuple[int, ...]) -> int:
-    """Bytes of a `CbcState`'s sigma grid and products: p // 2 + 1 floats of one prime
-    (p,), and q_i // 2 + 1 rows of p floats for each pair of a run (q_1, ..., q_r, p)."""
-    if len(moduli) == 1:
-        return 2 * 8 * (moduli[0] // 2 + 1)
-    return 2 * 8 * sum(q // 2 + 1 for q in moduli[:-1]) * moduli[-1]
+    """Bytes of a `CbcState`'s sigma grid and products: 8 each per stored entry."""
+    return 16 * math.prod(record_layout(moduli).shape)
 
 
 # Pair grids are not cached: the rebuild policy exists to avoid holding them.
@@ -87,50 +110,37 @@ single_sigma_grid = functools.lru_cache(maxsize=1024)(sigma_grid)
 class CbcState:
     """Running point products of the rank-1 rule modulo m = prod(moduli).
 
-    The moduli are one modulus (p,) or a coprime prime pair (q, p).  The CRT
-    maps Z_m onto Z_{m_1} x Z_{m_2}, so the products live on that grid:
-    P_products[k_1, k_2] = prod_j (1 + gamma_j^2 sigma_alpha(k_1 z_1j / m_1 + k_2 z_2j / m_2))
-    over the dims components folded in so far, `prefix` first.  Only the rows
-    k_1 <= m_1/2 are stored; row m_1 - k_1 is row k_1 at the negated residues of
-    the other axis.  grid is `sigma_grid`, so the point of index k sits at
-    grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike: every lookup is one
-    permutation (`residue_perm`) per axis.  Only the methods below read this
-    layout: `mean` and the sweeps and sums of the construction's criteria.
+    The moduli are one modulus (p,) or a pair (q, p) of coprime moduli; the sweeps
+    need p prime.  The CRT maps Z_m onto Z_{m_1} x Z_{m_2}, so the products live on
+    that grid: P_products[k_1, k_2] = prod_j (1 + gamma_j^2 sigma_alpha(k_1 z_1j / m_1 + k_2 z_2j / m_2))
+    over the dims components folded in so far, `prefix` first, on the stored rows
+    k_1 <= m_1/2 of `layout`; row m_1 - k_1 is row k_1 at the negated residues of the
+    other axis.  grid is `sigma_grid`: the point of index k sits at grid[k_1 z_1 mod m_1,
+    k_2 z_2 mod m_2], folded alike, so every lookup is one permutation (`residue_perm`)
+    per axis.  Only the methods below read this layout: `mean`, the sweeps and the sums.
 
-    A state of one modulus holds R vectors at once if each component of the
-    prefix is an int64 column of R residues, shape (R, 1): P_products then has a leading axis,
-    P_products[r, k], and every method works row by row, each row bit for bit
-    the state of that one vector.  A state of moduli (q_1, ..., q_r, p) holds the
-    run of pairs (q_i, p), stacked on rows from `starts[i]` on, and a component
-    is one residue per modulus; each pair's rows, sweep, sums and mean are bit for
-    bit those of its own state (q_i, p), which is the run of one.
+    A state of one modulus holds R vectors at once if each component of the prefix
+    is an int64 column of R residues, shape (R, 1): P_products then has a leading axis,
+    P_products[r, k], and every method works row by row, each row bit for bit the
+    state of that one vector.  A state of moduli (q_1, ..., q_r, p) holds the run of
+    pairs (q_i, p) on the rows `layout.rows[i]`, and a component is one residue per
+    modulus; each pair's rows, sweep, sums and mean are bit for bit those of its own
+    state (q_i, p), which is the run of one.
     """
 
     moduli: tuple[int, ...]
     params: KorobovSpaceParams
     prefix: InitVar[Iterable[tuple[int, ...]]]
-    dims: int = field(init=False)
+    dims: int = field(init=False, default=0)
     grid: np.ndarray = field(init=False)
+    layout: RecordLayout = field(init=False)
     P_products: np.ndarray = field(init=False)
 
     def __post_init__(self, prefix: Iterable[tuple[int, ...]]) -> None:
-        if not self.moduli:
-            raise DomainError("a record has moduli (p,) or a run of pairs (q_1, ..., q_r, p)")
-        if len(self.moduli) == 1:
-            self.grid = single_sigma_grid(self.moduli, self.params.alpha)
-        else:
-            self.grid = sigma_grid(self.moduli, self.params.alpha)
-            # each pair's stored rows [start, end); each stored row's pair start,
-            # its pair's q_i and its index a <= q_i/2 within the pair
-            self._counts = [q // 2 + 1 for q in self.moduli[:-1]]
-            ends = list(itertools.accumulate(self._counts))
-            self._rows = list(zip([0] + ends[:-1], ends))
-            self.starts = np.array([a for a, _ in self._rows])
-            self._base = np.repeat(self.starts, self._counts)
-            self._q = np.repeat(self.moduli[:-1], self._counts)
-            self._a = np.arange(ends[-1]) - self._base
-            self._read = self._inverse = None
-        self.dims = 0
+        self.layout = record_layout(self.moduli)
+        grid = single_sigma_grid if len(self.moduli) == 1 else sigma_grid
+        self.grid = grid(self.moduli, self.params.alpha)
+        self._read = None
         prefix = list(prefix)
         rows = np.shape(prefix[0][0])[:-1] if prefix else ()
         if rows and len(self.moduli) > 1:
@@ -144,12 +154,12 @@ class CbcState:
         row a zq_i mod q_i, and the rows where that residue is above q_i / 2, so is read
         folded.  The last zq's are kept, for the extension that follows a sweep."""
         if self._read is None or self._read[0] != zq:
-            r = np.array([z % q for z, q in zip(zq, self.moduli)]).repeat(self._counts)
-            r *= self._a
-            r %= self._q
-            rows = np.minimum(r, self._q - r)
+            r = np.array([z % q for z, q in zip(zq, self.moduli)])[self.layout.pair]
+            r *= self.layout.a
+            r %= self.layout.q
+            rows = np.minimum(r, self.layout.q - r)
             fold = np.flatnonzero(rows != r)
-            rows += self._base
+            rows += self.layout.starts[self.layout.pair]
             self._read = zq, rows, fold
         return self._read[1:]
 
@@ -177,24 +187,17 @@ class CbcState:
         self.dims += 1
 
     def mean(self) -> float | np.ndarray:
-        """Mean of P over all m points by one `exact_sum`: a stored row that is not
-        its own mirror stands for two, and doubling is exact, so this is bit for
-        bit the fsum over the full record.  An array of one mean per vector if the
-        state holds many, or per pair if it holds a run of more than one."""
-        weighted = 2.0 * self.P_products
+        """Mean of P over all m points by one `exact_sum`: each stored row times the
+        rows it stands for, 1 or 2, which is exact, so this is bit for bit the fsum
+        over the full record.  An array of one mean per vector if the state holds
+        many, or per pair if it holds a run of more than one."""
         if len(self.moduli) > 1:
-            own = np.flatnonzero((self._a == 0) | (2 * self._a == self._q))
-            weighted[own] = self.P_products[own]
-            p = self.moduli[-1]
-            means = [exact_sum(weighted[a:b].ravel()) / (q * p)
-                     for q, (a, b) in zip(self.moduli, self._rows)]
+            p, weighted = self.moduli[-1], self.P_products * self.layout.weight[:, None]
+            means = [exact_sum(weighted[rows].ravel()) / (q * p)
+                     for q, rows in zip(self.moduli, self.layout.rows)]
             return means[0] if len(means) == 1 else np.array(means)
-        rows = weighted.shape[:-1]
-        own = [0, -1] if self.moduli[0] % 2 == 0 else [0]  # the rows that are their own mirror
-        own = (slice(None),) * len(rows) + (own,)
-        weighted[own] = self.P_products[own]
-        m = self.moduli[0]
-        if not rows:
+        weighted, m = self.P_products * self.layout.weight, self.moduli[0]
+        if weighted.ndim == 1:
             return exact_sum(weighted) / m
         return np.array([exact_sum(w) / m for w in weighted])
 
@@ -207,20 +210,16 @@ class CbcState:
     def pair_sweep(self, *zq: int) -> np.ndarray:
         """S[i, z] = sum_{l in Z_q_i, k in Z_p} sigma_alpha(l zq_i / q_i + k z / p) P_i(l, k) for
         every z in Z_p, one row per pair (q_i, p) of the run, from one kernel call that sums
-        each pair's rows apart: row l stands for l and q_i - l, so rows l > 0 count twice."""
+        each pair's rows apart, each row l times the rows it stands for, l and q_i - l."""
         v = self.sigma_rows(*zq)
-        for a, b in self._rows:
-            v[a + 1 : b] *= 2.0
-        return rader_cbc_kernel(self.moduli[-1], v, self.P_products, self.starts)
+        v *= self.layout.weight[:, None]
+        return rader_cbc_kernel(self.moduli[-1], v, self.P_products, self.layout.starts)
 
     def pair_sums(self) -> list[np.ndarray]:
         """sum_{k in Z_p} P_i(l, k) at l = k p^-1 mod q_i for k <= q_i/2, the larger-prime weights
         of T-hat at q_i, one array per pair (q_i, p) of the run."""
-        if self._inverse is None:
-            p = self.moduli[-1]
-            self._inverse = self._stored_rows(tuple(pow(p, -1, q) for q in self.moduli[:-1]))[0]
-        sums = self.P_products.sum(axis=1)[self._inverse]
-        return [sums[a:b] for a, b in self._rows]
+        sums = self.P_products.sum(axis=1)[self.layout.inverse]
+        return [sums[rows] for rows in self.layout.rows]
 
 
 def theta_all(state: CbcState) -> np.ndarray:

@@ -68,14 +68,17 @@ RUN_BYTES = 128 * 1024
 @functools.lru_cache(maxsize=1024)
 def partner_runs(primes: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     """The moduli (q_1, ..., q_r, p) of p's runs: its smaller partners q < p of primes
-    in ascending order, split into consecutive runs of at most RUN_BYTES of products."""
+    in ascending order, split into consecutive runs of at most RUN_BYTES of products.
+    A run's bytes are its pairs', so only the pairs' layouts are built to count them."""
     runs: list[tuple[int, ...]] = []
     run: tuple[int, ...] = ()
+    size = 0
     for q in (q for q in primes if q < p):
-        if run and record_bytes(run + (q, p)) > 2 * RUN_BYTES:
+        pair = record_bytes((q, p))
+        if run and size + pair > 2 * RUN_BYTES:
             runs.append(run + (p,))
-            run = ()
-        run += (q,)
+            run, size = (), 0
+        run, size = run + (q,), size + pair
     return tuple(runs + [run + (p,)] if run else runs)
 
 

@@ -7,11 +7,11 @@ the record that the construction keeps for every prime and prime pair), the
 good-set thresholds, computed once per prime, params and bounds, and the
 explicit theoretical error bound of the constructive theorem.
 
-`eran_report` is the one term loop of e_ran, over the mean of every prime's
-and pair's record.  `construct_fixed_vector` runs it over the means its search
-kept at all d components, and the vector carries that report;
+`eran_report` makes every term of e_ran, in one array pass over the mean of
+every prime's and pair's record.  `construct_fixed_vector` runs it over the
+means its search kept at all d components, and the vector carries that report;
 `randomized_error_sq_fixed` returns it under the same params and otherwise
-runs the loop over records built anew from the residues.
+runs it over records built anew from the residues.
 """
 
 from __future__ import annotations
@@ -107,18 +107,16 @@ def _grid_infimum(fun: Callable[[float], float], grid: Sequence[float]) -> float
     return min(best, f1, f2)
 
 
-def _error_sq(mean):
-    """E(m) = mean - 1, of a record's products, and whether round-off below 0 was
-    clamped to 0; arrays of both, one entry per vector, for an array of means."""
+def _error_sq(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(m) = mean - 1 of each of an array of records' means, and where round-off
+    below 0 was clamped to 0."""
     value = mean - 1.0
     if np.any(value < _CLAMP_FLOOR):
         raise ArithmeticError(
             f"squared error {np.min(value)} below the roundoff clamp floor"
         )
     clamped = value < 0.0
-    if np.ndim(value):
-        return np.where(clamped, 0.0, value), clamped
-    return (0.0, True) if clamped else (value, False)
+    return np.where(clamped, 0.0, value), clamped
 
 
 def _check_points(n: int) -> None:
@@ -161,17 +159,13 @@ def eran_report(
     mean(p, q) of every pair p < q, over all d components (see `randomized_error_sq_fixed`)."""
     L = len(primes)
     scale = 1.0 / (L * L)
-    terms: dict[str, float] = {}
-    clamped = 0
-    for p in primes:
-        e_p, flag = _error_sq(mean(p))
-        terms[f"p={p}"] = scale * e_p
-        clamped += flag
-    for p, q in combinations(primes, 2):
-        e_pq, flag = _error_sq(mean(p, q))
-        terms[f"pq={p}x{q}"] = 2.0 * scale * e_pq
-        clamped += flag
-    return ErrorReport(math.fsum(terms.values()), terms, clamped)
+    pairs = list(combinations(primes, 2))
+    e, clamped = _error_sq(np.array([mean(p) for p in primes] + [mean(*pq) for pq in pairs]))
+    e[:L] *= scale
+    e[L:] *= 2.0 * scale
+    keys = [f"p={p}" for p in primes] + [f"pq={p}x{q}" for p, q in pairs]
+    terms = dict(zip(keys, e.tolist()))
+    return ErrorReport(math.fsum(terms.values()), terms, int(clamped.sum()))
 
 
 def randomized_error_sq_fixed(

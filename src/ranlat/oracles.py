@@ -4,12 +4,13 @@ Nothing in the package calls these except `ranlat verify`; the tests read
 them as oracles.  Each one computes what a product path computes fast, by a
 route that shares as little with it as possible: the point-products
 records by a per-point formula, the candidate sweep and theta by direct
-O(p^2) sums, CBC by exhaustive argmin, T-hat by a direct sum over
-(q, l, k), the errors by truncated dual-lattice sums, and a unit-norm
-truncated worst-case integrand.  The scalar SplitMix64 generator is the
-specification of the online draws: `runtime.draws_below` takes them many
-streams at a time, and must give its bytes.  This module imports the
-product; the product never imports it.
+O(p^2) sums, a run's pair sweep by a direct sum over (l, k), CBC by
+exhaustive argmin, T-hat by a direct sum over (q, l, k), the errors by
+truncated dual-lattice sums, and a unit-norm truncated worst-case
+integrand.  The scalar SplitMix64 generator is the specification of the
+online draws: `runtime.draws_below` takes them many streams at a time, and
+must give its bytes.  This module imports the product; the product never
+imports it.
 """
 
 from __future__ import annotations
@@ -47,15 +48,20 @@ def direct_products(
 
 def expanded_products(state: CbcState) -> np.ndarray:
     """A record's full products over Z_m_1 x ...: row a > m_1/2 is the stored row
-    m_1 - a at the negated residues of the other axis."""
-    m = state.moduli[0]
-    k = np.arange(m)
-    full = state.P_products[np.minimum(k, m - k)]
-    if len(state.moduli) == 2:
-        n = state.moduli[1]
-        mirror = k > m // 2
-        full[mirror] = full[mirror][:, (-np.arange(n)) % n]
-    return full
+    m_1 - a at the negated residues of the other axis.  Of a run (q_1, ..., q_r, p),
+    each pair's q_i full rows, from its q_i // 2 + 1 stored ones, stacked in order."""
+    qs = state.moduli[:-1] or state.moduli
+    parts, start = [], 0
+    for m in qs:
+        k = np.arange(m)
+        full = state.P_products[start + np.minimum(k, m - k)]
+        if len(state.moduli) > 1:
+            n = state.moduli[-1]
+            mirror = k > m // 2
+            full[mirror] = full[mirror][:, (-np.arange(n)) % n]
+        parts.append(full)
+        start += m // 2 + 1
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +89,21 @@ def theta_all_naive(state: CbcState) -> np.ndarray:
     gam2 = state.params.gamma[state.dims] ** 2
     full = np.minimum(np.arange(p), p - np.arange(p))  # P(p - k) = P(k)
     return gam2 / p * rader_cbc_kernel_naive(p, state.grid[full], state.P_products[full])
+
+
+def pair_sweep_naive(state: CbcState, *zq: int) -> np.ndarray:
+    """Direct O(q p^2) sum of `CbcState.pair_sweep` over each pair's full products:
+    S[i, z] = sum_{l in Z_q_i, k in Z_p} sigma_alpha(l zq_i / q_i + k z / p) P_i(l, k)."""
+    *qs, p = state.moduli
+    pairs = np.split(expanded_products(state), np.cumsum(qs)[:-1])
+    k = np.arange(p)
+    out = np.empty((len(qs), p))
+    for i, (q, zi, full) in enumerate(zip(qs, zq, pairs)):
+        l = np.arange(q)[:, None]
+        for z in range(p):
+            c = (l * (zi % q) * p + k * z * q) % (q * p)
+            out[i, z] = math.fsum((sigma_alpha(c / (q * p), state.params.alpha) * full).ravel())
+    return out
 
 
 def cbc_construct_naive(p: int, params: KorobovSpaceParams) -> tuple[int, ...]:

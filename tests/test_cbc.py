@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ranlat.cbc import TIE_RTOL, CbcState, candidate_count, candidate_set, cbc_construct, theta_all
+from ranlat.cbc import (
+    TIE_RTOL, CbcState, candidate_count, candidate_set, cbc_construct, record_bytes, record_layout,
+    theta_all,
+)
 from ranlat.errors import _error_sq, worst_case_error_sq, worst_case_errors_sq
 from ranlat.kernels import (
-    EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, mu_quantity, poly_weights, zeta,
+    EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, mu_quantity, poly_weights, sigma_alpha, zeta,
 )
-from ranlat.oracles import cbc_construct_naive, direct_products, expanded_products, theta_all_naive
+from ranlat.oracles import (
+    cbc_construct_naive, direct_products, expanded_products, pair_sweep_naive, theta_all_naive,
+)
 from ranlat.primes import build_prime_pool, sieve_primes
 
 
@@ -190,8 +195,10 @@ def test_record_takes_a_prime_or_a_run():
     # (2, 3, 5) is the run of the pairs (2, 5) and (3, 5), a row each at a = 0, 1
     with pytest.raises(DomainError):
         CbcState((), _params(1), ())
+    with pytest.raises(DomainError):  # 3 and 9 share a factor: no CRT grid
+        CbcState((5, 3, 9), _params(1), ())
     run = CbcState((2, 3, 5), _params(1), [(1, 2, 3)])
-    assert run.starts.tolist() == [0, 2]
+    assert run.layout.starts.tolist() == [0, 2]
     pairs = [CbcState((q, 5), _params(1), [(z, 3)]) for q, z in ((2, 1), (3, 2))]
     assert run.P_products.tobytes() == np.vstack([s.P_products for s in pairs]).tobytes()
 
@@ -248,7 +255,7 @@ def test_run_is_its_pairs_bit_for_bit(data, p, alpha):
     rows, sums, means = run.pair_sweep(*zq), run.pair_sums(), np.atleast_1d(run.mean())
     assert rows.shape == (len(qs), p)
     for i, pair in enumerate(pairs):
-        a, b = run.starts[i], run.starts[i] + qs[i] // 2 + 1
+        a, b = run.layout.starts[i], run.layout.starts[i] + qs[i] // 2 + 1
         assert run.P_products[a:b].tobytes() == pair.P_products.tobytes()
         assert rows[i].tobytes() == pair.pair_sweep(zq[i])[0].tobytes()
         assert sums[i].tobytes() == pair.pair_sums()[0].tobytes()
@@ -260,3 +267,57 @@ def test_run_is_its_pairs_bit_for_bit(data, p, alpha):
         direct = direct_products((qs[i], p), params, [(z[i], z[-1]) for z in prefix] + [(zq[i], zp)])
         assert expanded_products(pair).tobytes() == direct.tobytes()
     assert run.P_products.tobytes() == np.vstack([pair.P_products for pair in pairs]).tobytes()
+
+
+@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (4, 9), (2, 4, 6, 9, 11), (3, 5, 16, 7)])
+def test_record_layout_is_cached_and_read_only(moduli):
+    # a prime is the pair (p, 1) of one column; each stored row a <= q/2 stands for
+    # a and q - a, once where they are one row, so a pair's weights sum to q; and
+    # a -> a c^-1 mod q, folded, permutes the pair's rows
+    layout = record_layout(moduli)
+    assert record_layout(moduli) is layout
+    *qs, c = moduli + (1,) if len(moduli) == 1 else moduli
+    rows = sum(q // 2 + 1 for q in qs)
+    assert layout.shape == ((rows,) if len(moduli) == 1 else (rows, c))
+    assert record_bytes(moduli) == 16 * rows * c
+    for x in layout[2:]:
+        with pytest.raises(ValueError):
+            x[0] = 5
+    for i, q in enumerate(qs):
+        own = np.flatnonzero(layout.pair == i)
+        assert layout.starts[i] == own[0] and len(own) == q // 2 + 1
+        assert layout.rows[i] == slice(own[0], own[-1] + 1)
+        assert layout.q[own].tolist() == [q] * len(own)
+        assert layout.a[own].tolist() == list(range(len(own)))
+        assert layout.weight[own].sum() == q
+        assert sorted(layout.inverse[own].tolist()) == own.tolist()
+        r = layout.a[own] * pow(c, -1, q) % q
+        assert (layout.inverse[own] - own[0]).tolist() == np.minimum(r, q - r).tolist()
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_pair_sweep_and_sums_are_the_direct_sums(p, alpha):
+    # even and composite first moduli, as a run and each pair alone: the row q/2 of
+    # an even q is its own mirror and counts once in the sweep.  The pair sums are
+    # the full products' row sums read at k p^-1 mod q, and at z = 0 the direct
+    # sweep is sum over l in Z_q of sigma_alpha(l zq / q) times row sum l
+    qs = (2, 4, 6, 9)
+    rng = np.random.default_rng(p * alpha)
+    params = _params(3, alpha=alpha, c=1.5)
+    prefix = [tuple(rng.integers(0, 10 ** 4, len(qs) + 1).tolist()) for _ in range(2)]
+    zq = dict(zip(qs, rng.integers(0, 10 ** 4, len(qs)).tolist()))
+    states = [CbcState((*qs, p), params, prefix)]
+    states += [CbcState((q, p), params, [(z[i], z[-1]) for z in prefix]) for i, q in enumerate(qs)]
+    for state in states:
+        run = state.moduli[:-1]
+        z = [zq[q] for q in run]
+        slow = pair_sweep_naive(state, *z)
+        assert np.max(np.abs(state.pair_sweep(*z) - slow)) < 1e-12 * np.max(np.abs(slow))
+        full = np.split(expanded_products(state), np.cumsum(run)[:-1])
+        for q, zi, sums, rows, s0 in zip(run, z, state.pair_sums(), full, slow[:, 0]):
+            k = np.arange(q // 2 + 1)
+            np.testing.assert_allclose(sums, rows[k * pow(p, -1, q) % q].sum(axis=1), rtol=1e-13)
+            at = np.arange(q) * p % q
+            total = sigma_alpha(np.arange(q) * zi % q / q, alpha) @ sums[np.minimum(at, q - at)]
+            assert total == pytest.approx(s0, rel=1e-12)

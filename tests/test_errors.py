@@ -181,6 +181,7 @@ def test_eran_counts_clamped_terms(monkeypatch):
     pair_terms = [t for key, t in rep.decomposition.items() if key.startswith("pq=")]
     assert len(pair_terms) == 91  # 14 primes in (65, 131]
     assert rep.clamped == 91 and set(pair_terms) == {0.0}
+    assert type(rep.clamped) is int and {type(t) for t in rep.decomposition.values()} == {float}
     singles = [f"p={p}" for p in v.pool.primes]
     assert [rep.decomposition[k] for k in singles] == [real.decomposition[k] for k in singles]
     assert rep.squared_error == math.fsum(rep.decomposition.values())

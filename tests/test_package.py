@@ -59,7 +59,7 @@ def test_every_exported_name_resolves():
 
 
 def test_only_cbc_reads_the_record_layout():
-    # A record's layout (its grid, products and sigma rows) is read through
+    # A record's layout (its grid, products, sigma rows and stored rows) is read through
     # CbcState's methods alone, and only cbc runs the Rader sweep; cli imports
     # it for its fft oracle suite.
     sweeps = {"rader_cbc_kernel"}
@@ -67,7 +67,7 @@ def test_only_cbc_reads_the_record_layout():
     for name in PRODUCT:
         for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
             if isinstance(node, ast.Attribute):
-                if node.attr in {"P_products", "grid", "sigma_rows"}:
+                if node.attr in {"P_products", "grid", "layout", "sigma_rows"}:
                     readers.add(name)
                 if node.attr in sweeps:
                     sweepers.add(name)
