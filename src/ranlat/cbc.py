@@ -10,7 +10,10 @@ and m_1 - k_1, as `record_layout` lays them out.  A state of one prime may hold
 many vectors, one row of products each: `cbc_vectors` takes all the vectors of
 one prime through the CBC levels together.  A state of pairs may hold a run of
 them, (q_1, p), ..., (q_r, p), stacked on rows: one grid, one product array and
-one kernel call per sweep for all of them, each pair's rows bit for bit its own.
+one correlation call per sweep for all of them, each pair's rows bit for bit its
+own.  A pair's columns, the residues k of p, are stored in p's Rader order, and
+its products times the rows each stands for, so that its sweep,
+`fftconv.rader_correlation`, reads grid rows and products as they are stored.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .fftconv import rader_cbc_kernel
-from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_alpha
+from .fftconv import rader_cbc_kernel, rader_correlation, rader_plan
+from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_reduced
+from .primes import is_prime
 
 # Relative tolerance under which two criterion values count as tied.  Exact
 # mathematical ties other than theta's z, p - z (bit-equal by construction)
@@ -34,25 +38,42 @@ TIE_RTOL = 1e-9
 
 
 class RecordLayout(NamedTuple):
-    """A record's stored rows, each the row a <= q/2 of a pair (q, c), for a and q - a."""
+    """A record's stored rows, each the row a <= q/2 of a pair (q, c), for a and q - a, and
+    its columns, the residues k of c in the order they are stored."""
 
     shape: tuple[int, ...]  # of the grid and the products
     rows: tuple[slice, ...]  # each pair's rows
+    mirror: tuple[tuple[slice, slice], ...]  # row[to] = row[at] reads a row at -k
     starts: np.ndarray  # each pair's first row
     pair: np.ndarray  # each row's pair, q and a
     q: np.ndarray
     a: np.ndarray
     weight: np.ndarray  # the rows it stands for: 1 if a = -a mod q, else 2
     inverse: np.ndarray  # the stored row of a c^-1 mod q
+    k: np.ndarray  # each column's residue k of c
+    column: np.ndarray  # the column of each residue k, column[k[j]] = j
+
+    def columns(self, z: int) -> np.ndarray:
+        """The columns that a row read at residue z of c takes, column j that of k[j] z."""
+        c = len(self.k)
+        return self.column[self.k * (z % c) % c]
+
+
+def _pairs(moduli: tuple[int, ...]) -> tuple[list[int], int]:
+    """(q_1, ..., q_r), c: the first moduli of a record's pairs (q_i, c), a prime (p,) the pair (p, 1)."""
+    *qs, c = moduli + (1,) if len(moduli) == 1 else moduli
+    return qs, c
 
 
 @functools.lru_cache(maxsize=1024)
 def record_layout(moduli: tuple[int, ...]) -> RecordLayout:
     """The read-only `RecordLayout` of a prime (p,), the pair (p, 1) of one column, or of
-    a run (q_1, ..., q_r, p), the pairs (q_i, p) of p columns stacked on rows."""
+    a run (q_1, ..., q_r, p), the pairs (q_i, p) of p columns stacked on rows.  A prime
+    p's columns are in its Rader order (`fftconv.rader_plan`): k = 0, then k = g^a for
+    a = 0..p-2; other columns are in natural order."""
     if not moduli or any(math.gcd(q, moduli[-1]) != 1 for q in moduli[:-1]):
         raise DomainError(f"moduli {moduli}: not (p,) or (q_1, ..., q_r, p) with q_i prime to p")
-    *qs, c = moduli + (1,) if len(moduli) == 1 else moduli
+    qs, c = _pairs(moduli)
     counts = [q // 2 + 1 for q in qs]
     pair = np.repeat(np.arange(len(qs)), counts)
     starts = np.cumsum(counts) - counts
@@ -62,26 +83,35 @@ def record_layout(moduli: tuple[int, ...]) -> RecordLayout:
     inverse = starts[pair] + np.minimum(r, q - r)
     shape = (len(pair),) + ((c,) if len(moduli) > 1 else ())
     rows = tuple(slice(b, b + n) for b, n in zip(starts.tolist(), counts))
-    layout = RecordLayout(shape, rows, starts, pair, q, a, np.where(2 * a % q, 2.0, 1.0), inverse)
-    for x in layout[2:]:
+    if is_prime(c) and c > 2:  # Rader order: -g^a = g^(a + (c-1)/2), the period's halves swap
+        k, h = rader_plan(c, c)[1], (c + 1) // 2
+        mirror = ((slice(1, h), slice(h, c)), (slice(h, c), slice(1, h)))
+    else:  # natural order, which the Rader order of 2 is: -k reads the row backwards
+        k, mirror = np.arange(c), ((slice(1, c), slice(c - 1, 0, -1)),)
+    column = np.empty_like(k)
+    column[k] = np.arange(c)
+    layout = RecordLayout(shape, rows, mirror, starts, pair, q, a, np.where(2 * a % q, 2.0, 1.0),
+                          inverse, k, column)
+    for x in layout[3:]:
         x.flags.writeable = False
     return layout
 
 
 def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
-    """Read-only grid[a_1, a_2] = sigma_alpha(min(c, m - c) / m), c = (a_1 m / m_1 + a_2 m / m_2)
-    mod m, on the stored rows a_1 <= m_1/2 of the CRT grid of m = m_1 m_2 of each pair
-    (m_1, m_2) of the `record_layout` of moduli, a prime (p,) as the pair (p, 1)."""
+    """Read-only grid[a_1, j] = sigma_alpha(min(c, m - c) / m), c = (a_1 m / m_1 + k_j m / m_2)
+    mod m, on the stored rows a_1 <= m_1/2 and the columns k_j of the CRT grid of m = m_1 m_2
+    of each pair (m_1, m_2) of the `record_layout` of moduli, a prime (p,) as the pair (p, 1)."""
     layout = record_layout(moduli)
     x = np.empty(layout.shape)
-    p = x.size // len(x)  # 1 of a prime, whose rows are one column
+    p = len(layout.k)  # 1 of a prime, whose rows are one column
     for q, rows in zip(layout.q[layout.starts].tolist(), layout.rows):
         m = q * p
-        c = np.add.outer(layout.a[rows] * p, np.arange(0, m, q, dtype=np.int64))
-        # both residues are reduced, so c < 2m and one subtraction reduces it
-        np.subtract(c, m, out=c, where=c >= m)
-        np.divide(np.minimum(c, m - c, out=c), m, out=x.reshape(-1, p)[rows])
-    grid = sigma_alpha(x, alpha)
+        # both residues are reduced, so the sum s is below 2m, and d = |s - m| gives
+        # min(d, m - d) = min(s mod m, m - s mod m), which lies in [0, m / 2]
+        d = np.add.outer((layout.a[rows] * p - m).astype(float), (layout.k * q).astype(float))
+        np.abs(d, out=d)
+        np.divide(np.minimum(d, m - d, out=d), m, out=x.reshape(-1, p)[rows])
+    grid = sigma_reduced(x, alpha)  # x in [0, 1/2]: no reduction
     grid.flags.writeable = False
     return grid
 
@@ -98,8 +128,10 @@ def residue_row(n: int, z) -> np.ndarray:
 
 
 def record_bytes(moduli: tuple[int, ...]) -> int:
-    """Bytes of a `CbcState`'s sigma grid and products: 8 each per stored entry."""
-    return 16 * math.prod(record_layout(moduli).shape)
+    """Bytes of a `CbcState`'s sigma grid and products, 8 each per stored entry, from the
+    moduli alone: no layout is built."""
+    qs, c = _pairs(moduli)
+    return 16 * c * sum(q // 2 + 1 for q in qs)
 
 
 # Pair grids are not cached: the rebuild policy exists to avoid holding them.
@@ -115,9 +147,14 @@ class CbcState:
     that grid: P_products[k_1, k_2] = prod_j (1 + gamma_j^2 sigma_alpha(k_1 z_1j / m_1 + k_2 z_2j / m_2))
     over the dims components folded in so far, `prefix` first, on the stored rows
     k_1 <= m_1/2 of `layout`; row m_1 - k_1 is row k_1 at the negated residues of the
-    other axis.  grid is `sigma_grid`: the point of index k sits at grid[k_1 z_1 mod m_1,
-    k_2 z_2 mod m_2], folded alike, so every lookup is one permutation (`residue_perm`)
-    per axis.  Only the methods below read this layout: `mean`, the sweeps and the sums.
+    other axis.  A pair stores its columns k_2 in the order `layout.k`, the Rader order
+    of a prime m_2 (k_2 = 0, then g^a), and each row times the rows it stands for, 1 or
+    2 (`layout.weight`), which is exact.  grid is `sigma_grid`, in the same order: the
+    point of index k sits at grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike, so
+    every lookup is one row permutation and, of a pair, one column index
+    (`layout.columns`); a folded row swaps the halves of its Rader period
+    (`layout.mirror`).  Only the methods below read this layout: `mean`, the sweeps
+    and the sums.
 
     A state of one modulus holds R vectors at once if each component of the prefix
     is an int64 column of R residues, shape (R, 1): P_products then has a leading axis,
@@ -145,7 +182,10 @@ class CbcState:
         rows = np.shape(prefix[0][0])[:-1] if prefix else ()
         if rows and len(self.moduli) > 1:
             raise DomainError("a pair record holds one vector")
-        self.P_products = np.ones(rows + self.grid.shape)
+        if len(self.moduli) == 1:
+            self.P_products = np.ones(rows + self.grid.shape)
+        else:  # each stored row times the rows it stands for
+            self.P_products = np.repeat(self.layout.weight[:, None], self.grid.shape[1], axis=1)
         for z in prefix:
             self.extend(*z)
 
@@ -166,7 +206,8 @@ class CbcState:
     def sigma_rows(self, *z: int) -> np.ndarray:
         """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
         a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1.
-        One modulus and a column z_1 give one row per entry; a run takes one z_1 per pair."""
+        Columns are in the layout's order.  One modulus and a column z_1 give one row per
+        entry; a run takes one z_1 per pair."""
         if len(self.moduli) == 1:
             m = self.moduli[0]
             r = residue_perm(m, z[0], len(self.grid))
@@ -174,8 +215,10 @@ class CbcState:
         rows, fold = self._stored_rows(z[: len(self.moduli) - 1])
         rows = self.grid.take(rows, axis=0)
         if len(z) == len(self.moduli):
-            rows = rows.take(residue_perm(self.moduli[-1], z[-1], rows.shape[1]), axis=1)
-        rows[fold, 1:] = rows[fold, :0:-1]
+            rows = rows.take(self.layout.columns(z[-1]), axis=1)
+        folded = rows[fold]
+        for to, at in self.layout.mirror:
+            rows[fold, to] = folded[:, at]
         return rows
 
     def extend(self, *z: int) -> None:
@@ -191,9 +234,9 @@ class CbcState:
         rows it stands for, 1 or 2, which is exact, so this is bit for bit the fsum
         over the full record.  An array of one mean per vector if the state holds
         many, or per pair if it holds a run of more than one."""
-        if len(self.moduli) > 1:
-            p, weighted = self.moduli[-1], self.P_products * self.layout.weight[:, None]
-            means = [exact_sum(weighted[rows].ravel()) / (q * p)
+        if len(self.moduli) > 1:  # the products are stored weighted
+            p = self.moduli[-1]
+            means = [exact_sum(self.P_products[rows].ravel()) / (q * p)
                      for q, rows in zip(self.moduli, self.layout.rows)]
             return means[0] if len(means) == 1 else np.array(means)
         weighted, m = self.P_products * self.layout.weight, self.moduli[0]
@@ -209,16 +252,19 @@ class CbcState:
 
     def pair_sweep(self, *zq: int) -> np.ndarray:
         """S[i, z] = sum_{l in Z_q_i, k in Z_p} sigma_alpha(l zq_i / q_i + k z / p) P_i(l, k) for
-        every z in Z_p, one row per pair (q_i, p) of the run, from one kernel call that sums
-        each pair's rows apart, each row l times the rows it stands for, l and q_i - l."""
-        v = self.sigma_rows(*zq)
-        v *= self.layout.weight[:, None]
-        return rader_cbc_kernel(self.moduli[-1], v, self.P_products, self.layout.starts)
+        every z in Z_p, one row per pair (q_i, p) of the run, from one correlation that sums
+        each pair's rows apart, each row l of the products weighted by the rows it stands
+        for, l and q_i - l.  Grid and products are in Rader order, so the correlation reads
+        them as stored."""
+        return rader_correlation(self.moduli[-1], self.sigma_rows(*zq), self.P_products,
+                                 self.layout.starts)
 
     def pair_sums(self) -> list[np.ndarray]:
         """sum_{k in Z_p} P_i(l, k) at l = k p^-1 mod q_i for k <= q_i/2, the larger-prime weights
-        of T-hat at q_i, one array per pair (q_i, p) of the run."""
-        sums = self.P_products.sum(axis=1)[self.layout.inverse]
+        of T-hat at q_i, one array per pair (q_i, p) of the run, each row summed in the
+        stored column order."""
+        # the products are stored weighted, and dividing by 1 or 2 is exact
+        sums = (self.P_products.sum(axis=1) / self.layout.weight)[self.layout.inverse]
         return [sums[rows] for rows in self.layout.rows]
 
 

@@ -69,7 +69,7 @@ RUN_BYTES = 128 * 1024
 def partner_runs(primes: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     """The moduli (q_1, ..., q_r, p) of p's runs: its smaller partners q < p of primes
     in ascending order, split into consecutive runs of at most RUN_BYTES of products.
-    A run's bytes are its pairs', so only the pairs' layouts are built to count them."""
+    A run's bytes are its pairs', counted from the moduli alone (`record_bytes`)."""
     runs: list[tuple[int, ...]] = []
     run: tuple[int, ...] = ()
     size = 0

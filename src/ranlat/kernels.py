@@ -95,21 +95,28 @@ def sigma_alpha(x, alpha: int):
     (-1)^(alpha+1) (2 pi)^(2 alpha) / (2 alpha)! * B_{2 alpha}(x mod 1).
     Accepts scalars or ndarrays; vectorised over x.
     """
+    x = np.asarray(x, dtype=float)
+    # x - floor(x) is x % 1.0 bit for bit (both round the real x - floor(x)
+    # once), at a fraction of np.remainder's cost.
+    acc = sigma_reduced(x - np.floor(x), alpha)
+    if acc.ndim == 0:
+        return float(acc)
+    return acc
+
+
+def sigma_reduced(t: np.ndarray, alpha: int) -> np.ndarray:
+    """sigma_alpha(t) of a float array t already in [0, 1), bit for bit, with no
+    reduction: Horner from t + c_1, as 1.0 * t is t."""
     if alpha not in _BERNOULLI_COEFFS:
         raise UnsupportedSmoothnessError(
             f"sigma_alpha supports alpha in {SUPPORTED_ALPHA}, got {alpha}"
         )
-    x = np.asarray(x, dtype=float)
-    # x - floor(x) is x % 1.0 bit for bit (both round the real x - floor(x)
-    # once), at a fraction of np.remainder's cost.
-    t = x - np.floor(x)
-    acc = np.full_like(t, _BERNOULLI_COEFFS[alpha][0])
-    for c in _BERNOULLI_COEFFS[alpha][1:]:
+    _, c1, *rest = _BERNOULLI_COEFFS[alpha]
+    acc = t + c1
+    for c in rest:
         acc *= t
         acc += c
     acc *= _SIGMA_SCALE[alpha]
-    if acc.ndim == 0:
-        return float(acc)
     return acc
 
 

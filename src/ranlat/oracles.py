@@ -24,7 +24,7 @@ from .cbc import CbcState, candidate_set
 from .errors import BoundParams, _grid_infimum
 from .fftconv import ShapeError
 from .kernels import DomainError, KorobovSpaceParams, sigma_alpha, zeta
-from .primes import PrimePool, ResidueVector
+from .primes import PrimePool, ResidueVector, is_prime, primitive_root
 from .runtime import Integrand
 
 
@@ -46,15 +46,33 @@ def direct_products(
     return out
 
 
+def column_order(c: int) -> np.ndarray:
+    """The residues k of c in the order a pair's record stores its columns: 0, g^0, g^1, ...,
+    g^(c-2) of the smallest primitive root g of a prime c, else 0..c-1."""
+    if not is_prime(c):
+        return np.arange(c)
+    g = primitive_root(c)
+    return np.array([0] + [pow(g, a, c) for a in range(c - 1)])
+
+
 def expanded_products(state: CbcState) -> np.ndarray:
-    """A record's full products over Z_m_1 x ...: row a > m_1/2 is the stored row
-    m_1 - a at the negated residues of the other axis.  Of a run (q_1, ..., q_r, p),
-    each pair's q_i full rows, from its q_i // 2 + 1 stored ones, stacked in order."""
+    """A record's full products over Z_m_1 x ..., in natural order: row a > m_1/2 is the
+    stored row m_1 - a at the negated residues of the other axis.  Of a run (q_1, ..., q_r, p),
+    each pair's q_i full rows, from its q_i // 2 + 1 stored ones, stacked in order; a run
+    stores each row times the rows it stands for, 1 or 2, and its columns in `column_order`,
+    both undone here."""
     qs = state.moduli[:-1] or state.moduli
+    stored = state.P_products
+    if len(state.moduli) > 1:
+        k = column_order(state.moduli[-1])
+        a = np.concatenate([np.arange(m // 2 + 1) for m in qs])
+        q = np.repeat(qs, [m // 2 + 1 for m in qs])
+        stored = np.empty_like(stored)
+        stored[:, k] = state.P_products / np.where(2 * a % q, 2.0, 1.0)[:, None]
     parts, start = [], 0
     for m in qs:
         k = np.arange(m)
-        full = state.P_products[start + np.minimum(k, m - k)]
+        full = stored[start + np.minimum(k, m - k)]
         if len(state.moduli) > 1:
             n = state.moduli[-1]
             mirror = k > m // 2

@@ -6,14 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ranlat.cbc import (
     TIE_RTOL, CbcState, candidate_count, candidate_set, cbc_construct, record_bytes, record_layout,
-    theta_all,
+    sigma_grid, theta_all,
 )
 from ranlat.errors import _error_sq, worst_case_error_sq, worst_case_errors_sq
+from ranlat.fftconv import rader_cbc_kernel
 from ranlat.kernels import (
     EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, mu_quantity, poly_weights, sigma_alpha, zeta,
 )
 from ranlat.oracles import (
-    cbc_construct_naive, direct_products, expanded_products, pair_sweep_naive, theta_all_naive,
+    cbc_construct_naive, column_order, direct_products, expanded_products, pair_sweep_naive,
+    theta_all_naive,
 )
 from ranlat.primes import build_prime_pool, sieve_primes
 
@@ -151,10 +153,13 @@ def test_error_sq_of_half_record_is_fsum_of_full(moduli, alpha, data):
 
 
 def _fsum_mean(state):
-    """mean() as it was before exact_sum: one math.fsum over the weighted stored rows."""
-    weighted = 2.0 * state.P_products
-    own = [0, -1] if state.moduli[0] % 2 == 0 else [0]
-    weighted[own] = state.P_products[own]
+    """mean() as it was before exact_sum: one math.fsum over the weighted stored rows,
+    which a pair's record stores weighted."""
+    weighted = state.P_products
+    if len(state.moduli) == 1:
+        weighted = 2.0 * state.P_products
+        own = [0, -1] if state.moduli[0] % 2 == 0 else [0]
+        weighted[own] = state.P_products[own]
     return math.fsum(weighted.ravel()) / math.prod(state.moduli)
 
 
@@ -269,18 +274,29 @@ def test_run_is_its_pairs_bit_for_bit(data, p, alpha):
     assert run.P_products.tobytes() == np.vstack([pair.P_products for pair in pairs]).tobytes()
 
 
-@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (4, 9), (2, 4, 6, 9, 11), (3, 5, 16, 7)])
+@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (4, 9), (3, 2), (2, 4, 6, 9, 11), (3, 5, 16, 7),
+                                    (16, 15), (47, 53)])
 def test_record_layout_is_cached_and_read_only(moduli):
     # a prime is the pair (p, 1) of one column; each stored row a <= q/2 stands for
     # a and q - a, once where they are one row, so a pair's weights sum to q; and
-    # a -> a c^-1 mod q, folded, permutes the pair's rows
+    # a -> a c^-1 mod q, folded, permutes the pair's rows.  The columns are the
+    # residues k of c in Rader order for a prime c, else in natural order; a row read
+    # at z takes column k z of each k, and the mirror reads it at -k
     layout = record_layout(moduli)
     assert record_layout(moduli) is layout
     *qs, c = moduli + (1,) if len(moduli) == 1 else moduli
     rows = sum(q // 2 + 1 for q in qs)
     assert layout.shape == ((rows,) if len(moduli) == 1 else (rows, c))
-    assert record_bytes(moduli) == 16 * rows * c
-    for x in layout[2:]:
+    assert record_bytes(moduli) == 16 * rows * c == 16 * math.prod(layout.shape)
+    assert layout.k.tolist() == column_order(c).tolist()
+    assert layout.column[layout.k].tolist() == list(range(c))
+    for z in (0, 1, 2, c - 1, 3 * c + 5, -7):
+        assert layout.k[layout.columns(z)].tolist() == (layout.k * z % c).tolist()
+    mirrored = layout.k.copy()
+    for to, at in layout.mirror:
+        mirrored[to] = layout.k[at]
+    assert mirrored.tolist() == (-layout.k % c).tolist()
+    for x in layout[3:]:
         with pytest.raises(ValueError):
             x[0] = 5
     for i, q in enumerate(qs):
@@ -321,3 +337,59 @@ def test_pair_sweep_and_sums_are_the_direct_sums(p, alpha):
             at = np.arange(q) * p % q
             total = sigma_alpha(np.arange(q) * zi % q / q, alpha) @ sums[np.minimum(at, q - at)]
             assert total == pytest.approx(s0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (101,), (2, 5), (3, 2), (4, 9), (16, 15),
+                                    (53, 59), (2, 4, 6, 9, 11), (3, 5, 16, 7), (31, 43, 53)])
+def test_sigma_grid_is_the_direct_formula(moduli, alpha):
+    # primes, runs, even first moduli and composite last moduli: each entry is
+    # sigma_alpha(min(c, m - c) / m) of the CRT point c = (a m / q + k m / p) mod m
+    # of the pair (q, p) of its row, with the columns k in the stored order, byte
+    # for byte, though the grid reduces |c - m| with no mask and skips the floor
+    grid = sigma_grid(moduli, alpha)
+    *qs, p = moduli + (1,) if len(moduli) == 1 else moduli
+    k = column_order(p)
+    expect = []
+    for q in qs:
+        m = q * p
+        c = (np.arange(q // 2 + 1)[:, None] * p + k * q) % m
+        expect.append(sigma_alpha(np.minimum(c, m - c) / m, alpha))
+    assert grid.tobytes() == np.concatenate(expect).reshape(grid.shape).tobytes()
+    assert not grid.flags.writeable
+
+
+def _natural_table(q, p, zq, alpha):
+    """The natural-order sigma table of the pair (q, p) read at zq: row a <= q/2 is the
+    CRT grid's row l = a zq mod q over k in Z_p, times the rows it stands for."""
+    m, a = q * p, np.arange(q // 2 + 1)
+    c = ((a * zq % q)[:, None] * p + np.arange(p) * q) % m
+    return sigma_alpha(np.minimum(c, m - c) / m, alpha) * np.where(2 * a % q, 2.0, 1.0)[:, None]
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("p", [5, 7, 11, 53])
+def test_pair_sweep_takes_the_natural_kernels_inputs(p, alpha):
+    # a pair's grid rows, folded or not, and its products, both stored in Rader order
+    # and the products weighted, are the same numbers in the same positions as the
+    # natural-order weighted table and products that rader_cbc_kernel reindexes, so
+    # every sweep value at z >= 1 is that kernel's bit for bit: for the run (2, 4, 6,
+    # 9, p), a pair (q, p) and a run (q_1, q_2, p)
+    below = sieve_primes(p - 1)
+    rng = np.random.default_rng(p * alpha)
+    params = _params(4, alpha=alpha, c=1.5)
+    folded = 0
+    for qs in ((2, 4, 6, 9), (below[-1],), tuple(below[-2:])):
+        prefix = [tuple(rng.integers(0, 10 ** 4, len(qs) + 1).tolist()) for _ in range(3)]
+        zq = rng.integers(0, 10 ** 4, len(qs)).tolist()
+        state = CbcState((*qs, p), params, prefix)
+        S = state.pair_sweep(*zq)
+        full = np.split(expanded_products(state), np.cumsum(qs)[:-1])
+        for i, (q, zi) in enumerate(zip(qs, zq)):
+            table = _natural_table(q, p, zi, alpha)
+            kernel = rader_cbc_kernel(p, table, full[i][: q // 2 + 1])
+            assert S[i, 1:].tobytes() == kernel[1:].tobytes(), (qs, q)
+            assert S[i, 0] == pytest.approx(kernel[0], rel=1e-13)
+            a = np.arange(q // 2 + 1) * zi % q
+            folded += np.count_nonzero(a > q - a)
+    assert folded > 0  # some rows are read folded

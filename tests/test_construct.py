@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranlat import construct
-from ranlat.cbc import CbcState, candidate_count, candidate_set, cbc_construct, theta_all
+from ranlat.cbc import (
+    CbcState, candidate_count, candidate_set, cbc_construct, record_layout, theta_all,
+)
 from ranlat.construct import (
     ConstructionState,
     SequencingError,
@@ -358,6 +360,14 @@ def test_estimate_cached_bytes(monkeypatch):
     assert len(runs) == 3
     held = sum(run.grid.nbytes + run.P_products.nbytes for run in runs)
     assert estimate_cached_bytes(state.pool) == held
+
+
+def test_estimate_builds_no_layout():
+    # the estimate counts the bytes of 1,035 pairs at n=593, more than the layout
+    # cache holds, from their moduli: no layout is built or read
+    before = record_layout.cache_info()
+    assert estimate_cached_bytes(build_prime_pool(593)) > 0
+    assert record_layout.cache_info() == before
 
 
 @pytest.mark.parametrize("memory_bytes", [1 << 62, 0], ids=["kept", "rebuilt"])

@@ -28,6 +28,7 @@ from ranlat.oracles import (
     crt_pair,
     direct_products,
     dual_tail_bound,
+    expanded_products,
     omega_weight,
     randomized_error_sq_truncated,
     worst_case_error_sq_truncated,
@@ -157,9 +158,9 @@ def test_pair_state_bit_identical_to_flat_formula(p, q, alpha, data):
     res_p = [r % p for r in data[:m]]
     res_q = [r % q for r in data[m : 2 * m]]
     params = KorobovSpaceParams(d=max(m, 1), alpha=alpha, gamma=poly_weights(max(m, 1), 1.5))
-    fast = CbcState((p, q), params, zip(res_p, res_q, strict=True)).P_products
+    fast = expanded_products(CbcState((p, q), params, zip(res_p, res_q, strict=True)))
     direct = direct_products((p, q), params, zip(res_p, res_q, strict=True))
-    assert fast.tobytes() == direct[: p // 2 + 1].tobytes()
+    assert fast.tobytes() == direct.tobytes()
 
 
 def test_eran_counts_clamped_terms(monkeypatch):
@@ -169,12 +170,14 @@ def test_eran_counts_clamped_terms(monkeypatch):
     real = randomized_error_sq_fixed(v, params)
     assert real.clamped == 1
     # pair products of 1 - 1e-14 put every pair term at -1e-14, above the
-    # floor; the single-prime records stay real
+    # floor; the single-prime records stay real.  A pair's record stores each
+    # row times the rows it stands for.
     class PairProductsBelowOne(CbcState):
         def __post_init__(self, prefix):
             super().__post_init__(prefix)
             if len(self.moduli) == 2:
                 self.P_products = np.full(self.P_products.shape, 1.0 - 1e-14)
+                self.P_products *= self.layout.weight[:, None]
 
     monkeypatch.setattr(errors_module, "CbcState", PairProductsBelowOne)
     rep = randomized_error_sq_fixed(ResidueVector(v.pool, v.residues, v.d), params)

@@ -64,11 +64,12 @@ def test_rader_plan_is_cached_per_prime_and_length():
     powers = power_permutation(13, g)
     full, half = rader_plan(13, 13), rader_plan(13, 7)
     assert rader_plan(13, 13) is full and rader_plan(13, 7) is half
-    assert full[0] == 1 and full[1].tolist() == powers.tolist()
+    # order lists k = 0, then one period of k = g^a
+    assert full[0] == 1 and full[1].tolist() == [0] + powers.tolist()
     # lag[z - 1] = b with z = g^-b: the lag-b correlation value belongs to z
     assert [(z * pow(g, int(b), 13)) % 13 for z, b in enumerate(full[2], start=1)] == [1] * 12
     # the even layout: one period of min(g^a, p - g^a), lags modulo it
-    assert half[0] == 2 and half[1].tolist() == np.minimum(powers, 13 - powers)[:6].tolist()
+    assert half[0] == 2 and half[1].tolist() == [0] + np.minimum(powers, 13 - powers)[:6].tolist()
     assert half[2].tolist() == (full[2] % 6).tolist()
     for a in full[1:] + half[1:]:
         with pytest.raises(ValueError):

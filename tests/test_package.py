@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import ranlat
-from ranlat import cbc, construct
+from ranlat import cbc, construct, fftconv
 from ranlat.kernels import KorobovSpaceParams, poly_weights
 from ranlat.primes import build_prime_pool
 
@@ -59,23 +59,25 @@ def test_every_exported_name_resolves():
 
 
 def test_only_cbc_reads_the_record_layout():
-    # A record's layout (its grid, products, sigma rows and stored rows) is read through
-    # CbcState's methods alone, and only cbc runs the Rader sweep; cli imports
-    # it for its fft oracle suite.
-    sweeps = {"rader_cbc_kernel"}
-    readers, sweepers = set(), set()
+    # A record's layout (its grid, products, sigma rows, stored rows and column order)
+    # is read through CbcState's methods alone, and only cbc runs the Rader sweep: the
+    # correlation body on its Rader-ordered pair records, the reindexing kernel on
+    # natural-order tables; cli imports the kernel for its fft oracle suite.
+    sweeps = {"rader_cbc_kernel", "rader_correlation"}
+    readers, sweepers = set(), {s: set() for s in sweeps}
     for name in PRODUCT:
         for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
             if isinstance(node, ast.Attribute):
                 if node.attr in {"P_products", "grid", "layout", "sigma_rows"}:
                     readers.add(name)
                 if node.attr in sweeps:
-                    sweepers.add(name)
+                    sweepers[node.attr].add(name)
             elif isinstance(node, ast.ImportFrom):
-                if any(a.name in sweeps for a in node.names):
-                    sweepers.add(name)
+                for a in node.names:
+                    if a.name in sweeps:
+                        sweepers[a.name].add(name)
     assert readers == {"cbc"}
-    assert sweepers == {"cbc", "cli"}
+    assert sweepers == {"rader_cbc_kernel": {"cbc", "cli"}, "rader_correlation": {"cbc"}}
 
 
 @pytest.mark.parametrize("n", [53, 307])
@@ -83,10 +85,13 @@ def test_one_kernel_call_per_run_per_turn(monkeypatch, n):
     # a turn sweeps the due prime's sigma table once, with theta's products and
     # the larger primes' row, and each run of its smaller partners once.  Runs
     # cover every pair once; at n=307 each is a single pair, so a sweep keeps
-    # one pair's cache footprint, and at n=53 some run holds several.
+    # one pair's cache footprint, and at n=53 some run holds several.  Calls are
+    # counted at the correlation body, which the θ kernel and the runs share.
     calls = []
-    kernel = cbc.rader_cbc_kernel
-    monkeypatch.setattr(cbc, "rader_cbc_kernel", lambda *args: calls.append(args) or kernel(*args))
+    body = fftconv.rader_correlation
+    counted = lambda *args: calls.append(args) or body(*args)  # noqa: E731
+    monkeypatch.setattr(fftconv, "rader_correlation", counted)
+    monkeypatch.setattr(cbc, "rader_correlation", counted)
     monkeypatch.setattr(construct, "physical_memory_bytes", lambda: 0)
     params = KorobovSpaceParams(d=2, alpha=2, gamma=poly_weights(2, 3.0))
     state = construct.ConstructionState(pool=build_prime_pool(n), params=params, tau=0.5)

@@ -8,7 +8,7 @@ from ranlat import runtime
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import randomized_error_sq_fixed
 from ranlat.fftconv import rader_cbc_kernel
-from ranlat.kernels import EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, poly_weights, sigma_alpha
+from ranlat.kernels import EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, poly_weights, sigma_reduced
 from ranlat.primes import ResidueVector, build_prime_pool
 from ranlat.runtime import (
     REPETITION_BLOCK,
@@ -539,9 +539,9 @@ def test_online_runs_evaluate_sigma_once_per_prime(monkeypatch, run):
 
     def counted_sigma(x, alpha):
         points.append(np.size(x))
-        return sigma_alpha(x, alpha)
+        return sigma_reduced(x, alpha)
 
-    monkeypatch.setattr(cbc_module, "sigma_alpha", counted_sigma)
+    monkeypatch.setattr(cbc_module, "sigma_reduced", counted_sigma)
     cbc_module.single_sigma_grid.cache_clear()
     d, n = 3, 30
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
