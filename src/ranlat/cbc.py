@@ -11,9 +11,11 @@ many vectors, one row of products each: `cbc_vectors` takes all the vectors of
 one prime through the CBC levels together.  A state of pairs may hold a run of
 them, (q_1, p), ..., (q_r, p), stacked on rows: one grid, one product array and
 one correlation call per sweep for all of them, each pair's rows bit for bit its
-own.  A pair's columns, the residues k of p, are stored in p's Rader order, and
-its products times the rows each stands for, so that its sweep,
-`fftconv.rader_correlation`, reads grid rows and products as they are stored.
+own.  The last modulus p of a run is prime, and a pair's columns, the residues k
+of p, are stored in p's Rader order, k = 0 and then g^a, and its products times
+the rows each stands for, so that its sweep, `fftconv.rader_correlation`, reads
+grid rows and products as they are stored.  Reading a row at z_p is then a
+rotation of its period by the discrete log of z_p, and at -k one by (p - 1)/2.
 """
 
 from __future__ import annotations
@@ -38,25 +40,16 @@ TIE_RTOL = 1e-9
 
 
 class RecordLayout(NamedTuple):
-    """A record's stored rows, each the row a <= q/2 of a pair (q, c), for a and q - a, and
-    its columns, the residues k of c in the order they are stored."""
+    """A record's stored rows, each the row a <= q/2 of a pair (q, c), for a and q - a."""
 
     shape: tuple[int, ...]  # of the grid and the products
     rows: tuple[slice, ...]  # each pair's rows
-    mirror: tuple[tuple[slice, slice], ...]  # row[to] = row[at] reads a row at -k
     starts: np.ndarray  # each pair's first row
     pair: np.ndarray  # each row's pair, q and a
     q: np.ndarray
     a: np.ndarray
     weight: np.ndarray  # the rows it stands for: 1 if a = -a mod q, else 2
     inverse: np.ndarray  # the stored row of a c^-1 mod q
-    k: np.ndarray  # each column's residue k of c
-    column: np.ndarray  # the column of each residue k, column[k[j]] = j
-
-    def columns(self, z: int) -> np.ndarray:
-        """The columns that a row read at residue z of c takes, column j that of k[j] z."""
-        c = len(self.k)
-        return self.column[self.k * (z % c) % c]
 
 
 def _pairs(moduli: tuple[int, ...]) -> tuple[list[int], int]:
@@ -68,11 +61,12 @@ def _pairs(moduli: tuple[int, ...]) -> tuple[list[int], int]:
 @functools.lru_cache(maxsize=1024)
 def record_layout(moduli: tuple[int, ...]) -> RecordLayout:
     """The read-only `RecordLayout` of a prime (p,), the pair (p, 1) of one column, or of
-    a run (q_1, ..., q_r, p), the pairs (q_i, p) of p columns stacked on rows.  A prime
-    p's columns are in its Rader order (`fftconv.rader_plan`): k = 0, then k = g^a for
-    a = 0..p-2; other columns are in natural order."""
-    if not moduli or any(math.gcd(q, moduli[-1]) != 1 for q in moduli[:-1]):
-        raise DomainError(f"moduli {moduli}: not (p,) or (q_1, ..., q_r, p) with q_i prime to p")
+    a run (q_1, ..., q_r, p) of a prime p, the pairs (q_i, p) of p columns stacked on rows.
+    A run's columns are the residues k of p in its Rader order (`fftconv.rader_plan`):
+    k = 0, then k = g^a for a = 0..p-2."""
+    if (not moduli or any(math.gcd(q, moduli[-1]) != 1 for q in moduli[:-1])
+            or len(moduli) > 1 and not is_prime(moduli[-1])):
+        raise DomainError(f"moduli {moduli}: not (p,) or (q_1, ..., q_r, p), p prime, q_i prime to p")
     qs, c = _pairs(moduli)
     counts = [q // 2 + 1 for q in qs]
     pair = np.repeat(np.arange(len(qs)), counts)
@@ -83,32 +77,26 @@ def record_layout(moduli: tuple[int, ...]) -> RecordLayout:
     inverse = starts[pair] + np.minimum(r, q - r)
     shape = (len(pair),) + ((c,) if len(moduli) > 1 else ())
     rows = tuple(slice(b, b + n) for b, n in zip(starts.tolist(), counts))
-    if is_prime(c) and c > 2:  # Rader order: -g^a = g^(a + (c-1)/2), the period's halves swap
-        k, h = rader_plan(c, c)[1], (c + 1) // 2
-        mirror = ((slice(1, h), slice(h, c)), (slice(h, c), slice(1, h)))
-    else:  # natural order, which the Rader order of 2 is: -k reads the row backwards
-        k, mirror = np.arange(c), ((slice(1, c), slice(c - 1, 0, -1)),)
-    column = np.empty_like(k)
-    column[k] = np.arange(c)
-    layout = RecordLayout(shape, rows, mirror, starts, pair, q, a, np.where(2 * a % q, 2.0, 1.0),
-                          inverse, k, column)
-    for x in layout[3:]:
+    layout = RecordLayout(shape, rows, starts, pair, q, a, np.where(2 * a % q, 2.0, 1.0), inverse)
+    for x in layout[2:]:
         x.flags.writeable = False
     return layout
 
 
 def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     """Read-only grid[a_1, j] = sigma_alpha(min(c, m - c) / m), c = (a_1 m / m_1 + k_j m / m_2)
-    mod m, on the stored rows a_1 <= m_1/2 and the columns k_j of the CRT grid of m = m_1 m_2
-    of each pair (m_1, m_2) of the `record_layout` of moduli, a prime (p,) as the pair (p, 1)."""
+    mod m, on the stored rows a_1 <= m_1/2 of the `record_layout` of moduli and the columns
+    k_j of m_2 in its Rader order, of the CRT grid of m = m_1 m_2 of each pair (m_1, m_2); a
+    prime (p,) is the pair (p, 1) of one column, k = 0."""
     layout = record_layout(moduli)
+    qs, p = _pairs(moduli)
+    k = rader_plan(p, p)[1] if len(moduli) > 1 else np.zeros(1, dtype=np.int64)
     x = np.empty(layout.shape)
-    p = len(layout.k)  # 1 of a prime, whose rows are one column
-    for q, rows in zip(layout.q[layout.starts].tolist(), layout.rows):
+    for q, rows in zip(qs, layout.rows):
         m = q * p
         # both residues are reduced, so the sum s is below 2m, and d = |s - m| gives
         # min(d, m - d) = min(s mod m, m - s mod m), which lies in [0, m / 2]
-        d = np.add.outer((layout.a[rows] * p - m).astype(float), (layout.k * q).astype(float))
+        d = np.add.outer((layout.a[rows] * p - m).astype(float), (k * q).astype(float))
         np.abs(d, out=d)
         np.divide(np.minimum(d, m - d, out=d), m, out=x.reshape(-1, p)[rows])
     grid = sigma_reduced(x, alpha)  # x in [0, 1/2]: no reduction
@@ -134,6 +122,14 @@ def record_bytes(moduli: tuple[int, ...]) -> int:
     return 16 * c * sum(q // 2 + 1 for q in qs)
 
 
+def _rotate(rows: np.ndarray, at, read: np.ndarray, s: int) -> None:
+    """rows[at] = read, a copy of those rows in Rader order, read at g^s: column 1 + a of the
+    period takes column 1 + (a + s) mod (p - 1) of read, and column 0 is kept."""
+    p = rows.shape[-1]
+    rows[at, 1 : p - s] = read[:, 1 + s :]
+    rows[at, p - s :] = read[:, 1 : 1 + s]
+
+
 # Pair grids are not cached: the rebuild policy exists to avoid holding them.
 single_sigma_grid = functools.lru_cache(maxsize=1024)(sigma_grid)
 
@@ -142,19 +138,18 @@ single_sigma_grid = functools.lru_cache(maxsize=1024)(sigma_grid)
 class CbcState:
     """Running point products of the rank-1 rule modulo m = prod(moduli).
 
-    The moduli are one modulus (p,) or a pair (q, p) of coprime moduli; the sweeps
-    need p prime.  The CRT maps Z_m onto Z_{m_1} x Z_{m_2}, so the products live on
-    that grid: P_products[k_1, k_2] = prod_j (1 + gamma_j^2 sigma_alpha(k_1 z_1j / m_1 + k_2 z_2j / m_2))
+    The moduli are one modulus (p,) or a pair (q, p) of coprime moduli with p prime;
+    the sweeps need p prime.  The CRT maps Z_m onto Z_{m_1} x Z_{m_2}, so the products
+    live on that grid: P_products[k_1, k_2] = prod_j (1 + gamma_j^2 sigma_alpha(k_1 z_1j / m_1 + k_2 z_2j / m_2))
     over the dims components folded in so far, `prefix` first, on the stored rows
     k_1 <= m_1/2 of `layout`; row m_1 - k_1 is row k_1 at the negated residues of the
-    other axis.  A pair stores its columns k_2 in the order `layout.k`, the Rader order
-    of a prime m_2 (k_2 = 0, then g^a), and each row times the rows it stands for, 1 or
-    2 (`layout.weight`), which is exact.  grid is `sigma_grid`, in the same order: the
-    point of index k sits at grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike, so
-    every lookup is one row permutation and, of a pair, one column index
-    (`layout.columns`); a folded row swaps the halves of its Rader period
-    (`layout.mirror`).  Only the methods below read this layout: `mean`, the sweeps
-    and the sums.
+    other axis.  A pair stores its columns k_2 in the Rader order of m_2 (k_2 = 0, then
+    g^a), and each row times the rows it stands for, 1 or 2 (`layout.weight`), which is
+    exact.  grid is `sigma_grid`, in the same order: the point of index k sits at
+    grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike, so every lookup is one row
+    permutation and, of a pair, a rotation of each row's period, by the discrete log
+    of z_2 (`fftconv.rader_plan`'s lag) and, for a folded row, (m_2 - 1)/2 more.  Only
+    the methods below read this layout: `mean`, the sweeps and the sums.
 
     A state of one modulus holds R vectors at once if each component of the prefix
     is an int64 column of R residues, shape (R, 1): P_products then has a leading axis,
@@ -206,19 +201,24 @@ class CbcState:
     def sigma_rows(self, *z: int) -> np.ndarray:
         """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
         a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1.
-        Columns are in the layout's order.  One modulus and a column z_1 give one row per
+        Columns are in the grid's order.  One modulus and a column z_1 give one row per
         entry; a run takes one z_1 per pair."""
         if len(self.moduli) == 1:
             m = self.moduli[0]
             r = residue_perm(m, z[0], len(self.grid))
             return self.grid.take(np.minimum(r, m - r), axis=0)
-        rows, fold = self._stored_rows(z[: len(self.moduli) - 1])
-        rows = self.grid.take(rows, axis=0)
-        if len(z) == len(self.moduli):
-            rows = rows.take(self.layout.columns(z[-1]), axis=1)
-        folded = rows[fold]
-        for to, at in self.layout.mirror:
-            rows[fold, to] = folded[:, at]
+        p = self.moduli[-1]
+        stored, fold = self._stored_rows(z[: len(self.moduli) - 1])
+        rows = self.grid.take(stored, axis=0)
+        if len(z) == len(self.moduli):  # k z_p: g^(a + e) at k = g^a, 0 at z_p = 0
+            zp = operator.index(z[-1]) % p
+            if zp == 0:
+                rows[:, 1:] = rows[:, :1]
+                return rows
+            e = -int(rader_plan(p, p)[2][zp - 1]) % (p - 1)
+            if e:
+                _rotate(rows, slice(None), rows.copy(), e)
+        _rotate(rows, fold, rows[fold], (p - 1) // 2)  # -g^a = g^(a + (p-1)/2)
         return rows
 
     def extend(self, *z: int) -> None:

@@ -64,23 +64,21 @@ def rader_plan(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return fold, order, lag
 
 
-def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray, starts=None) -> np.ndarray:
+def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """S[..., z] = sum_r sum_{k in Z_p} values[r, (k z) mod p] * weights[..., r, k], z in Z_p.
 
     values holds R tables, shape (R, n), and weights R rows per batch entry, shape
-    (..., R, n); S has shape (..., p).  Given segment starts, the indices at which
-    consecutive runs of tables begin (starts[0] = 0), each run is summed apart and
-    S has shape (..., len(starts), p), one row per run.  The last axis holds all p
-    entries, or entries 0..p // 2 of even functions (`rader_plan`), in natural
-    order: they are reindexed into Rader order and correlated by `rader_correlation`,
-    with each row of weights summed in natural order for the z = 0 term.
+    (..., R, n); S has shape (..., p).  The last axis holds all p entries, or entries
+    0..p // 2 of even functions (`rader_plan`), in natural order: they are reindexed
+    into Rader order and correlated by `rader_correlation`, with each row of weights
+    summed in natural order for the z = 0 term.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     if v.ndim != 2 or w.shape[-2:] != v.shape:
         raise ShapeError("values must be R tables, shape (R, n), and weights (..., R, n)")
     index = rader_plan(p, v.shape[-1])[1]
-    return rader_correlation(p, v[:, index], w[..., index], starts, w.sum(axis=-1))
+    return rader_correlation(p, v[:, index], w[..., index], None, w.sum(axis=-1))
 
 
 def rader_correlation(p: int, values: np.ndarray, weights: np.ndarray, starts=None,
@@ -88,11 +86,13 @@ def rader_correlation(p: int, values: np.ndarray, weights: np.ndarray, starts=No
     """`rader_cbc_kernel` of tables and rows whose last axis is in Rader order: entry 0
     is k = 0 and entry 1 + a is k = g^a, a over one period (`rader_plan`).
 
-    totals holds each row of weights summed over k, by default in the given order.
-    The k = 0 and z = 0 terms are split off, and k = g^a, z = g^-b leave a cyclic
-    correlation of length n - 1, whose spectra multiply as conj(table) * row (complex
-    products need not be bit-commutative) and are summed over r before one inverse
-    transform per sum.
+    Given segment starts, the indices at which consecutive runs of tables begin
+    (starts[0] = 0), each run is summed apart and S has shape (..., len(starts), p),
+    one row per run.  totals holds each row of weights summed over k, by default in
+    the given order.  The k = 0 and z = 0 terms are split off, and k = g^a, z = g^-b
+    leave a cyclic correlation of length n - 1, whose spectra multiply as
+    conj(table) * row (complex products need not be bit-commutative) and are summed
+    over r before one inverse transform per sum.
     """
     v, w = values, weights
     fold, _, lag = rader_plan(p, v.shape[-1])

@@ -24,7 +24,7 @@ from .cbc import CbcState, candidate_set
 from .errors import BoundParams, _grid_infimum
 from .fftconv import ShapeError
 from .kernels import DomainError, KorobovSpaceParams, sigma_alpha, zeta
-from .primes import PrimePool, ResidueVector, is_prime, primitive_root
+from .primes import PrimePool, ResidueVector, primitive_root
 from .runtime import Integrand
 
 
@@ -46,13 +46,11 @@ def direct_products(
     return out
 
 
-def column_order(c: int) -> np.ndarray:
-    """The residues k of c in the order a pair's record stores its columns: 0, g^0, g^1, ...,
-    g^(c-2) of the smallest primitive root g of a prime c, else 0..c-1."""
-    if not is_prime(c):
-        return np.arange(c)
-    g = primitive_root(c)
-    return np.array([0] + [pow(g, a, c) for a in range(c - 1)])
+def column_order(p: int) -> np.ndarray:
+    """The residues k of a prime p in the order a pair's record stores its columns: 0, g^0,
+    g^1, ..., g^(p-2) of the smallest primitive root g of p."""
+    g = primitive_root(p)
+    return np.array([0] + [pow(g, a, p) for a in range(p - 1)])
 
 
 def expanded_products(state: CbcState) -> np.ndarray:

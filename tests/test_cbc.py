@@ -136,8 +136,8 @@ def test_records_are_exactly_even(p, q, alpha, data):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    moduli=st.sampled_from([(1,), (2,), (12,), (30,), (64,), (101,), (2, 3), (3, 2), (4, 9),
-                            (7, 11), (11, 7), (16, 15), (53, 59)]),
+    moduli=st.sampled_from([(1,), (2,), (12,), (30,), (64,), (101,), (2, 3), (3, 2), (4, 7),
+                            (7, 11), (11, 7), (16, 13), (53, 59)]),
     alpha=st.sampled_from([1, 2, 3]),
     data=st.lists(st.integers(min_value=0, max_value=10 ** 4), min_size=2, max_size=8),
 )
@@ -202,6 +202,13 @@ def test_record_takes_a_prime_or_a_run():
         CbcState((), _params(1), ())
     with pytest.raises(DomainError):  # 3 and 9 share a factor: no CRT grid
         CbcState((5, 3, 9), _params(1), ())
+    for moduli in ((4, 9), (16, 15), (3, 5, 16, 49)):  # a run's columns are a prime's Rader order
+        with pytest.raises(DomainError):
+            record_layout(moduli)
+        with pytest.raises(DomainError):
+            sigma_grid(moduli, 2)
+        with pytest.raises(DomainError):
+            CbcState(moduli, _params(1), ())
     run = CbcState((2, 3, 5), _params(1), [(1, 2, 3)])
     assert run.layout.starts.tolist() == [0, 2]
     pairs = [CbcState((q, 5), _params(1), [(z, 3)]) for q, z in ((2, 1), (3, 2))]
@@ -274,31 +281,38 @@ def test_run_is_its_pairs_bit_for_bit(data, p, alpha):
     assert run.P_products.tobytes() == np.vstack([pair.P_products for pair in pairs]).tobytes()
 
 
-@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (4, 9), (3, 2), (2, 4, 6, 9, 11), (3, 5, 16, 7),
-                                    (16, 15), (47, 53)])
+@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (4, 7), (3, 2), (2, 4, 6, 9, 11), (3, 5, 16, 17),
+                                    (16, 3), (47, 53)])
 def test_record_layout_is_cached_and_read_only(moduli):
     # a prime is the pair (p, 1) of one column; each stored row a <= q/2 stands for
     # a and q - a, once where they are one row, so a pair's weights sum to q; and
-    # a -> a c^-1 mod q, folded, permutes the pair's rows.  The columns are the
-    # residues k of c in Rader order for a prime c, else in natural order; a row read
-    # at z takes column k z of each k, and the mirror reads it at -k
+    # a -> a c^-1 mod q, folded, permutes the pair's rows.  A run's columns are the
+    # residues k of c in Rader order, and sigma_rows reads them by rotating the
+    # period: at each z, folded rows included, entry (a, j) is sigma_alpha at the CRT
+    # point of (a zq mod q, k_j z mod c), byte for byte
     layout = record_layout(moduli)
     assert record_layout(moduli) is layout
     *qs, c = moduli + (1,) if len(moduli) == 1 else moduli
     rows = sum(q // 2 + 1 for q in qs)
     assert layout.shape == ((rows,) if len(moduli) == 1 else (rows, c))
     assert record_bytes(moduli) == 16 * rows * c == 16 * math.prod(layout.shape)
-    assert layout.k.tolist() == column_order(c).tolist()
-    assert layout.column[layout.k].tolist() == list(range(c))
-    for z in (0, 1, 2, c - 1, 3 * c + 5, -7):
-        assert layout.k[layout.columns(z)].tolist() == (layout.k * z % c).tolist()
-    mirrored = layout.k.copy()
-    for to, at in layout.mirror:
-        mirrored[to] = layout.k[at]
-    assert mirrored.tolist() == (-layout.k % c).tolist()
-    for x in layout[3:]:
+    for x in layout[2:]:
         with pytest.raises(ValueError):
             x[0] = 5
+    if len(moduli) > 1:
+        state = CbcState(moduli, _params(1, alpha=2), ())
+        zq = [-(i + 1) for i in range(len(qs))]  # -1 folds each row 0 < a < q/2; q = 2 never folds
+        folded = 0
+        for z in (0, 1, 2, c - 1, c, 3 * c + 5, -7):
+            expect = []
+            for q, zi in zip(qs, zq):
+                m, l = q * c, np.arange(q // 2 + 1) * zi % q
+                point = (l[:, None] * c + column_order(c) * z % c * q) % m
+                expect.append(sigma_alpha(np.minimum(point, m - point) / m, 2))
+                folded += np.count_nonzero(l > q - l)
+            assert state.sigma_rows(*zq, z).tobytes() == np.concatenate(expect).tobytes(), z
+        assert state.sigma_rows(*zq).tobytes() == state.sigma_rows(*zq, 1).tobytes()
+        assert folded > 0
     for i, q in enumerate(qs):
         own = np.flatnonzero(layout.pair == i)
         assert layout.starts[i] == own[0] and len(own) == q // 2 + 1
@@ -340,16 +354,16 @@ def test_pair_sweep_and_sums_are_the_direct_sums(p, alpha):
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
-@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (101,), (2, 5), (3, 2), (4, 9), (16, 15),
-                                    (53, 59), (2, 4, 6, 9, 11), (3, 5, 16, 7), (31, 43, 53)])
+@pytest.mark.parametrize("moduli", [(2,), (7,), (12,), (101,), (2, 5), (3, 2), (4, 7), (16, 13),
+                                    (53, 59), (2, 4, 6, 9, 11), (3, 5, 16, 17), (31, 43, 53)])
 def test_sigma_grid_is_the_direct_formula(moduli, alpha):
-    # primes, runs, even first moduli and composite last moduli: each entry is
+    # primes, runs, and even and composite first moduli: each entry is
     # sigma_alpha(min(c, m - c) / m) of the CRT point c = (a m / q + k m / p) mod m
-    # of the pair (q, p) of its row, with the columns k in the stored order, byte
-    # for byte, though the grid reduces |c - m| with no mask and skips the floor
+    # of the pair (q, p) of its row, with the columns k in Rader order, byte for
+    # byte, though the grid reduces |c - m| with no mask and skips the floor
     grid = sigma_grid(moduli, alpha)
     *qs, p = moduli + (1,) if len(moduli) == 1 else moduli
-    k = column_order(p)
+    k = column_order(p) if len(moduli) > 1 else 0
     expect = []
     for q in qs:
         m = q * p

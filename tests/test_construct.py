@@ -406,6 +406,17 @@ def test_probe_without_sysconf_reports_zero_and_rebuilds(monkeypatch, tmp_path):
     assert counts["builds"] == 9  # 3 runs at the start and at each of 2 turns, none for e_ran
 
 
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("n", [53, 101])
+def test_shorter_vector_is_a_prefix_of_the_longer(n, alpha):
+    # the choice at component s reads only the components before s and gamma_s, so
+    # the d = 3 vectors are the first three components of the d = 6 ones
+    short, long = _params(3, alpha=alpha, c=3.0), _params(6, alpha=alpha, c=3.0)
+    fixed = construct_fixed_vector(n, 6, long).residues
+    assert [r[:3] for r in fixed] == list(construct_fixed_vector(n, 3, short).residues)
+    assert cbc_construct(n, long)[:3] == cbc_construct(n, short)
+
+
 def test_first_component_all_ones():
     params = _params(3)
     v = construct_fixed_vector(40, 3, params)

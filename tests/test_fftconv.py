@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranlat.fftconv import ShapeError, power_permutation, rader_cbc_kernel, rader_plan
+from ranlat.fftconv import (
+    ShapeError, power_permutation, rader_cbc_kernel, rader_correlation, rader_plan,
+)
 from ranlat.oracles import rader_cbc_kernel_naive
 from ranlat.primes import NotPrimeError, primitive_root, sieve_primes
 
@@ -119,9 +121,10 @@ def test_rader_batch_rows_are_the_kernel_bit_for_bit():
 
 
 def test_rader_segments_are_the_kernel_of_each_segment_bit_for_bit():
-    # given segment starts, each run of tables is summed apart: row i is the
-    # kernel of the tables from starts[i] to starts[i + 1] alone, bit for bit,
-    # in both layouts and with segments of one table
+    # given segment starts, the correlation body sums each run of tables apart: fed
+    # the inputs reindexed by rader_plan's order and the natural-order row sums, row
+    # i is the kernel of the tables from starts[i] to starts[i + 1] alone, bit for
+    # bit, in both layouts and with segments of one table
     rng = np.random.default_rng(5)
     for p in (2, 3, 5, 13, 53, 101):
         for n in {p, p // 2 + 1}:
@@ -130,7 +133,8 @@ def test_rader_segments_are_the_kernel_of_each_segment_bit_for_bit():
             starts = np.cumsum(counts) - counts
             v = rng.standard_normal((counts.sum(), n))
             w = rng.standard_normal((counts.sum(), n))
-            rows = rader_cbc_kernel(p, v, w, starts)
+            order = rader_plan(p, n)[1]
+            rows = rader_correlation(p, v[:, order], w[:, order], starts, w.sum(axis=-1))
             assert rows.shape == (4, p)
             for i, (a, c) in enumerate(zip(starts, counts)):
                 one = rader_cbc_kernel(p, v[a : a + c], w[a : a + c])

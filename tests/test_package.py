@@ -62,22 +62,27 @@ def test_only_cbc_reads_the_record_layout():
     # A record's layout (its grid, products, sigma rows, stored rows and column order)
     # is read through CbcState's methods alone, and only cbc runs the Rader sweep: the
     # correlation body on its Rader-ordered pair records, the reindexing kernel on
-    # natural-order tables; cli imports the kernel for its fft oracle suite.
-    sweeps = {"rader_cbc_kernel", "rader_correlation"}
-    readers, sweepers = set(), {s: set() for s in sweeps}
+    # natural-order tables; cli imports the kernel for its fft oracle suite.  The
+    # Rader order itself, rader_plan, is named by fftconv and cbc alone.
+    watched = {"rader_cbc_kernel", "rader_correlation", "rader_plan"}
+    readers, namers = set(), {s: set() for s in watched}
     for name in PRODUCT:
         for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
             if isinstance(node, ast.Attribute):
                 if node.attr in {"P_products", "grid", "layout", "sigma_rows"}:
                     readers.add(name)
-                if node.attr in sweeps:
-                    sweepers[node.attr].add(name)
+                named = [node.attr]
             elif isinstance(node, ast.ImportFrom):
-                for a in node.names:
-                    if a.name in sweeps:
-                        sweepers[a.name].add(name)
+                named = [a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                named = [node.id]
+            else:
+                continue
+            for n in watched.intersection(named):
+                namers[n].add(name)
     assert readers == {"cbc"}
-    assert sweepers == {"rader_cbc_kernel": {"cbc", "cli"}, "rader_correlation": {"cbc"}}
+    assert namers == {"rader_cbc_kernel": {"cbc", "cli"}, "rader_correlation": {"cbc", "fftconv"},
+                      "rader_plan": {"cbc", "fftconv"}}
 
 
 @pytest.mark.parametrize("n", [53, 307])
