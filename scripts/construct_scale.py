@@ -3,7 +3,8 @@
 
 Each row is one (source tree, n, alpha, policy), with d = 5, gamma_j = j^-3 and
 tau = 0.5, and runs in fresh processes of its own: one timed, which records
-wall time, CPU time and peak RSS (`ru_maxrss`), and one under tracemalloc,
+wall time, CPU time, peak RSS (`ru_maxrss`) and the minor page faults of
+construct plus e_ran (`ru_minflt` around them), and one under tracemalloc,
 which records its peak.  The policy is forced by replacing
 `construct.physical_memory_bytes` before the construction: 2^62 keeps the
 pair runs, 0 rebuilds them.  Rows run one at a time, the trees in turn within
@@ -51,17 +52,19 @@ def row(src: str, n: int, alpha: int, policy: str, traced: bool) -> dict:
     params = KorobovSpaceParams(d=D, alpha=alpha, gamma=poly_weights(D, WEIGHT_DECAY))
     if traced:
         tracemalloc.start()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     wall, cpu = time.perf_counter(), time.process_time()
     v = construct.construct_fixed_vector(n, D, params, tau=TAU)
     report = randomized_error_sq_fixed(v, params)
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     out = {"eran_sq": report.squared_error.hex(),
            "vector_sha256": hashlib.sha256(repr(v.residues).encode()).hexdigest()}
     if traced:
         out["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
     else:  # ru_maxrss is in KiB on Linux
-        out.update(wall_s=wall, cpu_s=cpu,
-                   peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+        out.update(wall_s=wall, cpu_s=cpu, peak_rss_mb=usage.ru_maxrss / 1024,
+                   minor_faults=usage.ru_minflt - faults)
     return out
 
 
@@ -87,7 +90,7 @@ def host() -> dict:
 def ratios(rows: list[dict], trees: list[str]) -> tuple[list[dict], list[dict]]:
     """Rebuild over kept per (tree, n, alpha), and each tree over the first per row."""
     at = {(r["tree"], r["n"], r["alpha"], r["policy"]): r for r in rows}
-    metrics = ("wall_s", "cpu_s", "peak_rss_mb", "tracemalloc_peak_mb")
+    metrics = ("wall_s", "cpu_s", "peak_rss_mb", "minor_faults", "tracemalloc_peak_mb")
     policy, trees_ratio = [], []
     for (tree, n, alpha, pol), r in at.items():
         if pol == "rebuilt" and (tree, n, alpha, "kept") in at:
@@ -130,6 +133,7 @@ def main() -> int:
                          and traced["eran_sq"] == timed["eran_sq"]})
             print(f"{label:>8} n={n:<4} alpha={alpha} {policy:<7} wall {timed['wall_s']:7.2f} s "
                   f"cpu {timed['cpu_s']:7.2f} s  rss {timed['peak_rss_mb']:7.1f} MB  "
+                  f"minflt {timed['minor_faults']:8d}  "
                   f"tracemalloc {traced['tracemalloc_peak_mb']:7.1f} MB", file=sys.stderr)
     outputs = {}
     for r in rows:

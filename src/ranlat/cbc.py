@@ -6,16 +6,17 @@ pair of coprime moduli, so that the squared-error increment theta of every
 candidate residue comes out of a single Rader convolution sweep,
 `fftconv.rader_cbc_kernel`, as do a pair's cross terms.  As sigma_alpha is even,
 so is P: a record stores the rows k_1 <= m_1/2 of its first axis, each for k_1
-and m_1 - k_1, as `record_layout` lays them out.  A state of one prime may hold
-many vectors, one row of products each: `cbc_vectors` takes all the vectors of
-one prime through the CBC levels together.  A state of pairs may hold a run of
-them, (q_1, p), ..., (q_r, p), stacked on rows: one grid, one product array and
-one correlation call per sweep for all of them, each pair's rows bit for bit its
-own.  The last modulus p of a run is prime, and a pair's columns, the residues k
-of p, are stored in p's Rader order, k = 0 and then g^a, and its products times
-the rows each stands for, so that its sweep, `fftconv.rader_correlation`, reads
-grid rows and products as they are stored.  Reading a row at z_p is then a
-rotation of its period by the discrete log of z_p, and at -k one by (p - 1)/2.
+and m_1 - k_1, as `record_layout` lays them out, and each row's products times
+the rows it stands for, 1 or 2, so that sweeps, means and sums read them as
+stored.  A state of one prime may hold many vectors, one row of products each:
+`cbc_vectors` takes all the vectors of one prime through the CBC levels
+together.  A state of pairs may hold a run of them, (q_1, p), ..., (q_r, p),
+stacked on rows: one grid, one product array and one correlation call per sweep
+for all of them, each pair's rows bit for bit its own.  The last modulus p of a
+run is prime, and a pair's columns, the residues k of p, are stored in p's Rader
+order, k = 0 and then g^a, so that its sweep, `fftconv.rader_correlation`, reads
+grid rows and products as stored.  Reading a row at z_p is then a rotation of
+its period by the discrete log of z_p, and at -k one by (p - 1)/2.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def sigma_grid(moduli: tuple[int, ...], alpha: int) -> np.ndarray:
     prime (p,) is the pair (p, 1) of one column, k = 0."""
     layout = record_layout(moduli)
     qs, p = _pairs(moduli)
-    k = rader_plan(p, p)[1] if len(moduli) > 1 else np.zeros(1, dtype=np.int64)
+    k = rader_plan(p, p)[0] if len(moduli) > 1 else np.zeros(1, dtype=np.int64)
     x = np.empty(layout.shape)
     for q, rows in zip(qs, layout.rows):
         m = q * p
@@ -142,10 +143,10 @@ class CbcState:
     the sweeps need p prime.  The CRT maps Z_m onto Z_{m_1} x Z_{m_2}, so the products
     live on that grid: P_products[k_1, k_2] = prod_j (1 + gamma_j^2 sigma_alpha(k_1 z_1j / m_1 + k_2 z_2j / m_2))
     over the dims components folded in so far, `prefix` first, on the stored rows
-    k_1 <= m_1/2 of `layout`; row m_1 - k_1 is row k_1 at the negated residues of the
-    other axis.  A pair stores its columns k_2 in the Rader order of m_2 (k_2 = 0, then
-    g^a), and each row times the rows it stands for, 1 or 2 (`layout.weight`), which is
-    exact.  grid is `sigma_grid`, in the same order: the point of index k sits at
+    k_1 <= m_1/2 of `layout`, each times the rows it stands for, 1 or 2 (`layout.weight`),
+    which is exact; row m_1 - k_1 is row k_1 at the negated residues of the other axis.
+    A pair stores its columns k_2 in the Rader order of m_2 (k_2 = 0, then g^a).  grid
+    is `sigma_grid`, in the same order, unweighted: the point of index k sits at
     grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2], folded alike, so every lookup is one row
     permutation and, of a pair, a rotation of each row's period, by the discrete log
     of z_2 (`fftconv.rader_plan`'s lag) and, for a folded row, (m_2 - 1)/2 more.  Only
@@ -177,10 +178,9 @@ class CbcState:
         rows = np.shape(prefix[0][0])[:-1] if prefix else ()
         if rows and len(self.moduli) > 1:
             raise DomainError("a pair record holds one vector")
-        if len(self.moduli) == 1:
-            self.P_products = np.ones(rows + self.grid.shape)
-        else:  # each stored row times the rows it stands for
-            self.P_products = np.repeat(self.layout.weight[:, None], self.grid.shape[1], axis=1)
+        # each stored row times the rows it stands for
+        weight = self.layout.weight.reshape((-1,) + (1,) * (self.grid.ndim - 1))
+        self.P_products = np.broadcast_to(weight, rows + self.grid.shape).copy()
         for z in prefix:
             self.extend(*z)
 
@@ -215,7 +215,7 @@ class CbcState:
             if zp == 0:
                 rows[:, 1:] = rows[:, :1]
                 return rows
-            e = -int(rader_plan(p, p)[2][zp - 1]) % (p - 1)
+            e = -int(rader_plan(p, p)[1][zp - 1]) % (p - 1)
             if e:
                 _rotate(rows, slice(None), rows.copy(), e)
         _rotate(rows, fold, rows[fold], (p - 1) // 2)  # -g^a = g^(a + (p-1)/2)
@@ -230,41 +230,35 @@ class CbcState:
         self.dims += 1
 
     def mean(self) -> float | np.ndarray:
-        """Mean of P over all m points by one `exact_sum`: each stored row times the
-        rows it stands for, 1 or 2, which is exact, so this is bit for bit the fsum
-        over the full record.  An array of one mean per vector if the state holds
-        many, or per pair if it holds a run of more than one."""
-        if len(self.moduli) > 1:  # the products are stored weighted
-            p = self.moduli[-1]
-            means = [exact_sum(self.P_products[rows].ravel()) / (q * p)
-                     for q, rows in zip(self.moduli, self.layout.rows)]
-            return means[0] if len(means) == 1 else np.array(means)
-        weighted, m = self.P_products * self.layout.weight, self.moduli[0]
-        if weighted.ndim == 1:
-            return exact_sum(weighted) / m
-        return np.array([exact_sum(w) / m for w in weighted])
+        """Mean of P over all m points by one `exact_sum` of the stored, weighted products,
+        bit for bit the fsum over the full record.  An array of one mean per vector if the
+        state holds many, or per pair if it holds a run of more than one."""
+        (qs, c), P = _pairs(self.moduli), self.P_products
+        if P.ndim > len(self.layout.shape):  # one row of products per vector
+            return np.array([exact_sum(w) / qs[0] for w in P])
+        means = [exact_sum(P[rows].ravel()) / (q * c) for q, rows in zip(qs, self.layout.rows)]
+        return means[0] if len(means) == 1 else np.array(means)
 
     def sweep(self, *rows: np.ndarray) -> np.ndarray:
         """S[..., z] = sum_k sigma_alpha(k z / p) w[..., k], k and z in Z_p (one prime), one sweep
-        per row of w: the products, stacked over any given rows of even weights on k <= p/2."""
+        per row of w: the products, stacked over any given rows of even weights on k <= p/2,
+        stored alike, each entry times the residues it stands for."""
         w = np.vstack((self.P_products,) + rows) if rows else self.P_products
         return rader_cbc_kernel(self.moduli[0], self.grid[None], w[..., None, :])
 
     def pair_sweep(self, *zq: int) -> np.ndarray:
         """S[i, z] = sum_{l in Z_q_i, k in Z_p} sigma_alpha(l zq_i / q_i + k z / p) P_i(l, k) for
         every z in Z_p, one row per pair (q_i, p) of the run, from one correlation that sums
-        each pair's rows apart, each row l of the products weighted by the rows it stands
-        for, l and q_i - l.  Grid and products are in Rader order, so the correlation reads
-        them as stored."""
+        each pair's rows apart.  Grid and weighted products are in Rader order, so the
+        correlation reads them as stored."""
         return rader_correlation(self.moduli[-1], self.sigma_rows(*zq), self.P_products,
                                  self.layout.starts)
 
     def pair_sums(self) -> list[np.ndarray]:
         """sum_{k in Z_p} P_i(l, k) at l = k p^-1 mod q_i for k <= q_i/2, the larger-prime weights
         of T-hat at q_i, one array per pair (q_i, p) of the run, each row summed in the
-        stored column order."""
-        # the products are stored weighted, and dividing by 1 or 2 is exact
-        sums = (self.P_products.sum(axis=1) / self.layout.weight)[self.layout.inverse]
+        stored column order and, as stored, times the rows it stands for, k and q_i - k."""
+        sums = self.P_products.sum(axis=1)[self.layout.inverse]
         return [sums[rows] for rows in self.layout.rows]
 
 

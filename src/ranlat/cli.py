@@ -27,7 +27,7 @@ from .errors import (
     theorem_bound_min,
     worst_case_error_sq,
 )
-from .fftconv import rader_cbc_kernel
+from .fftconv import rader_cbc_kernel, rader_correlation, rader_plan
 from .kernels import DomainError, KorobovSpaceParams, poly_weights
 from .primes import C_PRIME, ResidueVector, build_prime_pool, sieve_primes
 from .runtime import (
@@ -284,12 +284,16 @@ def _verify_fft_oracle() -> list[str]:
         v, w = uniform(p)[None], uniform(p)[None]
         vs, ws = uniform(R * p).reshape(R, p), uniform(R * p).reshape(R, p)
         even, h = np.minimum(np.arange(p), p - np.arange(p)), p // 2 + 1  # even inputs: entries < h
+        half = np.where(np.arange(h) > 0, 2.0, 1.0)  # the residues k, p - k an entry stands for
+        cut, order = 1 + rng.next_below(R - 1), rader_plan(p, p)[0]  # two runs of tables
         for form, fast, slow in (
             ("", rader_cbc_kernel(p, v, w), naive(p, v[0], w[0])),
             (" tables", rader_cbc_kernel(p, vs, ws), sum(naive(p, a, b) for a, b in zip(vs, ws))),
-            (" even", rader_cbc_kernel(p, v[:, :h], w[:, :h]), naive(p, v[0, even], w[0, even])),
-            (" even batch", rader_cbc_kernel(p, v[:, :h], ws[:, None, :h]),
+            (" even", rader_cbc_kernel(p, v[:, :h], w[:, :h] * half), naive(p, v[0, even], w[0, even])),
+            (" even batch", rader_cbc_kernel(p, v[:, :h], ws[:, None, :h] * half),
              [naive(p, v[0, even], r[even]) for r in ws]),
+            (" segments", rader_correlation(p, vs.take(order, -1), ws.take(order, -1), [0, cut]),
+             [sum(naive(p, a, b) for a, b in zip(vs[at], ws[at])) for at in (slice(cut), slice(cut, None))]),
         ):
             err = float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)))
             if err > 1e-9 or ("even" in form and not np.array_equal(fast[..., even], fast)):

@@ -82,22 +82,25 @@ def partner_runs(primes: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]
     return tuple(runs + [run + (p,)] if run else runs)
 
 
-# cgroup v2 memory limit of the process's container: a byte count, or "max".
-CGROUP_MEMORY_MAX = pathlib.Path("/sys/fs/cgroup/memory.max")
+# The container's memory limit: cgroup v2's byte count or "max", cgroup v1's byte count.
+CGROUP_MEMORY_LIMITS = (pathlib.Path("/sys/fs/cgroup/memory.max"),
+                        pathlib.Path("/sys/fs/cgroup/memory/memory.limit_in_bytes"))
 
 
 def physical_memory_bytes() -> int:
-    """Memory the process may use: installed RAM, or a smaller cgroup v2 limit;
+    """Memory the process may use: installed RAM, or a smaller cgroup v2 or v1 limit;
     0 where installed RAM cannot be read (no `os.sysconf`, as on Windows)."""
     try:
         installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return 0
-    try:
-        limit = CGROUP_MEMORY_MAX.read_text().strip()
-    except OSError:
-        return installed
-    return min(installed, int(limit)) if limit.isdigit() else installed
+    limits = [installed]
+    for path in CGROUP_MEMORY_LIMITS:
+        try:
+            limits.append(int(path.read_text()))
+        except (OSError, ValueError):  # no such file, or cgroup v2's "max"
+            pass
+    return min(limits)
 
 
 @dataclass
@@ -112,8 +115,8 @@ class ConstructionState:
     chosen.  A prime's record is kept, a run only if keep_tables (set from the
     memory probe); else it is held through its prime's choice.  larger[p] sums,
     over q > p ascending, 2 / q^(2 alpha + 1) times the row sums of the pair
-    (p, q) read at k q^-1 mod p, k <= p/2, as q's choices extend the pair; means
-    holds E(pq) + 1 of each pair once it is at all d components.
+    (p, q) read at k q^-1 mod p, k <= p/2, weighted as p's products, as q's choices
+    extend the pair; means holds E(pq) + 1 of each pair once it is at all d components.
     """
 
     pool: PrimePool

@@ -56,17 +56,16 @@ def column_order(p: int) -> np.ndarray:
 def expanded_products(state: CbcState) -> np.ndarray:
     """A record's full products over Z_m_1 x ..., in natural order: row a > m_1/2 is the
     stored row m_1 - a at the negated residues of the other axis.  Of a run (q_1, ..., q_r, p),
-    each pair's q_i full rows, from its q_i // 2 + 1 stored ones, stacked in order; a run
-    stores each row times the rows it stands for, 1 or 2, and its columns in `column_order`,
-    both undone here."""
+    each pair's q_i full rows, from its q_i // 2 + 1 stored ones, stacked in order.  A record
+    stores each row times the rows it stands for, 1 or 2, and a run its columns in
+    `column_order`, both undone here: dividing by 1 or 2 is exact."""
     qs = state.moduli[:-1] or state.moduli
-    stored = state.P_products
+    weight = state.layout.weight.reshape((-1,) + (1,) * (state.grid.ndim - 1))
+    stored = state.P_products / weight
     if len(state.moduli) > 1:
-        k = column_order(state.moduli[-1])
-        a = np.concatenate([np.arange(m // 2 + 1) for m in qs])
-        q = np.repeat(qs, [m // 2 + 1 for m in qs])
-        stored = np.empty_like(stored)
-        stored[:, k] = state.P_products / np.where(2 * a % q, 2.0, 1.0)[:, None]
+        natural = np.empty_like(stored)
+        natural[:, column_order(state.moduli[-1])] = stored
+        stored = natural
     parts, start = [], 0
     for m in qs:
         k = np.arange(m)
@@ -104,7 +103,7 @@ def theta_all_naive(state: CbcState) -> np.ndarray:
     (p,) = state.moduli
     gam2 = state.params.gamma[state.dims] ** 2
     full = np.minimum(np.arange(p), p - np.arange(p))  # P(p - k) = P(k)
-    return gam2 / p * rader_cbc_kernel_naive(p, state.grid[full], state.P_products[full])
+    return gam2 / p * rader_cbc_kernel_naive(p, state.grid[full], expanded_products(state))
 
 
 def pair_sweep_naive(state: CbcState, *zq: int) -> np.ndarray:

@@ -153,14 +153,9 @@ def test_error_sq_of_half_record_is_fsum_of_full(moduli, alpha, data):
 
 
 def _fsum_mean(state):
-    """mean() as it was before exact_sum: one math.fsum over the weighted stored rows,
-    which a pair's record stores weighted."""
-    weighted = state.P_products
-    if len(state.moduli) == 1:
-        weighted = 2.0 * state.P_products
-        own = [0, -1] if state.moduli[0] % 2 == 0 else [0]
-        weighted[own] = state.P_products[own]
-    return math.fsum(weighted.ravel()) / math.prod(state.moduli)
+    """mean() as it was before exact_sum: one math.fsum over the stored rows, which a
+    record stores weighted."""
+    return math.fsum(state.P_products.ravel()) / math.prod(state.moduli)
 
 
 @pytest.mark.parametrize("n", [30, 101, 307])
@@ -192,7 +187,8 @@ def test_record_index_arithmetic_is_int64():
     # would wrap and read the wrong sigma entries
     n, z = 65_537, (1, 65_536)
     params = KorobovSpaceParams(d=2, alpha=2, gamma=(1.0, 0.5))
-    fast = CbcState((n,), params, zip(z)).P_products
+    state = CbcState((n,), params, zip(z))
+    fast = state.P_products / state.layout.weight  # stored weighted: dividing by 1 or 2 is exact
     assert fast.tobytes() == direct_products((n,), params, zip(z))[: n // 2 + 1].tobytes()
 
 
@@ -330,8 +326,9 @@ def test_record_layout_is_cached_and_read_only(moduli):
 def test_pair_sweep_and_sums_are_the_direct_sums(p, alpha):
     # even and composite first moduli, as a run and each pair alone: the row q/2 of
     # an even q is its own mirror and counts once in the sweep.  The pair sums are
-    # the full products' row sums read at k p^-1 mod q, and at z = 0 the direct
-    # sweep is sum over l in Z_q of sigma_alpha(l zq / q) times row sum l
+    # the full products' row sums read at k p^-1 mod q, times the rows each stands
+    # for, and at z = 0 the direct sweep is sum over l in Z_q of sigma_alpha(l zq / q)
+    # times row sum l
     qs = (2, 4, 6, 9)
     rng = np.random.default_rng(p * alpha)
     params = _params(3, alpha=alpha, c=1.5)
@@ -347,6 +344,7 @@ def test_pair_sweep_and_sums_are_the_direct_sums(p, alpha):
         full = np.split(expanded_products(state), np.cumsum(run)[:-1])
         for q, zi, sums, rows, s0 in zip(run, z, state.pair_sums(), full, slow[:, 0]):
             k = np.arange(q // 2 + 1)
+            sums = sums / np.where(2 * k % q, 2.0, 1.0)  # dividing by 1 or 2 is exact
             np.testing.assert_allclose(sums, rows[k * pow(p, -1, q) % q].sum(axis=1), rtol=1e-13)
             at = np.arange(q) * p % q
             total = sigma_alpha(np.arange(q) * zi % q / q, alpha) @ sums[np.minimum(at, q - at)]
@@ -387,8 +385,9 @@ def test_pair_sweep_takes_the_natural_kernels_inputs(p, alpha):
     # a pair's grid rows, folded or not, and its products, both stored in Rader order
     # and the products weighted, are the same numbers in the same positions as the
     # natural-order weighted table and products that rader_cbc_kernel reindexes, so
-    # every sweep value at z >= 1 is that kernel's bit for bit: for the run (2, 4, 6,
-    # 9, p), a pair (q, p) and a run (q_1, q_2, p)
+    # every sweep value is that kernel's bit for bit, z = 0 included, whose sum runs
+    # over the k in Rader order in both: for the run (2, 4, 6, 9, p), a pair (q, p) and
+    # a run (q_1, q_2, p)
     below = sieve_primes(p - 1)
     rng = np.random.default_rng(p * alpha)
     params = _params(4, alpha=alpha, c=1.5)
@@ -402,8 +401,7 @@ def test_pair_sweep_takes_the_natural_kernels_inputs(p, alpha):
         for i, (q, zi) in enumerate(zip(qs, zq)):
             table = _natural_table(q, p, zi, alpha)
             kernel = rader_cbc_kernel(p, table, full[i][: q // 2 + 1])
-            assert S[i, 1:].tobytes() == kernel[1:].tobytes(), (qs, q)
-            assert S[i, 0] == pytest.approx(kernel[0], rel=1e-13)
+            assert S[i].tobytes() == kernel.tobytes(), (qs, q)
             a = np.arange(q // 2 + 1) * zi % q
             folded += np.count_nonzero(a > q - a)
     assert folded > 0  # some rows are read folded

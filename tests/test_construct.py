@@ -222,7 +222,7 @@ def test_probe_takes_cgroup_limit_below_installed_memory(monkeypatch, tmp_path):
     # a container limit under twice the kept tables selects the rebuild
     # policy on any host; a missing file or "max" leaves installed memory
     limit = tmp_path / "memory.max"
-    monkeypatch.setattr(construct, "CGROUP_MEMORY_MAX", limit)
+    monkeypatch.setattr(construct, "CGROUP_MEMORY_LIMITS", (limit, tmp_path / "missing"))
     installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert construct.physical_memory_bytes() == installed
     limit.write_text("max\n")
@@ -233,6 +233,22 @@ def test_probe_takes_cgroup_limit_below_installed_memory(monkeypatch, tmp_path):
     counts = _count_pair_builds(monkeypatch)
     construct_fixed_vector(30, 3, _params(3))
     assert counts["builds"] == 9
+
+
+def test_probe_takes_cgroup_v1_limit(monkeypatch, tmp_path):
+    # a cgroup v1 host has no memory.max: its limit file counts alike, and its
+    # "unlimited", a byte count above installed memory, leaves installed memory
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(construct, "CGROUP_MEMORY_LIMITS", (v2, v1))
+    installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    v1.write_text("9223372036854771712\n")
+    assert construct.physical_memory_bytes() == installed
+    v1.write_text(f"{installed // 4}\n")
+    assert construct.physical_memory_bytes() == installed // 4
+    v2.write_text("max\n")
+    assert construct.physical_memory_bytes() == installed // 4
+    v2.write_text(f"{installed // 8}\n")  # the smaller of the two
+    assert construct.physical_memory_bytes() == installed // 8
 
 
 @pytest.mark.parametrize(
@@ -395,7 +411,7 @@ def test_probe_without_sysconf_reports_zero_and_rebuilds(monkeypatch, tmp_path):
     # os.sysconf exists on Unix only: without it the probe reports 0, which
     # selects the rebuild policy, and the vector is the golden one
     monkeypatch.delattr(os, "sysconf")
-    monkeypatch.setattr(construct, "CGROUP_MEMORY_MAX", tmp_path / "missing")
+    monkeypatch.setattr(construct, "CGROUP_MEMORY_LIMITS", (tmp_path / "missing",))
     assert construct.physical_memory_bytes() == 0
     fix = json.loads((pathlib.Path(__file__).parent / "data" / "golden_n30.json").read_text())
     case = next(c for c in fix["cases"] if c["d"] == 3 and c["alpha"] == 2)

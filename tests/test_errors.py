@@ -170,7 +170,7 @@ def test_eran_counts_clamped_terms(monkeypatch):
     real = randomized_error_sq_fixed(v, params)
     assert real.clamped == 1
     # pair products of 1 - 1e-14 put every pair term at -1e-14, above the
-    # floor; the single-prime records stay real.  A pair's record stores each
+    # floor; the single-prime records stay real.  Every record stores each
     # row times the rows it stands for.
     class PairProductsBelowOne(CbcState):
         def __post_init__(self, prefix):
@@ -287,7 +287,8 @@ def test_eran_rejects_vector_of_wrong_dimension(d):
 def test_single_record_bit_identical_to_direct_formula(n, alpha, z, gamma):
     # prime (307) and composite (3599 = 59 * 61) budgets as fixed examples
     params = KorobovSpaceParams(d=len(z), alpha=alpha, gamma=tuple(gamma[: len(z)]))
-    fast = CbcState((n,), params, zip(z)).P_products
+    state = CbcState((n,), params, zip(z))
+    fast = state.P_products / state.layout.weight  # stored weighted: dividing by 1 or 2 is exact
     assert fast.tobytes() == direct_products((n,), params, zip(z))[: n // 2 + 1].tobytes()
 
 

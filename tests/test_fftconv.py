@@ -25,8 +25,10 @@ def test_rader_kernel_p3_by_hand():
         v[0] * w[0] + v[2] * w[1] + v[1] * w[2],
     ]
     assert np.allclose(out, expect)
-    # even on Z_3, given by entries 0 and 1: f(2) = f(1)
-    assert rader_cbc_kernel(3, v[None, :2], w[None, :2]).tolist() == [10.0 * 114.0, 1014.0, 1014.0]
+    # even on Z_3, given by entries 0 and 1, f(2) = f(1), and the weights times the
+    # residues each entry stands for: w[1] for k = 1 and 2
+    half = np.array([100.0, 2 * 7.0])
+    assert rader_cbc_kernel(3, v[None, :2], half[None]).tolist() == [10.0 * 114.0, 1014.0, 1014.0]
     # a last axis of p // 2 + 1 selects the even form; any other length but p fails
     with pytest.raises(ShapeError):
         rader_cbc_kernel(5, np.ones((1, 4)), np.ones((1, 4)))
@@ -52,10 +54,12 @@ def test_rader_matches_naive(pidx, seed):
     fast = rader_cbc_kernel(p, v[None], w[None])
     slow = rader_cbc_kernel_naive(p, v, w)
     assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
-    # even inputs, given by their entries 0..p // 2, take the half-length form;
-    # z and p - z share one correlation lag class: bit-equal, not just close
+    # even inputs, given by their entries 0..p // 2, the weights times the residues
+    # k and p - k each entry stands for, take the half-length form; z and p - z
+    # share one correlation lag class: bit-equal, not just close
     even = np.minimum(np.arange(p), p - np.arange(p))
-    fast = rader_cbc_kernel(p, v[None, : p // 2 + 1], w[None, : p // 2 + 1])
+    half = w[: p // 2 + 1] * np.where(np.arange(p // 2 + 1) > 0, 2.0, 1.0)
+    fast = rader_cbc_kernel(p, v[None, : p // 2 + 1], half[None])
     slow = rader_cbc_kernel_naive(p, v[even], w[even])
     assert np.max(np.abs(fast - slow)) < 1e-9 * max(1.0, np.max(np.abs(slow)))
     assert fast.tobytes() == fast[even].tobytes()
@@ -67,16 +71,16 @@ def test_rader_plan_is_cached_per_prime_and_length():
     full, half = rader_plan(13, 13), rader_plan(13, 7)
     assert rader_plan(13, 13) is full and rader_plan(13, 7) is half
     # order lists k = 0, then one period of k = g^a
-    assert full[0] == 1 and full[1].tolist() == [0] + powers.tolist()
+    assert full[0].tolist() == [0] + powers.tolist()
     # lag[z - 1] = b with z = g^-b: the lag-b correlation value belongs to z
-    assert [(z * pow(g, int(b), 13)) % 13 for z, b in enumerate(full[2], start=1)] == [1] * 12
+    assert [(z * pow(g, int(b), 13)) % 13 for z, b in enumerate(full[1], start=1)] == [1] * 12
     # the even layout: one period of min(g^a, p - g^a), lags modulo it
-    assert half[0] == 2 and half[1].tolist() == [0] + np.minimum(powers, 13 - powers)[:6].tolist()
-    assert half[2].tolist() == (full[2] % 6).tolist()
-    for a in full[1:] + half[1:]:
+    assert half[0].tolist() == [0] + np.minimum(powers, 13 - powers)[:6].tolist()
+    assert half[1].tolist() == (full[1] % 6).tolist()
+    for a in full + half:
         with pytest.raises(ValueError):
             a[0] = 5
-    assert rader_plan(2, 2)[0] == 1  # p = 2 keeps the full layout: there p // 2 + 1 == p
+    assert rader_plan(2, 2)[0].tolist() == [0, 1]  # p = 2 keeps the full layout: p // 2 + 1 == p
     with pytest.raises(ShapeError):
         rader_plan(13, 8)
     with pytest.raises(NotPrimeError):
@@ -122,9 +126,9 @@ def test_rader_batch_rows_are_the_kernel_bit_for_bit():
 
 def test_rader_segments_are_the_kernel_of_each_segment_bit_for_bit():
     # given segment starts, the correlation body sums each run of tables apart: fed
-    # the inputs reindexed by rader_plan's order and the natural-order row sums, row
-    # i is the kernel of the tables from starts[i] to starts[i + 1] alone, bit for
-    # bit, in both layouts and with segments of one table
+    # the inputs reindexed by rader_plan's order as the kernel does, a C-contiguous
+    # take, row i is the kernel of the tables from starts[i] to starts[i + 1] alone,
+    # bit for bit, in both layouts and with segments of one table
     rng = np.random.default_rng(5)
     for p in (2, 3, 5, 13, 53, 101):
         for n in {p, p // 2 + 1}:
@@ -133,8 +137,8 @@ def test_rader_segments_are_the_kernel_of_each_segment_bit_for_bit():
             starts = np.cumsum(counts) - counts
             v = rng.standard_normal((counts.sum(), n))
             w = rng.standard_normal((counts.sum(), n))
-            order = rader_plan(p, n)[1]
-            rows = rader_correlation(p, v[:, order], w[:, order], starts, w.sum(axis=-1))
+            order = rader_plan(p, n)[0]
+            rows = rader_correlation(p, v.take(order, axis=-1), w.take(order, axis=-1), starts)
             assert rows.shape == (4, p)
             for i, (a, c) in enumerate(zip(starts, counts)):
                 one = rader_cbc_kernel(p, v[a : a + c], w[a : a + c])
