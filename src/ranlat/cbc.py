@@ -4,19 +4,23 @@
 sigma_alpha(k z_j / m)) of the rule modulo m, for one prime or, by the CRT, a
 pair of coprime moduli, so that the squared-error increment theta of every
 candidate residue comes out of a single Rader convolution sweep,
-`fftconv.rader_cbc_kernel`, as do a pair's cross terms.  As sigma_alpha is even,
+`fftconv.rader_correlation`, as do a pair's cross terms.  As sigma_alpha is even,
 so is P: a record stores the rows k_1 <= m_1/2 of its first axis, each for k_1
 and m_1 - k_1, as `record_layout` lays them out, and each row's products times
 the rows it stands for, 1 or 2, so that sweeps, means and sums read them as
 stored.  A state of one prime may hold many vectors, one row of products each:
 `cbc_vectors` takes all the vectors of one prime through the CBC levels
-together.  A state of pairs may hold a run of them, (q_1, p), ..., (q_r, p),
-stacked on rows: one grid, one product array and one correlation call per sweep
-for all of them, each pair's rows bit for bit its own.  The last modulus p of a
-run is prime, and a pair's columns, the residues k of p, are stored in p's Rader
-order, k = 0 and then g^a, so that its sweep, `fftconv.rader_correlation`, reads
-grid rows and products as stored.  Reading a row at z_p is then a rotation of
-its period by the discrete log of z_p, and at -k one by (p - 1)/2.
+together, and each theta sweep reads the prime's sigma table through one cached
+transform (`single_sigma_table`).  A state of pairs may hold a run of them,
+(q_1, p), ..., (q_r, p), stacked on rows: one grid, one product array and one
+correlation call per sweep for all of them, each pair's rows bit for bit its
+own.  The last modulus p of a run is prime, and a pair's columns, the residues k
+of p, are stored in p's Rader order, k = 0 and then g^a, so that its sweep reads
+grid rows and products as stored.  A run's sweep gathers its grid rows at the
+partners' residues, into a buffer its caller owns if given, and holds them until
+the extend at the same residues, which scales them in place and reads them at
+z_p by rotating each row's period by the discrete log of z_p: one gather per
+turn, and no rotated copy.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .fftconv import rader_cbc_kernel, rader_correlation, rader_plan
+from .fftconv import rader_correlation, rader_plan, rader_table
 from .kernels import DomainError, KorobovSpaceParams, exact_sum, sigma_reduced
 from .primes import is_prime
 
@@ -135,6 +139,17 @@ def _rotate(rows: np.ndarray, at, read: np.ndarray, s: int) -> None:
 single_sigma_grid = functools.lru_cache(maxsize=1024)(sigma_grid)
 
 
+@functools.lru_cache(maxsize=1024)
+def single_sigma_table(p: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `fftconv.rader_table` of the prime p's sigma table, `single_sigma_grid`
+    reindexed into Rader order: the same for every theta sweep of (p, alpha)."""
+    grid = single_sigma_grid((p,), alpha)
+    table = rader_table(grid[None].take(rader_plan(p, len(grid))[0], axis=-1))
+    for x in table:
+        x.flags.writeable = False
+    return table
+
+
 @dataclass
 class CbcState:
     """Running point products of the rank-1 rule modulo m = prod(moduli).
@@ -151,6 +166,11 @@ class CbcState:
     permutation and, of a pair, a rotation of each row's period, by the discrete log
     of z_2 (`fftconv.rader_plan`'s lag) and, for a folded row, (m_2 - 1)/2 more.  Only
     the methods below read this layout: `mean`, the sweeps and the sums.
+
+    A run holds one array of grid rows between calls: the rows `pair_sweep` gathered
+    at zq, into the caller's buffer if it passed one, until `extend` at the same zq
+    scales them in place and multiplies them in.  The caller owns that buffer and
+    must not write it in between; any other extend gathers afresh.
 
     A state of one modulus holds R vectors at once if each component of the prefix
     is an int64 column of R residues, shape (R, 1): P_products then has a leading axis,
@@ -173,7 +193,7 @@ class CbcState:
         self.layout = record_layout(self.moduli)
         grid = single_sigma_grid if len(self.moduli) == 1 else sigma_grid
         self.grid = grid(self.moduli, self.params.alpha)
-        self._read = None
+        self._held = None
         prefix = list(prefix)
         rows = np.shape(prefix[0][0])[:-1] if prefix else ()
         if rows and len(self.moduli) > 1:
@@ -187,46 +207,50 @@ class CbcState:
     def _stored_rows(self, zq: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(rows, fold) of a run: for each stored row a of pair i, the stored row that holds
         row a zq_i mod q_i, and the rows where that residue is above q_i / 2, so is read
-        folded.  The last zq's are kept, for the extension that follows a sweep."""
-        if self._read is None or self._read[0] != zq:
-            r = np.array([z % q for z, q in zip(zq, self.moduli)])[self.layout.pair]
-            r *= self.layout.a
-            r %= self.layout.q
-            rows = np.minimum(r, self.layout.q - r)
-            fold = np.flatnonzero(rows != r)
-            rows += self.layout.starts[self.layout.pair]
-            self._read = zq, rows, fold
-        return self._read[1:]
+        folded."""
+        r = np.array([z % q for z, q in zip(zq, self.moduli)])[self.layout.pair]
+        r *= self.layout.a
+        r %= self.layout.q
+        rows = np.minimum(r, self.layout.q - r)
+        fold = np.flatnonzero(rows != r)
+        rows += self.layout.starts[self.layout.pair]
+        return rows, fold
 
-    def sigma_rows(self, *z: int) -> np.ndarray:
-        """grid at the stored points: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2 z_2 mod m_2],
-        a row a > m_1/2 read as row m_1 - a at the negated residues; a missing z_2 reads as 1.
-        Columns are in the grid's order.  One modulus and a column z_1 give one row per
-        entry; a run takes one z_1 per pair."""
+    def sigma_rows(self, *zq: int, out: np.ndarray | None = None) -> np.ndarray:
+        """grid at the stored points, read at z_p = 1: [k_1, k_2] holds grid[k_1 z_1 mod m_1, k_2],
+        a row a > m_1/2 read as row m_1 - a at the negated residues, columns in the grid's
+        order; a new array, or a run's rows gathered into out.  One modulus and a column z_1
+        give one row per entry; a run takes one zq_i per pair."""
         if len(self.moduli) == 1:
             m = self.moduli[0]
-            r = residue_perm(m, z[0], len(self.grid))
+            r = residue_perm(m, zq[0], len(self.grid))
             return self.grid.take(np.minimum(r, m - r), axis=0)
-        p = self.moduli[-1]
-        stored, fold = self._stored_rows(z[: len(self.moduli) - 1])
-        rows = self.grid.take(stored, axis=0)
-        if len(z) == len(self.moduli):  # k z_p: g^(a + e) at k = g^a, 0 at z_p = 0
-            zp = operator.index(z[-1]) % p
-            if zp == 0:
-                rows[:, 1:] = rows[:, :1]
-                return rows
-            e = -int(rader_plan(p, p)[1][zp - 1]) % (p - 1)
-            if e:
-                _rotate(rows, slice(None), rows.copy(), e)
-        _rotate(rows, fold, rows[fold], (p - 1) // 2)  # -g^a = g^(a + (p-1)/2)
+        stored, fold = self._stored_rows(zq)
+        rows = np.take(self.grid, stored, axis=0, out=out, mode="clip")  # "clip": no buffered out
+        _rotate(rows, fold, rows[fold], (self.moduli[-1] - 1) // 2)  # -g^a = g^(a + (p-1)/2)
         return rows
 
     def extend(self, *z: int) -> None:
-        """Fold the next component, one residue per modulus, into the products."""
-        rows = self.sigma_rows(*z)  # a new array, so updated in place
+        """Fold the next component, one residue per modulus, into the products.  A run
+        takes the rows its `pair_sweep` holds at the same zq, else a fresh gather, scales
+        them in place and multiplies them in read at z_p: column 0, and each row's period
+        rotated by the discrete log e of z_p, as two column slices; at z_p = 0 every column
+        takes column 0."""
+        P, run = self.P_products, len(self.moduli) > 1
+        zq, held, self._held = z[:-1] if run else z, self._held, None
+        rows = held[1] if held is not None and held[0] == zq else self.sigma_rows(*zq)
         rows *= self.params.gamma[self.dims] ** 2
         rows += 1.0
-        self.P_products *= rows
+        if not run:
+            P *= rows
+        elif (zp := operator.index(z[-1]) % self.moduli[-1]) == 0:
+            P *= rows[:, :1]
+        else:  # k z_p = g^(a + e) at k = g^a
+            p = self.moduli[-1]
+            e = -int(rader_plan(p, p)[1][zp - 1]) % (p - 1)
+            P[:, :1] *= rows[:, :1]
+            P[:, 1 : p - e] *= rows[:, 1 + e :]
+            P[:, p - e :] *= rows[:, 1 : 1 + e]
         self.dims += 1
 
     def mean(self) -> float | np.ndarray:
@@ -242,16 +266,23 @@ class CbcState:
     def sweep(self, *rows: np.ndarray) -> np.ndarray:
         """S[..., z] = sum_k sigma_alpha(k z / p) w[..., k], k and z in Z_p (one prime), one sweep
         per row of w: the products, stacked over any given rows of even weights on k <= p/2,
-        stored alike, each entry times the residues it stands for."""
-        w = np.vstack((self.P_products,) + rows) if rows else self.P_products
-        return rader_cbc_kernel(self.moduli[0], self.grid[None], w[..., None, :])
+        stored alike, each entry times the residues it stands for.  The sigma table is read
+        through its cached transform, `single_sigma_table`; bit for bit
+        `fftconv.rader_cbc_kernel` of the grid and w in natural order."""
+        p, w = self.moduli[0], np.vstack((self.P_products,) + rows) if rows else self.P_products
+        order = rader_plan(p, w.shape[-1])[0]
+        return rader_correlation(p, single_sigma_table(p, self.params.alpha),
+                                 w[..., None, :].take(order, axis=-1))
 
-    def pair_sweep(self, *zq: int) -> np.ndarray:
+    def pair_sweep(self, *zq: int, out: np.ndarray | None = None) -> np.ndarray:
         """S[i, z] = sum_{l in Z_q_i, k in Z_p} sigma_alpha(l zq_i / q_i + k z / p) P_i(l, k) for
         every z in Z_p, one row per pair (q_i, p) of the run, from one correlation that sums
         each pair's rows apart.  Grid and weighted products are in Rader order, so the
-        correlation reads them as stored."""
-        return rader_correlation(self.moduli[-1], self.sigma_rows(*zq), self.P_products,
+        correlation reads them as stored.  The grid rows at zq are gathered into out, the
+        caller's (rows, p) buffer, if given, and held until `extend` at the same zq."""
+        rows = self.sigma_rows(*zq, out=out)
+        self._held = zq, rows
+        return rader_correlation(self.moduli[-1], rader_table(rows), self.P_products,
                                  self.layout.starts)
 
     def pair_sums(self) -> list[np.ndarray]:
@@ -285,8 +316,12 @@ def candidate_set(theta: np.ndarray, m: int) -> np.ndarray:
     Values within relative TIE_RTOL of the m-th smallest count as tied with
     it and fill the set in index order, after those below it, so round-off
     cannot choose between the members of a tie.  With m = 1 this is the
-    argmin, ties broken by the smallest index.
+    argmin, ties broken by the smallest index: the first value tied with the
+    smallest, found in one pass.
     """
+    if m == 1:
+        low = theta.min(axis=-1, keepdims=True)
+        return np.argmax(~(np.abs(theta - low) > TIE_RTOL * np.abs(low)), axis=-1, keepdims=True)
     edge = np.partition(theta, m - 1, axis=-1)[..., m - 1 : m]
     tol = TIE_RTOL * np.abs(edge)
     # 0 below the tie, 1 tied, 2 above: a stable sort lists each class in index order

@@ -27,7 +27,7 @@ from .errors import (
     theorem_bound_min,
     worst_case_error_sq,
 )
-from .fftconv import rader_cbc_kernel, rader_correlation, rader_plan
+from .fftconv import rader_cbc_kernel, rader_correlation, rader_plan, rader_table
 from .kernels import DomainError, KorobovSpaceParams, poly_weights
 from .primes import C_PRIME, ResidueVector, build_prime_pool, sieve_primes
 from .runtime import (
@@ -292,7 +292,7 @@ def _verify_fft_oracle() -> list[str]:
             (" even", rader_cbc_kernel(p, v[:, :h], w[:, :h] * half), naive(p, v[0, even], w[0, even])),
             (" even batch", rader_cbc_kernel(p, v[:, :h], ws[:, None, :h] * half),
              [naive(p, v[0, even], r[even]) for r in ws]),
-            (" segments", rader_correlation(p, vs.take(order, -1), ws.take(order, -1), [0, cut]),
+            (" segments", rader_correlation(p, rader_table(vs.take(order, -1)), ws.take(order, -1), [0, cut]),
              [sum(naive(p, a, b) for a, b in zip(vs[at], ws[at])) for at in (slice(cut), slice(cut, None))]),
         ):
             err = float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)))

@@ -9,8 +9,9 @@ pairs (q, p) of a prime p with its smaller partners q are held in runs,
 `CbcState`s of consecutive pairs stacked on rows, up to `RUN_BYTES` of
 products each (`partner_runs`).  At
 p's turn each run is one kernel call (`CbcState.pair_sweep`) that gives T-hat
-the cross terms of its pairs, swept at the partners' residues.  After p's
-choice each run is extended by the component, and the row sums of its pairs
+the cross terms of its pairs, swept at the partners' residues, its sigma rows
+gathered into the construction's one table buffer and held there.  After p's
+choice each run is extended by the component from those rows, and the row sums of its pairs
 are added, in ascending p, to each partner's shared larger-prime row: the
 weights that its next turn's single sweep runs with theta's.  After p's last
 choice the runs are at all d components, and each pair's mean is kept for
@@ -20,7 +21,9 @@ The runs are kept (sum_{q<p} (q//2 + 1) p floats of grid and products each)
 if they fit in half of the memory the process may use.  Otherwise a prime's
 runs are built at the start and at each of its turns, held through the
 choice and dropped, so one prime's runs are alive at a time.  Both policies
-give bit-identical vectors and reports.
+give bit-identical vectors and reports.  Under both, the table buffer holds one
+prime's gathered sigma rows, sum_{q<p} (q//2 + 1) p floats for the largest p:
+half of that prime's run bytes again.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ class ConstructionState:
     prime's `CbcState` and records[run] the `CbcState` of each run of
     `partner_runs`, all over as many components as their larger prime has
     chosen.  A prime's record is kept, a run only if keep_tables (set from the
-    memory probe); else it is held through its prime's choice.  larger[p] sums,
+    memory probe); else it is held through its prime's choice.  tables is the one
+    buffer of grid rows that the due prime's runs gather at its pair sweeps, run after
+    run, and hold until its extends, sized for the largest prime.  larger[p] sums,
     over q > p ascending, 2 / q^(2 alpha + 1) times the row sums of the pair
     (p, q) read at k q^-1 mod p, k <= p/2, weighted as p's products, as q's choices
     extend the pair; means holds E(pq) + 1 of each pair once it is at all d components.
@@ -128,13 +133,18 @@ class ConstructionState:
     records: dict[tuple[int, ...], CbcState] = field(init=False)
     larger: dict[int, np.ndarray] = field(init=False)
     means: dict[tuple[int, int], float] = field(init=False)
+    tables: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         # Keep the runs only if they fit in half of the probed memory: the
         # other half holds what runs beside them, that is, one prime's runs
-        # with their permuted sigma rows and FFT spectra during a choice, and
-        # other processes.
+        # with their gathered sigma rows (the table buffer, half of that
+        # prime's run bytes again) and FFT spectra during a choice, and other
+        # processes.
         self.keep_tables = 2 * estimate_cached_bytes(self.pool) <= physical_memory_bytes()
+        primes = self.pool.primes
+        self.tables = np.empty(max(sum(record_bytes(run) for run in partner_runs(primes, p))
+                                   for p in primes) // 16)
         self.residues = {p: [1] for p in self.pool.primes}
         self.records = {(p,): CbcState((p,), self.params, [(1,)]) for p in self.pool.primes}
         self.larger = {p: np.zeros(p // 2 + 1) for p in self.pool.primes}
@@ -182,14 +192,17 @@ class ConstructionState:
 
         T-hat adds to theta the cross-prime corrections: one kernel call per run
         of the smaller primes, its pairs swept at their residues and added in
-        ascending q.  Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
+        ascending q, its grid rows gathered into the run's part of tables and
+        held there for its extend.  Since sum_k sigma(k q z / p) w(k) = sum_k sigma(k z / p) w(k q^-1 mod p),
         all larger primes share one row, larger[p], swept with theta's products.
         """
         p, dims = self._due()
-        cross = np.zeros(p)
+        cross, at = np.zeros(p), 0
         for run in self._runs(p, dims):
-            qs = run.moduli[:-1]
-            S = run.pair_sweep(*(self.residues[q][dims] for q in qs))
+            qs, size = run.moduli[:-1], record_bytes(run.moduli) // 16  # the run's grid entries
+            view = self.tables[at : at + size].reshape(-1, p)
+            at += size
+            S = run.pair_sweep(*(self.residues[q][dims] for q in qs), out=view)
             S *= [[2.0 / q] for q in qs]
             for row in S:  # in ascending q, as one pair at a time
                 cross += row

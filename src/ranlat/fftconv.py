@@ -10,9 +10,13 @@ each stands for).  `rader_plan` builds the reindexing once per prime and layout.
 The sweep has one body, `rader_correlation`: it contracts R tables of values with
 R rows of weights, both already in Rader order, for any batch of such row sets,
 and sums the tables in one total or in consecutive runs, one result row per run.
-A run of prime pairs sharing their larger prime, whose records are stored in
-Rader order, is one call of it.  `rader_cbc_kernel` takes tables and rows in
-natural order, reindexes them into Rader order and calls it.
+It takes the tables as their transform, `rader_table`: their k = 0 column and the
+conjugated spectrum of their period.  The caller owns the tables and builds the
+transform, so a table read by many sweeps, a prime's sigma table, is transformed
+once (`cbc.single_sigma_table`), and a run of prime pairs sharing their larger
+prime transforms the grid rows it gathered for its sweep.  `rader_cbc_kernel`
+takes tables and rows in natural order, reindexes them into Rader order and
+calls the body.
 """
 
 from __future__ import annotations
@@ -77,12 +81,22 @@ def rader_cbc_kernel(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndar
     if v.ndim != 2 or w.shape[-2:] != v.shape:
         raise ShapeError("values must be R tables, shape (R, n), and weights (..., R, n)")
     order = rader_plan(p, v.shape[-1])[0]
-    return rader_correlation(p, v.take(order, axis=-1), w.take(order, axis=-1))
+    return rader_correlation(p, rader_table(v.take(order, axis=-1)), w.take(order, axis=-1))
 
 
-def rader_correlation(p: int, values: np.ndarray, weights: np.ndarray, starts=None) -> np.ndarray:
-    """`rader_cbc_kernel` of tables and rows whose last axis is in Rader order: entry 0
-    is k = 0 and entry 1 + a is k = g^a, a over one period (`rader_plan`).
+def rader_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values[:, 0], conj(rfft(values[:, 1:]))) of R tables, shape (R, n), in Rader order:
+    the transform `rader_correlation` takes, their k = 0 entries and the conjugated
+    spectrum of their period.  The first is a view of values."""
+    spec = np.fft.rfft(values[:, 1:])
+    return values[:, 0], np.conjugate(spec, out=spec)
+
+
+def rader_correlation(p: int, table: tuple[np.ndarray, np.ndarray], weights: np.ndarray,
+                      starts=None) -> np.ndarray:
+    """`rader_cbc_kernel` of R tables, given as their `rader_table`, and rows of weights
+    whose last axis is in Rader order: entry 0 is k = 0 and entry 1 + a is k = g^a, a
+    over one period (`rader_plan`).
 
     Given segment starts, the indices at which consecutive runs of tables begin
     (starts[0] = 0), each run is summed apart and S has shape (..., len(starts), p),
@@ -92,20 +106,21 @@ def rader_correlation(p: int, values: np.ndarray, weights: np.ndarray, starts=No
     products need not be bit-commutative) and are summed over r before one inverse
     transform per sum.
     """
-    v, w = values, weights
-    lag = rader_plan(p, v.shape[-1])[1]
+    (v0, table), w = table, weights
+    n = w.shape[-1]
+    lag = rader_plan(p, n)[1]
     # c[..., b] = sum_r sum_a v[r, g^(a-b)] w[..., r, g^a], a over one period
-    table, spec = np.fft.rfft(v[:, 1:]), np.fft.rfft(w[..., 1:])
-    np.multiply(np.conjugate(table, out=table), spec, out=spec)  # conj(table) * row
+    spec = np.fft.rfft(w[..., 1:])
+    np.multiply(table, spec, out=spec)  # conj(table) * row
     # the k = 0 terms: c0 = sum_r v[r, 0] w[..., r, 0], s0 = sum_r v[r, 0] sum_k w[..., r, k]
-    if len(v) == 1:  # one table: each term is its own sum
-        c0, s0 = w[..., 0] * v[0, 0], w.sum(axis=-1) * v[0, 0]
+    if len(v0) == 1:  # one table: each term is its own sum
+        c0, s0 = w[..., 0] * v0[0], w.sum(axis=-1) * v0[0]
     else:  # each run of tables summed in order, apart from the others
         at = [0] if starts is None else starts
         spec = np.add.reduceat(spec, at, axis=-2)
-        c0 = np.add.reduceat(w[..., 0] * v[:, 0], at, axis=-1)
-        s0 = np.add.reduceat(w.sum(axis=-1) * v[:, 0], at, axis=-1)
-    c = np.fft.irfft(spec, v.shape[-1] - 1)
+        c0 = np.add.reduceat(w[..., 0] * v0, at, axis=-1)
+        s0 = np.add.reduceat(w.sum(axis=-1) * v0, at, axis=-1)
+    c = np.fft.irfft(spec, n - 1)
     S = np.empty(c.shape[:-1] + (p,))
     S[..., 0] = s0
     S[..., 1:] = (c0[..., None] + c).take(lag, axis=-1)  # S[..., z] == S[..., p - z] if n < p

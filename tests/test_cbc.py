@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ranlat.cbc import (
     TIE_RTOL, CbcState, candidate_count, candidate_set, cbc_construct, record_bytes, record_layout,
-    sigma_grid, theta_all,
+    sigma_grid, single_sigma_table, theta_all,
 )
 from ranlat.errors import _error_sq, worst_case_error_sq, worst_case_errors_sq
 from ranlat.fftconv import rader_cbc_kernel
@@ -46,6 +46,42 @@ def test_candidate_set_of_one_is_the_first_near_minimum(data, rows, p):
         best = min(row)
         expect.append(next(i for i, v in enumerate(row) if v <= best + TIE_RTOL * abs(best)))
     assert candidate_set(theta, 1)[:, 0].tolist() == expect
+
+
+def _ranked_candidate_set(theta, m):
+    """candidate_set's rank-and-argsort path, which it takes for every m > 1."""
+    edge = np.partition(theta, m - 1, axis=-1)[..., m - 1 : m]
+    tol = TIE_RTOL * np.abs(edge)
+    rank = (np.abs(theta - edge) > tol).view(np.int8) + np.int8(1)
+    rank[theta < edge - tol] = 0
+    return np.argsort(rank, axis=-1, kind="stable")[..., :m]
+
+
+def test_candidate_set_of_one_is_the_general_path_at_the_tolerance():
+    # the one-pass m = 1 path picks what the rank-and-argsort path picks when a value
+    # lies exactly at the tie tolerance of the minimum (tied) or one ulp beyond it (not
+    # tied), ahead of the minimum or behind it, in one row and in many
+    rng = np.random.default_rng(7)
+    rows, expect = [], []
+    for low in (1.0, 3.7e-13, 2.5e3, 0.0):
+        tol = TIE_RTOL * abs(low)
+        at = low + tol
+        while abs(at - low) > tol:
+            at = np.nextafter(at, -np.inf)
+        beyond = np.nextafter(at, np.inf)
+        assert abs(at - low) <= tol < abs(beyond - low)
+        for planted in (at, beyond):
+            for where in (0, 2, 7):
+                row = low + (1.0 + rng.random(9)) * max(abs(low), 1e-300) * 1e-3
+                row[4], row[where] = low, planted
+                rows.append(row)
+                expect.append(where if planted == at and where < 4 else 4)
+                assert candidate_set(row, 1).tolist() == _ranked_candidate_set(row, 1).tolist()
+                assert candidate_set(row, 1).tolist() == [expect[-1]]
+    rows = np.array(rows)
+    assert candidate_set(rows, 1).tobytes() == _ranked_candidate_set(rows, 1).tobytes()
+    assert candidate_set(rows, 1)[:, 0].tolist() == expect
+    assert 0 < sum(e != 4 for e in expect) < len(expect)
 
 
 def test_theta_first_dimension_branches():
@@ -283,9 +319,10 @@ def test_record_layout_is_cached_and_read_only(moduli):
     # a prime is the pair (p, 1) of one column; each stored row a <= q/2 stands for
     # a and q - a, once where they are one row, so a pair's weights sum to q; and
     # a -> a c^-1 mod q, folded, permutes the pair's rows.  A run's columns are the
-    # residues k of c in Rader order, and sigma_rows reads them by rotating the
-    # period: at each z, folded rows included, entry (a, j) is sigma_alpha at the CRT
-    # point of (a zq mod q, k_j z mod c), byte for byte
+    # residues k of c in Rader order: sigma_rows reads them at z = 1, and extend at
+    # any z by rotating the period.  At each z, folded rows included, entry (a, j)
+    # of the rows is sigma_alpha at the CRT point of (a zq mod q, k_j z mod c), byte
+    # for byte: the products of one extend from the weights are weight (1 + g sigma)
     layout = record_layout(moduli)
     assert record_layout(moduli) is layout
     *qs, c = moduli + (1,) if len(moduli) == 1 else moduli
@@ -296,7 +333,8 @@ def test_record_layout_is_cached_and_read_only(moduli):
         with pytest.raises(ValueError):
             x[0] = 5
     if len(moduli) > 1:
-        state = CbcState(moduli, _params(1, alpha=2), ())
+        params = _params(1, alpha=2)
+        g = params.gamma[0] ** 2
         zq = [-(i + 1) for i in range(len(qs))]  # -1 folds each row 0 < a < q/2; q = 2 never folds
         folded = 0
         for z in (0, 1, 2, c - 1, c, 3 * c + 5, -7):
@@ -306,8 +344,12 @@ def test_record_layout_is_cached_and_read_only(moduli):
                 point = (l[:, None] * c + column_order(c) * z % c * q) % m
                 expect.append(sigma_alpha(np.minimum(point, m - point) / m, 2))
                 folded += np.count_nonzero(l > q - l)
-            assert state.sigma_rows(*zq, z).tobytes() == np.concatenate(expect).tobytes(), z
-        assert state.sigma_rows(*zq).tobytes() == state.sigma_rows(*zq, 1).tobytes()
+            expect = np.concatenate(expect)
+            state = CbcState(moduli, params, ())
+            if z == 1:
+                assert state.sigma_rows(*zq).tobytes() == expect.tobytes()
+            state.extend(*zq, z)
+            assert state.P_products.tobytes() == (layout.weight[:, None] * (expect * g + 1.0)).tobytes(), z
         assert folded > 0
     for i, q in enumerate(qs):
         own = np.flatnonzero(layout.pair == i)
@@ -405,3 +447,67 @@ def test_pair_sweep_takes_the_natural_kernels_inputs(p, alpha):
             a = np.arange(q // 2 + 1) * zi % q
             folded += np.count_nonzero(a > q - a)
     assert folded > 0  # some rows are read folded
+
+
+@pytest.mark.parametrize("moduli", [(3, 5, 7, 11, 13), (2, 4, 9, 11), (47, 53)])
+def test_held_rows_extend_as_a_fresh_gather_byte_for_byte(moduli):
+    # pair_sweep gathers a run's grid rows into the caller's buffer and holds them, and
+    # the extend at the same zq scales them in place and multiplies them in: its products
+    # are byte-equal to those of a never-swept twin extended through a fresh gather, for
+    # runs of several pairs and one, folded rows, z_p = 0 and rotation 0 (z_p = 1).  The
+    # held rows serve one extend; a sweep at one zq and an extend at another gathers
+    # afresh and leaves the buffer as swept
+    p, size = moduli[-1], record_bytes(moduli) // 16
+    params = _params(4, alpha=2, c=1.5)
+    rng = np.random.default_rng(p)
+    prefix = [tuple(rng.integers(0, 10 ** 4, len(moduli)).tolist())]
+    zq = tuple(-(i + 1) for i in range(len(moduli) - 1))  # -1 folds each row 0 < a < q/2
+    g = params.gamma[1] ** 2
+    for zp in (0, p, 1, 2, -1, int(rng.integers(3, 10 ** 4))):
+        buffer = np.full(size + 5, np.nan)
+        view = buffer[:size].reshape(-1, p)
+        swept, fresh = CbcState(moduli, params, prefix), CbcState(moduli, params, prefix)
+        gathered = fresh.sigma_rows(*zq)
+        S = swept.pair_sweep(*zq, out=view)
+        assert S.tobytes() == CbcState(moduli, params, prefix).pair_sweep(*zq).tobytes()
+        assert view.tobytes() == gathered.tobytes()
+        swept.extend(*zq, zp)
+        fresh.extend(*zq, zp)
+        assert swept.P_products.tobytes() == fresh.P_products.tobytes(), zp
+        assert view.tobytes() == (gathered * g + 1.0).tobytes()  # the held rows were read
+        assert np.isnan(buffer[size:]).all()
+        swept.extend(*zq, zp + 3)  # the held rows are spent
+        fresh.extend(*zq, zp + 3)
+        assert swept.P_products.tobytes() == fresh.P_products.tobytes(), zp
+        other = tuple(z + 1 for z in zq)
+        swept, fresh = CbcState(moduli, params, prefix), CbcState(moduli, params, prefix)
+        swept.pair_sweep(*zq, out=view)
+        swept.extend(*other, zp)
+        fresh.extend(*other, zp)
+        assert swept.P_products.tobytes() == fresh.P_products.tobytes(), zp
+        assert view.tobytes() == gathered.tobytes()
+    a = [np.arange(q // 2 + 1) * z % q for q, z in zip(moduli, zq)]
+    assert sum(np.count_nonzero(a_i > q - a_i) for q, a_i in zip(moduli, a)) > 0  # some read folded
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_theta_reads_the_cached_sigma_table_bit_for_bit_the_kernel(alpha):
+    # a prime's sigma table transform is cached per (p, alpha) and read-only, and every
+    # sweep through it, with and without the larger-prime row, of one vector and of
+    # many, is rader_cbc_kernel of the natural-order grid and products bit for bit
+    params = _params(3, alpha=alpha, c=3.0)
+    rng = np.random.default_rng(alpha)
+    for p in (2, 3, 13, 53, 101):
+        table = single_sigma_table(p, alpha)
+        assert single_sigma_table(p, alpha) is table
+        for x in table:
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+        z = rng.integers(0, p, (4, 2))
+        z[:, 0] = 1
+        one, batch = CbcState((p,), params, zip(z[0])), CbcState((p,), params, zip(z.T[:, :, None]))
+        for state in (one, batch):
+            for rows in ((), (rng.random(p // 2 + 1),)):
+                w = np.vstack((state.P_products,) + rows) if rows else state.P_products
+                kernel = rader_cbc_kernel(p, state.grid[None], w[..., None, :])
+                assert state.sweep(*rows).tobytes() == kernel.tobytes(), (p, rows)

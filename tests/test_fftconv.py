@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranlat.fftconv import (
-    ShapeError, power_permutation, rader_cbc_kernel, rader_correlation, rader_plan,
+    ShapeError, power_permutation, rader_cbc_kernel, rader_correlation, rader_plan, rader_table,
 )
 from ranlat.oracles import rader_cbc_kernel_naive
 from ranlat.primes import NotPrimeError, primitive_root, sieve_primes
@@ -127,8 +127,9 @@ def test_rader_batch_rows_are_the_kernel_bit_for_bit():
 def test_rader_segments_are_the_kernel_of_each_segment_bit_for_bit():
     # given segment starts, the correlation body sums each run of tables apart: fed
     # the inputs reindexed by rader_plan's order as the kernel does, a C-contiguous
-    # take, row i is the kernel of the tables from starts[i] to starts[i + 1] alone,
-    # bit for bit, in both layouts and with segments of one table
+    # take, and the tables as their rader_table, row i is the kernel of the tables
+    # from starts[i] to starts[i + 1] alone, bit for bit, in both layouts and with
+    # segments of one table
     rng = np.random.default_rng(5)
     for p in (2, 3, 5, 13, 53, 101):
         for n in {p, p // 2 + 1}:
@@ -138,7 +139,7 @@ def test_rader_segments_are_the_kernel_of_each_segment_bit_for_bit():
             v = rng.standard_normal((counts.sum(), n))
             w = rng.standard_normal((counts.sum(), n))
             order = rader_plan(p, n)[0]
-            rows = rader_correlation(p, v.take(order, axis=-1), w.take(order, axis=-1), starts)
+            rows = rader_correlation(p, rader_table(v.take(order, axis=-1)), w.take(order, axis=-1), starts)
             assert rows.shape == (4, p)
             for i, (a, c) in enumerate(zip(starts, counts)):
                 one = rader_cbc_kernel(p, v[a : a + c], w[a : a + c])

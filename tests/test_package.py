@@ -61,11 +61,12 @@ def test_every_exported_name_resolves():
 def test_only_cbc_reads_the_record_layout():
     # A record's layout (its grid, products, sigma rows, stored rows and column order)
     # is read through CbcState's methods alone, and only cbc runs the Rader sweep: the
-    # correlation body on its Rader-ordered pair records, the reindexing kernel on
-    # natural-order tables.  The Rader order itself, rader_plan, is named by fftconv
-    # and cbc, and by cli, whose fft oracle suite checks the kernel and, on tables in
-    # runs reindexed by rader_plan, the correlation body.
-    watched = {"rader_cbc_kernel", "rader_correlation", "rader_plan"}
+    # correlation body on its Rader-ordered pair records and on a prime's cached
+    # table transform, both built by rader_table.  The Rader order itself, rader_plan,
+    # is named by fftconv and cbc, and by cli, whose fft oracle suite checks the
+    # natural-order kernel and, on tables in runs reindexed by rader_plan, the
+    # correlation body.
+    watched = {"rader_cbc_kernel", "rader_correlation", "rader_plan", "rader_table"}
     readers, namers = set(), {s: set() for s in watched}
     for name in PRODUCT:
         for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
@@ -82,8 +83,8 @@ def test_only_cbc_reads_the_record_layout():
             for n in watched.intersection(named):
                 namers[n].add(name)
     assert readers == {"cbc"}
-    assert namers == {"rader_cbc_kernel": {"cbc", "cli"}, "rader_correlation": {"cbc", "cli", "fftconv"},
-                      "rader_plan": {"cbc", "cli", "fftconv"}}
+    assert namers == {"rader_cbc_kernel": {"cli"}, "rader_correlation": {"cbc", "cli", "fftconv"},
+                      "rader_plan": {"cbc", "cli", "fftconv"}, "rader_table": {"cbc", "cli", "fftconv"}}
 
 
 @pytest.mark.parametrize("n", [53, 307])

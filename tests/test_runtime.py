@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ranlat import runtime
 from ranlat.construct import construct_fixed_vector
 from ranlat.errors import randomized_error_sq_fixed
-from ranlat.fftconv import rader_cbc_kernel
+from ranlat.fftconv import rader_correlation
 from ranlat.kernels import EXACT_SUM_CUTOFF, DomainError, KorobovSpaceParams, poly_weights, sigma_reduced
 from ranlat.primes import ResidueVector, build_prime_pool
 from ranlat.runtime import (
@@ -373,16 +373,17 @@ def test_run_rp_cbc_matches_prefix_replay(n, d, reps):
 
 def test_run_rp_cbc_sweeps_theta_once_per_block_prime_and_level(monkeypatch):
     # one theta sweep per (block, prime drawn, level), over every vector of
-    # the block that drew the prime: reps (d - 1) rows in all
+    # the block that drew the prime: reps (d - 1) rows in all, counted at the
+    # correlation body, the only sweep rp_cbc runs
     import ranlat.cbc as cbc_module
 
     rows = []
 
-    def counted_sweeps(p, values, weights):
+    def counted_sweeps(p, table, weights, starts=None):
         rows.append(math.prod(np.shape(weights)[:-1]))
-        return rader_cbc_kernel(p, values, weights)
+        return rader_correlation(p, table, weights, starts)
 
-    monkeypatch.setattr(cbc_module, "rader_cbc_kernel", counted_sweeps)
+    monkeypatch.setattr(cbc_module, "rader_correlation", counted_sweeps)
     d, n, reps = 4, 30, 2 * REPETITION_BLOCK + 100
     params = KorobovSpaceParams(d=d, alpha=2, gamma=poly_weights(d, 3.0))
     run_rp_cbc(product_cosine(d), n, params, 0.5, RunConfig(seed=1, repetitions=reps))
