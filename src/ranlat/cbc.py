@@ -236,17 +236,16 @@ class CbcState:
         them in place and multiplies them in read at z_p: column 0, and each row's period
         rotated by the discrete log e of z_p, as two column slices; at z_p = 0 every column
         takes column 0."""
-        P, run = self.P_products, len(self.moduli) > 1
+        P, p, run = self.P_products, self.moduli[-1], len(self.moduli) > 1
         zq, held, self._held = z[:-1] if run else z, self._held, None
         rows = held[1] if held is not None and held[0] == zq else self.sigma_rows(*zq)
         rows *= self.params.gamma[self.dims] ** 2
         rows += 1.0
         if not run:
             P *= rows
-        elif (zp := operator.index(z[-1]) % self.moduli[-1]) == 0:
+        elif (zp := operator.index(z[-1]) % p) == 0:
             P *= rows[:, :1]
         else:  # k z_p = g^(a + e) at k = g^a
-            p = self.moduli[-1]
             e = -int(rader_plan(p, p)[1][zp - 1]) % (p - 1)
             P[:, :1] *= rows[:, :1]
             P[:, 1 : p - e] *= rows[:, 1 + e :]

@@ -7,14 +7,14 @@ smallest theta, for each prime of the budget pool in ascending order.
 Every prime has one record, a `CbcState` over its chosen residues.  The
 pairs (q, p) of a prime p with its smaller partners q are held in runs,
 `CbcState`s of consecutive pairs stacked on rows, up to `RUN_BYTES` of
-products each (`partner_runs`).  At
-p's turn each run is one kernel call (`CbcState.pair_sweep`) that gives T-hat
-the cross terms of its pairs, swept at the partners' residues, its sigma rows
-gathered into the construction's one table buffer and held there.  After p's
-choice each run is extended by the component from those rows, and the row sums of its pairs
-are added, in ascending p, to each partner's shared larger-prime row: the
-weights that its next turn's single sweep runs with theta's.  After p's last
-choice the runs are at all d components, and each pair's mean is kept for
+products each (`partner_runs`).  At p's turn each run is one kernel call
+(`CbcState.pair_sweep`) that gives T-hat the cross terms of its pairs, swept
+at the partners' residues, its sigma rows gathered into the construction's
+one table buffer and held there.  After p's choice each run is extended by
+the component from those rows, and the row sums of its pairs are added, in
+ascending p, to each partner's shared larger-prime row: the weights that its
+next turn's single sweep runs with theta's.  After p's last choice the runs
+are at all d components, and each pair's mean is kept for
 the e_ran report (`errors.eran_report`) that the vector carries.
 
 The runs are kept (sum_{q<p} (q//2 + 1) p floats of grid and products each)
